@@ -78,9 +78,7 @@ class ChannelSpec:
             ops = []
             w = 1 / np.sqrt(len(self.bases))
             for b in self.bases:
-                evecs = states.MeasurementBasis(b).eigenvectors()
-                for o in range(2):
-                    e = evecs[o]
+                for e in states.eigenvectors(b):
                     ops.append(w * np.outer(e, e.conj()))
             return ops
         if self.kind == FIXED_PAULI and len(self.operator) == 1:
@@ -240,13 +238,13 @@ _KIND_ALIASES = {
 
 
 def _normalize_member(name: str) -> str:
-    """Accept ``m3``, ``member3``, or ``center``/``c`` spellings."""
+    """Accept ``m3``, ``member3``, or ``center``/``c`` spellings, any case."""
     low = name.lower()
     if low in ("c", "center"):
         return "C"
     if low.startswith("member") and low[6:].isdigit():
         return "m" + low[6:]
-    return name
+    return low
 
 
 def parse_adversary(text: str | None) -> AdversarySpec:

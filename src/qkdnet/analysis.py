@@ -15,6 +15,7 @@ import numpy as np
 
 from . import states
 from .errors import InvalidArgumentError
+from .paulis import parity
 from .states import bures_distance, fidelity, trace_distance
 
 DEFAULT_TOL = 1e-9
@@ -381,10 +382,7 @@ def cat_parity_distribution(assignment):
     probs = states.measurement_probabilities(
         cat, {lab: b for lab, b in zip(labels, assignment)})
     expected = (y_count % 4) // 2
-    v = np.arange(2 ** n)
-    for shift in (8, 4, 2, 1):
-        v ^= v >> shift
-    return probs, (v & 1) != expected
+    return probs, parity(np.arange(2 ** n)) != expected
 
 
 def table_correlation_check(group_sizes, shots: int, rng) -> dict:

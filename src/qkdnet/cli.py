@@ -51,35 +51,28 @@ class _Parser(argparse.ArgumentParser):
 # run
 # --------------------------------------------------------------------------
 
-_CONFIG_BOOL = {"true": True, "1": True, "yes": True,
-                "false": False, "0": False, "no": False}
-
-
 def _apply_config_file(args, path: str) -> None:
     """Flat key=value sections overriding command-line flags."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise UsageError(f"cannot read config file {path!r}")
-    net = cp["network"] if cp.has_section("network") else {}
-    for key in ("protocol", "n", "m", "t", "rounds"):
-        if key in net:
-            setattr(args, key, int(net[key]))
-    if "test_fraction" in net:
-        args.test_fraction = float(net["test_fraction"])
-    if "auth" in net:
-        args.no_auth = not _CONFIG_BOOL[net["auth"].strip().lower()]
-    if "family_r" in net:
-        args.family_r = int(net["family_r"])
-    if "family_s" in net:
-        args.family_s = int(net["family_s"])
-    if cp.has_section("adversary") and "spec" in cp["adversary"]:
-        args.adversary = cp["adversary"]["spec"]
-    out = cp["output"] if cp.has_section("output") else {}
-    if "path" in out:
-        args.out = out["path"]
-    if "reveal_secrets" in out:
-        args.reveal_secrets = _CONFIG_BOOL[out["reveal_secrets"].strip().lower()]
+    try:
+        if not cp.read(path):
+            raise UsageError(f"cannot read config file {path!r}")
+        for key in ("protocol", "n", "m", "t", "rounds", "family_r",
+                    "family_s"):
+            if cp.has_option("network", key):
+                setattr(args, key, cp.getint("network", key))
+        if cp.has_option("network", "test_fraction"):
+            args.test_fraction = cp.getfloat("network", "test_fraction")
+        if cp.has_option("network", "auth"):
+            args.no_auth = not cp.getboolean("network", "auth")
+        if cp.has_option("adversary", "spec"):
+            args.adversary = cp.get("adversary", "spec")
+        if cp.has_option("output", "path"):
+            args.out = cp.get("output", "path")
+        if cp.has_option("output", "reveal_secrets"):
+            args.reveal_secrets = cp.getboolean("output", "reveal_secrets")
+    except (configparser.Error, ValueError) as exc:
+        raise UsageError(f"config file {path!r}: {exc}") from None
 
 
 def cmd_run(args) -> int:

@@ -90,10 +90,6 @@ def int_to_bits(a: int, width: int) -> np.ndarray:
     return np.array([(a >> i) & 1 for i in range(width)], dtype=np.uint8)
 
 
-def bits_to_int(bits) -> int:
-    return int(sum(int(b) << i for i, b in enumerate(bits)))
-
-
 def row_reduce(mat: np.ndarray):
     """RREF over F2; returns (reduced matrix, pivot column list)."""
     m = (np.asarray(mat, dtype=np.uint8) % 2).copy()
@@ -129,25 +125,6 @@ def in_row_space(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         mask = v[:, c].astype(bool)
         v[mask] ^= row
     return ~v.any(axis=1)
-
-
-def solve_f2(mat: np.ndarray, rhs: np.ndarray):
-    """One solution x of mat @ x = rhs over F2, or None."""
-    m = (np.asarray(mat, dtype=np.uint8) % 2).copy()
-    b = (np.asarray(rhs, dtype=np.uint8) % 2).copy()
-    rows, cols = m.shape
-    aug = np.hstack([m, b[:, None]])
-    red, pivots = row_reduce(aug)
-    x = np.zeros(cols, dtype=np.uint8)
-    for row, c in zip(red, pivots):
-        if c == cols:
-            return None  # inconsistent
-    for row, c in zip(red, pivots):
-        x[c] = row[cols]
-    # verify (handles free variables set to zero)
-    if np.any((m @ x) % 2 != b):
-        return None
-    return x
 
 
 def invert_f2(mat: np.ndarray) -> np.ndarray:

@@ -18,6 +18,14 @@ _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
 _PHASE_VALUES = (1, 1j, -1, -1j)
 
 
+def parity(v) -> np.ndarray:
+    """Bit parity (popcount mod 2) of each entry of an integer array."""
+    v = np.array(v, dtype=np.int64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> shift
+    return v & 1
+
+
 def _as_bits(v) -> np.ndarray:
     arr = np.asarray(v, dtype=np.uint8) % 2
     if arr.ndim != 1:
@@ -39,11 +47,6 @@ class PauliOperator:
         if self.x.shape != self.z.shape:
             raise InvalidArgumentError("x and z bit vectors must have equal length")
         self.phase = int(self.phase) % 4
-
-    @classmethod
-    def identity(cls, num_qubits: int) -> "PauliOperator":
-        return cls(np.zeros(num_qubits, dtype=np.uint8),
-                   np.zeros(num_qubits, dtype=np.uint8))
 
     @classmethod
     def from_string(cls, s: str, phase: int = 0) -> "PauliOperator":
@@ -71,9 +74,6 @@ class PauliOperator:
     @property
     def phase_value(self) -> complex:
         return _PHASE_VALUES[self.phase]
-
-    def is_identity_pattern(self) -> bool:
-        return not self.x.any() and not self.z.any()
 
     def symplectic(self) -> np.ndarray:
         """Concatenated (x | z) bit vector."""

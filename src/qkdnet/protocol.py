@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import adversary as attacks
 from . import auth, states
 from .adversary import AdversarySpec
 from .errors import CapacityError, InvalidArgumentError, StateError
@@ -34,7 +35,6 @@ class NetworkConfig:
     protocol: int = 1
     auth_enabled: bool = True
     family_params: tuple = (2, 2)
-    shared_family: bool = False
     collector_a: int = 0        # ring position of the collector in each party
     collector_b: int = 0
 
@@ -104,15 +104,11 @@ class RoundRecord:
     def undetermined(self) -> bool:
         return self.m_a is None or self.m_b is None
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
-
 
 @dataclass
 class Transcript:
     config: NetworkConfig
-    seed: object
+    seed: int
     records: list = field(default_factory=list)
     aborts: list = field(default_factory=list)
     test_indices: list = field(default_factory=list)
@@ -221,17 +217,8 @@ def test_and_finalize(records, test_fraction: float, rng):
     return "Pass", key_a, key_b, observed, test_idx
 
 
-def _make_rng(rng_or_seed):
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed, None
-    return np.random.default_rng(rng_or_seed), rng_or_seed
-
-
 def _build_families(config: NetworkConfig, rng):
     r, s = config.family_params
-    if config.shared_family:
-        fam = gen_purity_family(r, s, seed=int(rng.integers(2 ** 32)))
-        return {mu: fam for mu in config.members}
     return {mu: gen_purity_family(r, s, seed=int(rng.integers(2 ** 32)))
             for mu in config.members}
 
@@ -307,32 +294,41 @@ def _announced_bases(config, adversary, bases, rng):
     return announced
 
 
-def _party_ring(config, party, collector_pos):
+def _collect_party_parity(party, collector_pos, adversary, outcomes, copy,
+                          rng):
     k = collector_pos % len(party)
-    return party[k:] + party[:k]
-
-
-def _collect_party_parity(config, party, collector_pos, adversary, outcomes,
-                          copy, rng):
-    ring = _party_ring(config, party, collector_pos)
-    contributions = []
-    for mu in ring:
-        spec = adversary.dishonest_for(mu)
-        truth = outcomes[mu][copy]
-        from .adversary import corrupt_announcement
-        contributions.append(corrupt_announcement(truth, spec, rng))
+    contributions = [
+        attacks.corrupt_announcement(outcomes[mu][copy],
+                                     adversary.dishonest_for(mu), rng)
+        for mu in party[k:] + party[:k]]
     parity, _ = ring_collect(contributions, rng)
     return parity
 
 
-def _run(config: NetworkConfig, adversary: AdversarySpec, rng_or_seed):
-    rng, seed = _make_rng(rng_or_seed)
+def _check_targets(config: NetworkConfig, adversary: AdversarySpec) -> None:
+    named = {d.member for d in adversary.dishonest}.union(
+        *(ch.targets for ch in adversary.channels))
+    unknown = sorted(named - set(config.members) - {CENTER})
+    if unknown:
+        raise InvalidArgumentError(
+            f"adversary names unknown members {unknown}; this network has "
+            f"m1 .. m{config.n} and {CENTER}")
+
+
+def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
+         protocol: int) -> Transcript:
+    if config.protocol != protocol:
+        raise InvalidArgumentError(f"config.protocol must be {protocol}")
+    if not isinstance(seed, (int, np.integer)):
+        raise InvalidArgumentError("seed must be an integer")
+    _check_targets(config, adversary)
+    rng = np.random.default_rng(seed)
     if config.qubit_budget() > states.MAX_QUBITS:
         raise CapacityError(
             f"configuration needs {config.qubit_budget()} qubits at its "
             f"widest point, above the cap of {states.MAX_QUBITS}")
     families = _build_families(config, rng) if config.auth_enabled else None
-    transcript = Transcript(config=config, seed=seed)
+    transcript = Transcript(config=config, seed=int(seed))
     center_drop = adversary.dishonest_for(CENTER)
     for rnd in range(config.rounds):
         state = _initial_state(config)
@@ -363,12 +359,10 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, rng_or_seed):
                     rec.center_basis, rec.center_outcome = None, None
                 else:
                     rec.center_basis, rec.center_outcome = cb, bit
-            rec.m_a = _collect_party_parity(config, config.party_a,
-                                            config.collector_a, adversary,
-                                            outcomes, c, rng)
-            rec.m_b = _collect_party_parity(config, config.party_b,
-                                            config.collector_b, adversary,
-                                            outcomes, c, rng)
+            rec.m_a = _collect_party_parity(config.party_a, config.collector_a,
+                                            adversary, outcomes, c, rng)
+            rec.m_b = _collect_party_parity(config.party_b, config.collector_b,
+                                            adversary, outcomes, c, rng)
             transcript.records.append(rec)
     kept = sift(transcript.records, config.protocol)
     usable = []
@@ -395,17 +389,13 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, rng_or_seed):
 
 
 def run_protocol1(config: NetworkConfig, adversary: AdversarySpec,
-                  rng_or_seed) -> Transcript:
-    if config.protocol != 1:
-        raise InvalidArgumentError("config.protocol must be 1")
-    return _run(config, adversary, rng_or_seed)
+                  seed: int) -> Transcript:
+    return _run(config, adversary, seed, protocol=1)
 
 
 def run_protocol2(config: NetworkConfig, adversary: AdversarySpec,
-                  rng_or_seed) -> Transcript:
-    if config.protocol != 2:
-        raise InvalidArgumentError("config.protocol must be 2")
-    return _run(config, adversary, rng_or_seed)
+                  seed: int) -> Transcript:
+    return _run(config, adversary, seed, protocol=2)
 
 
 # --------------------------------------------------------------------------
@@ -431,8 +421,7 @@ def transcript_to_jsonl(transcript: Transcript,
     }
     lines.append(json.dumps({"header": header}, sort_keys=True))
     for rec in transcript.records:
-        d = rec.to_dict()
-        lines.append(json.dumps({"record": d}, sort_keys=True))
+        lines.append(json.dumps({"record": asdict(rec)}, sort_keys=True))
     for ab in transcript.aborts:
         lines.append(json.dumps({"abort": ab}, sort_keys=True))
     summary = transcript.summary()

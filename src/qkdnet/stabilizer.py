@@ -16,8 +16,7 @@ import numpy as np
 
 from . import gf2, states
 from .errors import CapacityError, InvalidArgumentError
-from .paulis import PauliOperator, pauli_mul, symplectic_product
-from .states import DensityMatrix, PureStateVector
+from .paulis import PauliOperator, symplectic_product
 
 DENSE_AUDIT_CAP = 8  # max u for exhaustive 4^u error enumeration
 
@@ -134,20 +133,6 @@ def code_from_generator_bits(gen_bits: np.ndarray, u: int) -> StabilizerCode:
 # dense syndrome-coset encoding
 # --------------------------------------------------------------------------
 
-def _apply_pauli_vec(vec: np.ndarray, p: PauliOperator) -> np.ndarray:
-    u = p.num_qubits
-    xmask = sum(int(p.x[i]) << (u - 1 - i) for i in range(u))
-    zmask = sum(int(p.z[i]) << (u - 1 - i) for i in range(u))
-    idx = np.arange(len(vec))
-    v = (idx & zmask).astype(np.int64)
-    for shift in (8, 4, 2, 1):
-        v ^= v >> shift
-    signs = 1 - 2 * (v & 1)
-    out = np.empty_like(vec)
-    out[idx ^ xmask] = p.phase_value * signs * vec
-    return out
-
-
 def encoding_isometry(code: StabilizerCode, y) -> np.ndarray:
     """(2^u, 2^t) isometry onto the syndrome-y coset of the code space.
 
@@ -163,13 +148,17 @@ def encoding_isometry(code: StabilizerCode, y) -> np.ndarray:
     if cached is not None:
         return cached
     dim = 2 ** code.u
+    positions = range(code.u - 1, -1, -1)  # qubit 0 is the top index bit
+
+    def act(vec, p):
+        return states.pauli_on_vector(vec, p, positions)
 
     def project(vec):
         for i, g in enumerate(code.generators):
             sign = -1.0 if y[i] else 1.0
-            vec = (vec + sign * _apply_pauli_vec(vec, g)) / 2
+            vec = (vec + sign * act(vec, g)) / 2
         for lz in code.logical_z:
-            vec = (vec + _apply_pauli_vec(vec, lz)) / 2
+            vec = (vec + act(vec, lz)) / 2
         return vec
 
     v0 = None
@@ -187,7 +176,7 @@ def encoding_isometry(code: StabilizerCode, y) -> np.ndarray:
         w = v0
         for j in range(code.t):
             if (a >> (code.t - 1 - j)) & 1:
-                w = _apply_pauli_vec(w, code.logical_x[j])
+                w = act(w, code.logical_x[j])
         cols.append(w)
     iso = np.column_stack(cols)
     code._iso_cache[key] = iso
@@ -308,29 +297,21 @@ def _apply_relabeling(bits: np.ndarray, u: int, relab) -> np.ndarray:
     return np.hstack([x, z])
 
 
-def gen_purity_family(r: int, s: int, seed, num_keys: int | None = None,
+def gen_purity_family(r: int, s: int, seed,
                       audit: str = "auto") -> PurityFamily:
-    """Deterministically generate the keyed code family for (r, s).
+    """Deterministically generate the keyed code family for (r, s), one
+    code per key 0 .. 2^s - 1.
 
-    ``num_keys`` defaults to 2^s.  With ``audit="auto"`` families small
-    enough for exhaustive enumeration are audited and generation fails
-    loudly if the audited error exceeds the 2r/(2^s + 1) budget.
+    With ``audit="auto"`` families small enough for exhaustive enumeration
+    are audited and generation fails loudly if the audited error exceeds
+    the 2r/(2^s + 1) budget.
     """
     if r < 2 or s < 2:
         raise InvalidArgumentError("need r >= 2 and s >= 2")
     u = r * s
-    if num_keys is None:
-        num_keys = 2 ** s
-    if num_keys < 1 or num_keys > 2 ** s:
-        raise InvalidArgumentError("num_keys must be in 1 .. 2^s")
-    rng = np.random.default_rng(seed)
-    raw = _family_generator_bits(r, s)
-    relab = _seeded_relabeling(u, rng)
-    key_order = rng.permutation(2 ** s)[:num_keys]
-    codes = {}
-    for new_key, x in enumerate(sorted(int(k) for k in key_order)):
-        bits = _apply_relabeling(raw[x], u, relab)
-        codes[new_key] = code_from_generator_bits(bits, u)
+    relab = _seeded_relabeling(u, np.random.default_rng(seed))
+    codes = {x: code_from_generator_bits(_apply_relabeling(bits, u, relab), u)
+             for x, bits in _family_generator_bits(r, s).items()}
     fam = PurityFamily(r=r, s=s, codes=codes)
     if audit == "auto" and u <= DENSE_AUDIT_CAP:
         eps = audit_family(fam)
@@ -405,16 +386,20 @@ def family_to_json(fam: PurityFamily) -> str:
 
 
 def family_from_json(text: str) -> PurityFamily:
+    """Load a family, rejecting codes that are not valid (r, s) codes."""
     doc = json.loads(text)
     r, s = doc["r"], doc["s"]
     u = r * s
     codes = {}
     for k, body in doc["codes"].items():
-        gens = [PauliOperator.from_string(g) for g in body["generators"]]
-        lx = [PauliOperator.from_string(g) for g in body["logical_x"]]
-        lz = [PauliOperator.from_string(g) for g in body["logical_z"]]
-        codes[int(k)] = StabilizerCode(u=u, t=u - len(gens), generators=gens,
-                                       logical_x=lx, logical_z=lz)
-    fam = PurityFamily(r=r, s=s, codes=codes,
-                       epsilon_audited=doc.get("epsilon_audited"))
-    return fam
+        ops = {name: [PauliOperator.from_string(g) for g in body[name]]
+               for name in ("generators", "logical_x", "logical_z")}
+        if len(ops["generators"]) != s or any(
+                p.num_qubits != u for group in ops.values() for p in group):
+            raise InvalidArgumentError(
+                f"code {k} needs {s} generators on u = r*s = {u} qubits")
+        code = StabilizerCode(u=u, t=u - s, **ops)
+        code.validate()
+        codes[int(k)] = code
+    return PurityFamily(r=r, s=s, codes=codes,
+                        epsilon_audited=doc.get("epsilon_audited"))

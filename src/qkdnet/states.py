@@ -3,6 +3,8 @@
 States carry an ordered tuple of qubit labels ``(owner, slot)``; the first
 label is the most significant bit of the amplitude index.  Everything is
 plain complex128 numpy; joint systems are capped at ``MAX_QUBITS`` qubits.
+Pauli actions, measurements and isometries act on pure states; density
+matrices serve channels, partial traces, the metrics and serialization.
 """
 from __future__ import annotations
 
@@ -12,43 +14,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError
-from .paulis import PauliOperator
+from .paulis import PauliOperator, parity
 
 MAX_QUBITS = 14
-NORM_ATOL = 1e-12
-EIG_CLAMP = -1e-10
-
-QubitLabel = tuple  # (owner, slot)
 
 PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS = "phi+", "phi-", "psi+", "psi-"
 CAT_KINDS = (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)
 _CAT_COEF = {PHI_PLUS: 1.0, PHI_MINUS: -1.0, PSI_PLUS: 1j, PSI_MINUS: -1j}
 
 
-@dataclass
-class MeasurementBasis:
-    """Single-qubit measurement direction; outcome 0 is the +1 eigenvalue."""
-
-    axis: str
-
-    def __post_init__(self):
-        if self.axis not in ("X", "Y", "Z"):
-            raise InvalidArgumentError(f"unknown axis {self.axis!r}")
-
-    def eigenvectors(self) -> np.ndarray:
-        """Rows: the outcome-0 and outcome-1 eigenvectors."""
-        s = 1 / np.sqrt(2)
-        if self.axis == "X":
-            return np.array([[s, s], [s, -s]], dtype=complex)
-        if self.axis == "Y":
-            return np.array([[s, 1j * s], [s, -1j * s]], dtype=complex)
-        return np.eye(2, dtype=complex)
+_S = 1 / np.sqrt(2)
+# rows: the outcome-0 (+1 eigenvalue) and outcome-1 eigenvectors per axis
+_EIGENVECTORS = {
+    "X": np.array([[_S, _S], [_S, -_S]], dtype=complex),
+    "Y": np.array([[_S, 1j * _S], [_S, -1j * _S]], dtype=complex),
+    "Z": np.eye(2, dtype=complex),
+}
+for _evecs in _EIGENVECTORS.values():
+    _evecs.setflags(write=False)
 
 
-def _as_basis(basis) -> MeasurementBasis:
-    if isinstance(basis, MeasurementBasis):
-        return basis
-    return MeasurementBasis(str(basis))
+def eigenvectors(axis: str) -> np.ndarray:
+    """Read-only 2x2 array whose rows are the outcome-0/1 eigenvectors."""
+    try:
+        return _EIGENVECTORS[axis]
+    except (KeyError, TypeError) as exc:
+        raise InvalidArgumentError(f"unknown axis {axis!r}") from exc
 
 
 def _check_labels(labels) -> tuple:
@@ -146,7 +137,7 @@ def basis_state(bits, labels) -> PureStateVector:
 
 
 def eigenstate(basis, outcome: int, label) -> PureStateVector:
-    vec = _as_basis(basis).eigenvectors()[int(outcome)]
+    vec = eigenvectors(basis)[int(outcome)]
     return PureStateVector((tuple(label),), vec.copy())
 
 
@@ -173,142 +164,82 @@ def permute_labels(state: PureStateVector, new_order) -> PureStateVector:
     return PureStateVector(new_order, t.ravel())
 
 
-def _bit_parity(arr: np.ndarray) -> np.ndarray:
-    v = arr.astype(np.int64).copy()
-    for shift in (8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
-
-
-def _masks(state, pauli: PauliOperator, labels):
-    q = state.num_qubits
-    xmask = 0
-    zmask = 0
-    for i, lab in enumerate(labels):
-        pos = q - 1 - state.axis(lab)
+def pauli_on_vector(vec: np.ndarray, pauli: PauliOperator,
+                    positions) -> np.ndarray:
+    """``pauli`` applied to an amplitude vector; its qubit i acts on index
+    bit ``positions[i]`` (bit 0 is the least significant)."""
+    xmask = zmask = 0
+    for i, pos in enumerate(positions):
         if pauli.x[i]:
             xmask |= 1 << pos
         if pauli.z[i]:
             zmask |= 1 << pos
-    return xmask, zmask
+    idx = np.arange(len(vec))
+    signs = 1 - 2 * parity(idx & zmask)
+    out = np.empty_like(vec)
+    out[idx ^ xmask] = pauli.phase_value * signs * vec
+    return out
 
 
-def apply_pauli(state, pauli: PauliOperator, labels=None):
+def apply_pauli(state: PureStateVector, pauli: PauliOperator,
+                labels=None) -> PureStateVector:
     """Apply a Pauli to the given labels (default: all, in label order)."""
     if labels is None:
         labels = state.labels
     if len(labels) != pauli.num_qubits:
         raise InvalidArgumentError("label count must match Pauli width")
-    xmask, zmask = _masks(state, pauli, labels)
-    if isinstance(state, PureStateVector):
-        dim = len(state.amplitudes)
-        idx = np.arange(dim)
-        signs = 1 - 2 * _bit_parity(idx & zmask)
-        out = np.empty(dim, dtype=complex)
-        out[idx ^ xmask] = pauli.phase_value * signs * state.amplitudes
-        return PureStateVector(state.labels, out)
-    dim = 2 ** state.num_qubits
-    idx = np.arange(dim)
-    signs = (1 - 2 * _bit_parity(idx & zmask)).astype(complex)
-    m = signs[:, None] * state.matrix * signs[None, :]
-    out = np.empty_like(m)
-    out[np.ix_(idx ^ xmask, idx ^ xmask)] = m
-    return DensityMatrix(state.labels, out)
+    q = state.num_qubits
+    positions = [q - 1 - state.axis(lab) for lab in labels]
+    return PureStateVector(state.labels,
+                           pauli_on_vector(state.amplitudes, pauli, positions))
 
 
-def expectation_pauli(state, pauli: PauliOperator, labels=None) -> complex:
-    applied = apply_pauli(state, pauli, labels)
-    if isinstance(state, PureStateVector):
-        return complex(np.vdot(state.amplitudes, applied.amplitudes))
-    return complex(np.trace(applied.matrix))
-
-
-def measure_pauli(state, pauli: PauliOperator, labels, rng):
+def measure_pauli(state: PureStateVector, pauli: PauliOperator, labels, rng):
     """Projectively measure a Hermitian Pauli; returns (bit, post_state).
 
     Bit 0 is the +1 eigenvalue.  Labels are kept (the measurement is a
     stabilizer measurement, not a destructive single-qubit read-out).
     """
-    if isinstance(state, PureStateVector):
-        applied = apply_pauli(state, pauli, labels)
-        vplus = (state.amplitudes + applied.amplitudes) / 2
-        vminus = (state.amplitudes - applied.amplitudes) / 2
-        pplus = float(np.linalg.norm(vplus) ** 2)
-        bit = 0 if rng.random() < pplus else 1
-        v = vplus if bit == 0 else vminus
-        v = v / np.linalg.norm(v)
-        return bit, PureStateVector(state.labels, v)
-    m = state.matrix
-    u_rho = _pauli_matrix_left(m, state, pauli, labels)
-    rho_u = _pauli_matrix_left(m.conj().T, state, pauli, labels).conj().T
-    u_rho_u = _pauli_matrix_left(u_rho.conj().T, state, pauli, labels).conj().T
-    mplus = (m + u_rho + rho_u + u_rho_u) / 4
-    pplus = float(np.trace(mplus).real)
+    applied = apply_pauli(state, pauli, labels)
+    vplus = (state.amplitudes + applied.amplitudes) / 2
+    vminus = (state.amplitudes - applied.amplitudes) / 2
+    pplus = float(np.linalg.norm(vplus) ** 2)
     bit = 0 if rng.random() < pplus else 1
-    if bit == 0:
-        out = mplus / pplus
-    else:
-        mminus = (m - u_rho - rho_u + u_rho_u) / 4
-        out = mminus / np.trace(mminus).real
-    return bit, DensityMatrix(state.labels, out)
+    v = vplus if bit == 0 else vminus
+    v = v / np.linalg.norm(v)
+    return bit, PureStateVector(state.labels, v)
 
 
-def _pauli_matrix_left(m, state, pauli, labels):
-    """U @ m for the Pauli U embedded on the given labels of ``state``."""
-    xmask, zmask = _masks(state, pauli, labels)
-    dim = m.shape[0]
-    idx = np.arange(dim)
-    signs = (1 - 2 * _bit_parity(idx & zmask)).astype(complex)
-    out = np.empty_like(m)
-    out[idx ^ xmask, :] = pauli.phase_value * signs[:, None] * m
-    return out
-
-
-def measure_qubit(state, label, basis, rng):
+def measure_qubit(state: PureStateVector, label, basis, rng):
     """Destructively measure one qubit; returns (bit, state without label)."""
-    basis = _as_basis(basis)
+    evecs = eigenvectors(basis)
     ax = state.axis(label)
     q = state.num_qubits
-    evecs = basis.eigenvectors()
-    if isinstance(state, PureStateVector):
-        t = np.moveaxis(state.amplitudes.reshape((2,) * q), ax, 0).reshape(2, -1)
-        proj = evecs.conj() @ t  # rows: outcome amplitudes on the rest
-        probs = np.sum(np.abs(proj) ** 2, axis=1)
-        bit = 0 if rng.random() < probs[0] else 1
-        rest = proj[bit] / np.sqrt(probs[bit])
-        new_labels = tuple(l for l in state.labels if l != tuple(label))
-        return bit, PureStateVector(new_labels, rest)
-    t = state.matrix.reshape((2,) * (2 * q))
-    t = np.moveaxis(t, (ax, q + ax), (0, q))
-    t = t.reshape(2, 2 ** (q - 1), 2, 2 ** (q - 1))
-    outs = []
-    probs = []
-    for o in range(2):
-        e = evecs[o]
-        red = np.einsum("a,aibj,b->ij", e.conj(), t, e)
-        outs.append(red)
-        probs.append(float(np.trace(red).real))
+    t = np.moveaxis(state.amplitudes.reshape((2,) * q), ax, 0).reshape(2, -1)
+    proj = evecs.conj() @ t  # rows: outcome amplitudes on the rest
+    probs = np.sum(np.abs(proj) ** 2, axis=1)
     bit = 0 if rng.random() < probs[0] else 1
-    red = outs[bit] / probs[bit]
+    rest = proj[bit] / np.sqrt(probs[bit])
     new_labels = tuple(l for l in state.labels if l != tuple(label))
-    return bit, DensityMatrix(new_labels, red)
+    return bit, PureStateVector(new_labels, rest)
 
 
 def measurement_probabilities(state: PureStateVector, bases) -> np.ndarray:
     """Joint outcome distribution for measuring every qubit, in label order.
 
-    ``bases`` maps label -> basis (or axis string).  Index bit order matches
-    the label order (first label is the most significant outcome bit).
+    ``bases`` maps label -> axis string.  Index bit order matches the label
+    order (first label is the most significant outcome bit).
     """
     q = state.num_qubits
     t = state.amplitudes.reshape((2,) * q)
     for ax, lab in enumerate(state.labels):
-        u = _as_basis(bases[lab]).eigenvectors().conj()
+        u = eigenvectors(bases[lab]).conj()
         t = np.moveaxis(np.tensordot(u, t, axes=([1], [ax])), 0, ax)
     return np.abs(t.ravel()) ** 2
 
 
-def apply_isometry(state, matrix, in_labels, out_labels):
+def apply_isometry(state: PureStateVector, matrix, in_labels,
+                   out_labels) -> PureStateVector:
     """Apply an isometry mapping the in_labels block to a fresh out_labels block.
 
     ``matrix`` has shape (2^m, 2^k) with k = len(in_labels), m = len(out_labels).
@@ -317,8 +248,7 @@ def apply_isometry(state, matrix, in_labels, out_labels):
     in_labels = [tuple(l) for l in in_labels]
     out_labels = [tuple(l) for l in out_labels]
     k = len(in_labels)
-    mdim = 2 ** len(out_labels)
-    if matrix.shape != (mdim, 2 ** k):
+    if matrix.shape != (2 ** len(out_labels), 2 ** k):
         raise InvalidArgumentError("isometry shape mismatch")
     q = state.num_qubits
     rest = [l for l in state.labels if l not in in_labels]
@@ -327,38 +257,10 @@ def apply_isometry(state, matrix, in_labels, out_labels):
             raise InvalidArgumentError(f"output label {l!r} already present")
     if len(rest) + len(out_labels) > MAX_QUBITS:
         raise CapacityError("isometry output exceeds the qubit cap")
-    axes = [state.axis(l) for l in in_labels]
-    rest_axes = [state.axis(l) for l in rest]
-    if isinstance(state, PureStateVector):
-        t = state.amplitudes.reshape((2,) * q).transpose(axes + rest_axes)
-        t = t.reshape(2 ** k, -1)
-        out = matrix @ t
-        return PureStateVector(tuple(out_labels) + tuple(rest), out.ravel())
-    t = state.matrix.reshape((2,) * (2 * q))
-    perm = axes + rest_axes + [q + a for a in axes] + [q + a for a in rest_axes]
-    t = t.transpose(perm).reshape(2 ** k, 2 ** (q - k), 2 ** k, 2 ** (q - k))
-    out = np.einsum("pi,iajb,qj->paqb", matrix, t, matrix.conj())
-    dim_out = mdim * 2 ** (q - k)
-    out = out.reshape(dim_out, dim_out)
-    return DensityMatrix(tuple(out_labels) + tuple(rest), out)
-
-
-def apply_unitary(state, matrix, labels):
-    """Apply a unitary on a label subset, preserving the label set."""
-    labels = [tuple(l) for l in labels]
-    if isinstance(state, PureStateVector):
-        k = len(labels)
-        q = state.num_qubits
-        axes = [state.axis(l) for l in labels]
-        rest_axes = [a for a in range(q) if a not in axes]
-        t = state.amplitudes.reshape((2,) * q).transpose(axes + rest_axes)
-        t = matrix @ t.reshape(2 ** k, -1)
-        new_labels = tuple(labels) + tuple(state.labels[a] for a in rest_axes)
-        out = PureStateVector(new_labels, t.ravel())
-        return permute_labels(out, state.labels)
-    tmp = apply_isometry(state, matrix, labels, [("tmp-u", i) for i in range(len(labels))])
-    relabeled = DensityMatrix(tuple(labels) + tmp.labels[len(labels):], tmp.matrix)
-    return partial_permute_density(relabeled, state.labels)
+    axes = [state.axis(l) for l in in_labels + rest]
+    t = state.amplitudes.reshape((2,) * q).transpose(axes).reshape(2 ** k, -1)
+    out = matrix @ t
+    return PureStateVector(tuple(out_labels) + tuple(rest), out.ravel())
 
 
 def partial_permute_density(dm: DensityMatrix, new_order) -> DensityMatrix:

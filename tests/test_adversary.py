@@ -55,16 +55,23 @@ def test_intercept_resend_channel_on_bell_pair():
     assert qber == pytest.approx(0.25)
 
 
-def test_sample_apply_trajectories_average_to_channel():
+@pytest.mark.parametrize("spec, width", [
+    (ChannelSpec(kind="depolarizing", p=0.5, targets=("a",)), 1),
+    (ChannelSpec(kind="pauli", targets=("a",),
+                 pauli_probs={"XI": 0.5, "IZ": 0.3, "YY": 0.2}), 2),
+    (ChannelSpec(kind="fixed_pauli", operator="XZ", targets=("a",)), 2),
+], ids=["depolarizing", "pauli-table", "fixed-pauli-XZ"])
+def test_sample_apply_trajectories_average_to_channel(spec, width):
     rng = np.random.default_rng(12)
-    spec = ChannelSpec(kind="depolarizing", p=0.5, targets=("a",))
-    bell = states.make_cat(2, states.PHI_PLUS, [("a", 0), ("b", 0)])
-    acc = np.zeros((4, 4), dtype=complex)
+    targets = [("a", i) for i in range(width)]
+    cat = states.make_cat(width + 1, states.PHI_PLUS, targets + [("b", 0)])
+    dim = 2 ** (width + 1)
+    acc = np.zeros((dim, dim), dtype=complex)
     trials = 4000
     for _ in range(trials):
-        traj = spec.sample_apply(bell, [("a", 0)], rng)
+        traj = spec.sample_apply(cat, targets, rng)
         acc += states.to_density(traj).matrix / trials
-    exact = apply_attack(states.to_density(bell), spec).matrix
+    exact = apply_attack(states.to_density(cat), spec).matrix
     assert np.max(np.abs(acc - exact)) < 0.03
 
 
@@ -108,6 +115,8 @@ def test_parse_member_aliases():
     spec = parse_adversary("intercept@member2,depolarize:p=0.2@center")
     assert spec.channels[0].targets == ("m2",)
     assert spec.channels[1].targets == ("C",)
+    # upper case used to match no member, so the attack silently vanished
+    assert parse_adversary("intercept@M1").channels[0].targets == ("m1",)
 
 
 @pytest.mark.parametrize("bad", [

@@ -41,11 +41,18 @@ def test_run_requires_seed(capsys):
     assert "--seed" in err
 
 
-def test_invalid_adversary_fails_before_simulation(capsys):
-    code, _, err = run_cli(capsys, "run", "--n", "2", "--m", "1",
-                           "--seed", "1", "--adversary", "warp@m1")
+@pytest.mark.parametrize("spec, named", [
+    ("warp@m1", "warp"),                 # unknown kind
+    ("intercept@m9", "m9"),              # no such member on n=2
+    ("intercept@M9", "m9"),              # names are case-normalised first
+    ("lie-outcome:p=0.2@m3", "m3"),      # dishonest steps are checked too
+], ids=["warp@m1", "intercept@m9", "intercept@M9", "lie-outcome@m3"])
+def test_invalid_adversary_fails_before_simulation(capsys, spec, named):
+    code, out, err = run_cli(capsys, "run", "--n", "2", "--m", "1",
+                             "--seed", "1", "--adversary", spec)
     assert code == 1
-    assert "warp" in err
+    assert out == ""
+    assert named in err
 
 
 def test_run_determinism_byte_identical(capsys, tmp_path):
@@ -71,6 +78,22 @@ def test_config_file_overrides_flags(capsys, tmp_path):
                               "--seed", "5", "--config", str(cfg))
     assert code == 0
     assert json.loads(stdout)["sift_rate"] == 1.0  # protocol 2 took effect
+
+
+@pytest.mark.parametrize("body", [
+    "[network]\nauth = maybe\n",
+    "[network]\nn = two\n",
+    "[output]\nreveal_secrets = sometimes\n",
+    "n = 3\n",
+], ids=["auth-not-bool", "n-not-int", "reveal-not-bool", "no-section"])
+def test_config_file_malformed_value_is_usage_error(capsys, tmp_path, body):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body)
+    code, out, err = run_cli(capsys, "run", "--n", "2", "--m", "1",
+                             "--seed", "5", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: config file")
 
 
 def test_reveal_secrets_flag(capsys, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qkdnet.errors import InvalidArgumentError
-from qkdnet.paulis import PauliOperator, pauli_mul, symplectic_product
+from qkdnet.paulis import PauliOperator, parity, pauli_mul, symplectic_product
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -87,3 +87,14 @@ def test_mismatched_lengths_rejected():
 def test_repr_factors_hermitian_phase():
     assert repr(PauliOperator.from_string("Y")) == "Y"
     assert repr(PauliOperator.from_string("XZ", phase=2)) == "-XZ"
+
+
+def test_parity_folds_all_64_bits():
+    rng = np.random.default_rng(3)
+    values = np.concatenate([
+        rng.integers(2 ** 16, 2 ** 62, size=500),
+        [2 ** 16, 2 ** 16 + 1, 2 ** 31 + 1, 2 ** 32, 2 ** 48 + 3, 2 ** 63 - 1],
+    ]).astype(np.int64)
+    want = [int(v).bit_count() & 1 for v in values]
+    assert parity(values).tolist() == want
+    assert int(parity(2 ** 40)) == 1

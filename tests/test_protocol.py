@@ -173,6 +173,24 @@ def test_seed_reproducibility():
     assert t1.key_a == t2.key_a
 
 
+def test_seed_keyword_is_recorded():
+    cfg = NetworkConfig(n=2, m=1, t=1, rounds=20, auth_enabled=False)
+    tr = run_protocol1(cfg, NO_ATTACK, seed=7)
+    assert tr.seed == 7
+    header = json.loads(transcript_to_jsonl(tr).splitlines()[0])["header"]
+    assert header["seed"] == 7
+    with pytest.raises(InvalidArgumentError):
+        run_protocol1(cfg, NO_ATTACK, np.random.default_rng(7))
+
+
+def test_run_rejects_bad_arguments_before_first_round():
+    cfg = NetworkConfig(n=2, m=1, t=1, rounds=20, auth_enabled=False)
+    with pytest.raises(InvalidArgumentError, match="m9"):
+        run_protocol1(cfg, parse_adversary("intercept@m9"), 1)
+    with pytest.raises(InvalidArgumentError, match="protocol must be 1"):
+        run_protocol1(NetworkConfig(n=2, m=1, protocol=2), NO_ATTACK, 1)
+
+
 def test_transcript_jsonl_schema_and_redaction():
     cfg = NetworkConfig(n=2, m=1, t=2, rounds=30)
     tr = run_protocol1(cfg, NO_ATTACK, 55)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,34 @@ def test_family_json_round_trip(fam22):
             == [g.to_string() for g in b.generators]
         assert [g.to_string() for g in a.logical_x] \
             == [g.to_string() for g in b.logical_x]
+
+
+def _tampered(fam, edit):
+    doc = json.loads(family_to_json(fam))
+    edit(doc["codes"][str(fam.keys[0])])
+    return json.dumps(doc)
+
+
+def test_family_json_rejects_tampered_codes(fam22):
+    def flip_letter(code):
+        # change one letter of a generator so it anticommutes with a logical
+        g, lx = code["generators"][0], code["logical_x"][0]
+        q = next(i for i, c in enumerate(lx) if c != "I")
+        code["generators"][0] = next(
+            cand for cand in (g[:q] + c + g[q + 1:] for c in "IXYZ")
+            if not PauliOperator.from_string(cand).commutes_with(
+                PauliOperator.from_string(lx)))
+
+    def drop_qubit(code):
+        for name in ("generators", "logical_x", "logical_z"):
+            code[name] = [g[:-1] for g in code[name]]
+
+    def drop_generator(code):
+        code["generators"].pop()
+
+    for edit in (flip_letter, drop_qubit, drop_generator):
+        with pytest.raises(InvalidArgumentError):
+            family_from_json(_tampered(fam22, edit))
 
 
 def test_invalid_parameters_rejected():

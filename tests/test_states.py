@@ -177,3 +177,6 @@ def test_invalid_inputs_rejected():
         PureStateVector((("q", 0),), np.array([1.0, 1.0], dtype=complex))
     with pytest.raises(InvalidArgumentError):
         tensor(make_cat(2, PHI_PLUS), make_cat(2, PHI_PLUS))
+    with pytest.raises(InvalidArgumentError):
+        measure_qubit(make_cat(2, PHI_PLUS), ("q", 0), "Q",
+                      np.random.default_rng(0))
