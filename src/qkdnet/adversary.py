@@ -27,6 +27,12 @@ PAULI_CHANNEL = "pauli"
 INTERCEPT_RESEND = "intercept_resend"
 FIXED_PAULI = "fixed_pauli"
 
+# shared one-letter operators for the per-qubit trajectory kinds
+_LETTER_OPS = {c: PauliOperator.from_string(c) for c in "IXYZ"}
+for _op in _LETTER_OPS.values():
+    _op.x.setflags(write=False)
+    _op.z.setflags(write=False)
+
 
 @dataclass
 class ChannelSpec:
@@ -61,6 +67,11 @@ class ChannelSpec:
                 raise InvalidArgumentError("intercept bases must be X/Y/Z")
         if self.kind == FIXED_PAULI and not self.operator:
             raise InvalidArgumentError("fixed_pauli needs an operator string")
+        if self.kind in (PAULI_CHANNEL, FIXED_PAULI):
+            for pstr in list(self.pauli_probs) + [self.operator]:
+                if pstr.strip("IXYZ"):
+                    raise InvalidArgumentError(
+                        f"unknown Pauli letter in {pstr!r}")
         self.targets = tuple(self.targets)
 
     # ---- exact CPTP form ------------------------------------------------
@@ -85,6 +96,20 @@ class ChannelSpec:
             return [PauliOperator.from_string(self.operator).to_matrix()]
         raise InvalidArgumentError(f"{self.kind} has no per-qubit Kraus form")
 
+    def check_arity(self, num_qubits: int) -> None:
+        """Reject a Pauli table or multi-letter fixed Pauli whose operators
+        do not act on exactly ``num_qubits`` qubits."""
+        if self.kind == PAULI_CHANNEL:
+            widths = {len(pstr) for pstr in self.pauli_probs}
+        elif self.kind == FIXED_PAULI and len(self.operator) > 1:
+            widths = {len(self.operator)}
+        else:
+            return
+        if widths != {num_qubits}:
+            raise InvalidArgumentError(
+                f"{self.kind} operators act on {sorted(widths)} qubits, "
+                f"the target block has {num_qubits}")
+
     def is_per_qubit(self) -> bool:
         if self.kind == FIXED_PAULI:
             return len(self.operator) == 1
@@ -92,18 +117,11 @@ class ChannelSpec:
 
     def kraus_terms(self, num_qubits: int) -> list:
         """Kraus matrices on 2^num_qubits dimensions."""
+        self.check_arity(num_qubits)
         if self.kind == PAULI_CHANNEL:
-            terms = []
-            for pstr, prob in sorted(self.pauli_probs.items()):
-                if len(pstr) != num_qubits:
-                    raise InvalidArgumentError(
-                        "Pauli table arity does not match target count")
-                terms.append(np.sqrt(prob)
-                             * PauliOperator.from_string(pstr).to_matrix())
-            return terms
+            return [np.sqrt(prob) * PauliOperator.from_string(pstr).to_matrix()
+                    for pstr, prob in sorted(self.pauli_probs.items())]
         if self.kind == FIXED_PAULI and len(self.operator) > 1:
-            if len(self.operator) != num_qubits:
-                raise InvalidArgumentError("operator arity mismatch")
             return [PauliOperator.from_string(self.operator).to_matrix()]
         singles = self.single_qubit_kraus()
         terms = [np.array([[1.0 + 0j]])]
@@ -118,31 +136,27 @@ class ChannelSpec:
         labels = [tuple(l) for l in labels]
         if self.kind == IDENTITY:
             return state
+        self.check_arity(len(labels))
         if self.kind == FIXED_PAULI:
-            op = PauliOperator.from_string(self.operator)
-            if op.num_qubits == 1:
+            if len(self.operator) == 1:
+                op = _LETTER_OPS[self.operator]
                 for lab in labels:
                     state = states.apply_pauli(state, op, [lab])
                 return state
-            if op.num_qubits != len(labels):
-                raise InvalidArgumentError("operator arity mismatch")
-            return states.apply_pauli(state, op, labels)
+            return states.apply_pauli(
+                state, PauliOperator.from_string(self.operator), labels)
         if self.kind == DEPOLARIZING:
             probs = [1 - 3 * self.p / 4] + [self.p / 4] * 3
             letters = "IXYZ"
             for lab in labels:
                 c = letters[rng.choice(4, p=probs)]
                 if c != "I":
-                    state = states.apply_pauli(
-                        state, PauliOperator.from_string(c), [lab])
+                    state = states.apply_pauli(state, _LETTER_OPS[c], [lab])
             return state
         if self.kind == PAULI_CHANNEL:
             items = sorted(self.pauli_probs.items())
             probs = np.array([p for _, p in items])
             pick = items[rng.choice(len(items), p=probs / probs.sum())][0]
-            if len(pick) != len(labels):
-                raise InvalidArgumentError(
-                    "Pauli table arity does not match target count")
             return states.apply_pauli(
                 state, PauliOperator.from_string(pick), labels)
         # intercept-resend: measure in a random basis, forward the eigenstate

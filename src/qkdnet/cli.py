@@ -13,6 +13,10 @@ Adversary mini-grammar (comma-separated attacks)::
               | lie-basis | lie-outcome | silent-drop
     member   := "m1" .. "mN" | "member1" .. "memberN" | "C"
 
+Only lie-basis, lie-outcome and silent-drop may name the center ``C``.  A
+pauli table or multi-letter fixed-pauli needs one letter per qubit of the
+attacked block (t without auth, u = r*s with auth).
+
 Examples: ``depolarize:p=0.1@m2``, ``intercept@member1``,
 ``lie-outcome:p=1.0@m3``, ``fixed-pauli:op=XZ@m1``.
 """

@@ -12,7 +12,7 @@ parity is always even), and reveals its outcome; no round is discarded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -211,7 +211,8 @@ def test_and_finalize(records, test_fraction: float, rng):
     observed = mismatches / k
     if mismatches:
         return "Fail", [], [], observed, test_idx
-    keep = [r for i, r in enumerate(usable) if i not in set(test_idx)]
+    tested = set(test_idx)
+    keep = [r for i, r in enumerate(usable) if i not in tested]
     key_a = [r.b_a for r in keep]
     key_b = [r.b_b for r in keep]
     return "Pass", key_a, key_b, observed, test_idx
@@ -224,7 +225,8 @@ def _build_families(config: NetworkConfig, rng):
 
 
 def _initial_state(config: NetworkConfig):
-    """Owner-major joint state of t cat-state copies."""
+    """Owner-major joint state of t cat-state copies, read-only: one run
+    starts every round from it."""
     owners = config.members + ([CENTER] if config.protocol == 2 else [])
     copies = []
     for c in range(config.t):
@@ -234,7 +236,9 @@ def _initial_state(config: NetworkConfig):
     for extra in copies[1:]:
         state = states.tensor(state, extra)
     order = [(mu, c) for mu in owners for c in range(config.t)]
-    return states.permute_labels(state, order)
+    state = states.permute_labels(state, order)
+    state.amplitudes.setflags(write=False)
+    return state
 
 
 def _authenticated_transit(config, families, adversary, state, rng, aborts,
@@ -306,6 +310,7 @@ def _collect_party_parity(party, collector_pos, adversary, outcomes, copy,
 
 
 def _check_targets(config: NetworkConfig, adversary: AdversarySpec) -> None:
+    """Reject, before the first round, attacks no round could carry out."""
     named = {d.member for d in adversary.dishonest}.union(
         *(ch.targets for ch in adversary.channels))
     unknown = sorted(named - set(config.members) - {CENTER})
@@ -313,6 +318,15 @@ def _check_targets(config: NetworkConfig, adversary: AdversarySpec) -> None:
         raise InvalidArgumentError(
             f"adversary names unknown members {unknown}; this network has "
             f"m1 .. m{config.n} and {CENTER}")
+    # the center's qubits never transit, so only classical attacks reach it
+    if adversary.channels_for(CENTER):
+        raise InvalidArgumentError(
+            f"quantum channels cannot target the center {CENTER}; its "
+            f"qubits never leave it")
+    r, s = config.family_params
+    width = r * s if config.auth_enabled else config.t
+    for ch in adversary.channels:
+        ch.check_arity(width)
 
 
 def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
@@ -330,8 +344,10 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
     families = _build_families(config, rng) if config.auth_enabled else None
     transcript = Transcript(config=config, seed=int(seed))
     center_drop = adversary.dishonest_for(CENTER)
+    initial = _initial_state(config)
+    members, party_a, party_b = config.members, config.party_a, config.party_b
     for rnd in range(config.rounds):
-        state = _initial_state(config)
+        state = initial
         if config.auth_enabled:
             state = _authenticated_transit(config, families, adversary, state,
                                            rng, transcript.aborts, rnd)
@@ -342,15 +358,12 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
         bases, outcomes, state = _measure_members(config, state, rng)
         announced = _announced_bases(config, adversary, bases, rng)
         for c in range(config.t):
-            y_a = sum(1 for mu in config.party_a
-                      if announced[mu][c] == "Y") % 4
-            y_b = sum(1 for mu in config.party_b
-                      if announced[mu][c] == "Y") % 4
+            y_a = sum(1 for mu in party_a if announced[mu][c] == "Y") % 4
+            y_b = sum(1 for mu in party_b if announced[mu][c] == "Y") % 4
             rec = RoundRecord(round_index=rnd, copy_index=c,
-                              bases={mu: announced[mu][c]
-                                     for mu in config.members},
+                              bases={mu: announced[mu][c] for mu in members},
                               outcomes={mu: outcomes[mu][c]
-                                        for mu in config.members},
+                                        for mu in members},
                               y_a=y_a, y_b=y_b)
             if config.protocol == 2:
                 cb = "Y" if (y_a + y_b) % 2 == 1 else "X"
@@ -359,9 +372,9 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
                     rec.center_basis, rec.center_outcome = None, None
                 else:
                     rec.center_basis, rec.center_outcome = cb, bit
-            rec.m_a = _collect_party_parity(config.party_a, config.collector_a,
+            rec.m_a = _collect_party_parity(party_a, config.collector_a,
                                             adversary, outcomes, c, rng)
-            rec.m_b = _collect_party_parity(config.party_b, config.collector_b,
+            rec.m_b = _collect_party_parity(party_b, config.collector_b,
                                             adversary, outcomes, c, rng)
             transcript.records.append(rec)
     kept = sift(transcript.records, config.protocol)
@@ -421,7 +434,7 @@ def transcript_to_jsonl(transcript: Transcript,
     }
     lines.append(json.dumps({"header": header}, sort_keys=True))
     for rec in transcript.records:
-        lines.append(json.dumps({"record": asdict(rec)}, sort_keys=True))
+        lines.append(json.dumps({"record": vars(rec)}, sort_keys=True))
     for ab in transcript.aborts:
         lines.append(json.dumps({"abort": ab}, sort_keys=True))
     summary = transcript.summary()

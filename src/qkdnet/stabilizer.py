@@ -386,7 +386,12 @@ def family_to_json(fam: PurityFamily) -> str:
 
 
 def family_from_json(text: str) -> PurityFamily:
-    """Load a family, rejecting codes that are not valid (r, s) codes."""
+    """Load a family, rejecting codes that are not valid (r, s) codes.
+
+    A family small enough for the exhaustive audit is audited again; it is
+    rejected if its error exceeds the 2r/(2^s + 1) budget or differs from
+    the stored ``epsilon_audited``.
+    """
     doc = json.loads(text)
     r, s = doc["r"], doc["s"]
     u = r * s
@@ -401,5 +406,13 @@ def family_from_json(text: str) -> PurityFamily:
         code = StabilizerCode(u=u, t=u - s, **ops)
         code.validate()
         codes[int(k)] = code
-    return PurityFamily(r=r, s=s, codes=codes,
-                        epsilon_audited=doc.get("epsilon_audited"))
+    stored = doc.get("epsilon_audited")
+    fam = PurityFamily(r=r, s=s, codes=codes, epsilon_audited=stored)
+    if u <= DENSE_AUDIT_CAP:
+        eps = audit_family(fam)
+        if eps > fam.epsilon_formula + 1e-12 or (
+                stored is not None and abs(eps - stored) > 1e-12):
+            raise InvalidArgumentError(
+                f"family audits at epsilon {eps}, against stored {stored} "
+                f"and budget {fam.epsilon_formula}")
+    return fam

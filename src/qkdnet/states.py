@@ -9,6 +9,7 @@ matrices serve channels, partial traces, the metrics and serialization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ def eigenvectors(axis: str) -> np.ndarray:
 
 
 def _check_labels(labels) -> tuple:
-    labels = tuple(tuple(l) for l in labels)
+    labels = tuple(map(tuple, labels))
     if len(set(labels)) != len(labels):
         raise InvalidArgumentError("qubit labels must be unique")
     if len(labels) > MAX_QUBITS:
@@ -61,8 +62,8 @@ class PureStateVector:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).ravel()
         if len(self.amplitudes) != 2 ** len(self.labels):
             raise InvalidArgumentError("amplitude length must be 2^(#labels)")
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-9:
+        norm = math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
+        if not abs(norm - 1.0) <= 1e-9:  # also rejects NaN
             raise InvalidArgumentError(f"state norm {norm} is not 1")
 
     @property
@@ -143,7 +144,8 @@ def eigenstate(basis, outcome: int, label) -> PureStateVector:
 
 def tensor(a: PureStateVector, b: PureStateVector) -> PureStateVector:
     labels = a.labels + b.labels
-    return PureStateVector(labels, np.kron(a.amplitudes, b.amplitudes))
+    return PureStateVector(labels,
+                           np.outer(a.amplitudes, b.amplitudes).ravel())
 
 
 def to_density(state) -> DensityMatrix:
@@ -164,21 +166,36 @@ def permute_labels(state: PureStateVector, new_order) -> PureStateVector:
     return PureStateVector(new_order, t.ravel())
 
 
+# read-only tables shared by every call of the Pauli kernel: the amplitude
+# indices and the sign (-1)^popcount(i) of each index
+_INDEX = np.arange(2 ** MAX_QUBITS)
+_PARITY_SIGN = (1 - 2 * parity(_INDEX)).astype(np.int8)
+_INDEX.setflags(write=False)
+_PARITY_SIGN.setflags(write=False)
+
+
 def pauli_on_vector(vec: np.ndarray, pauli: PauliOperator,
                     positions) -> np.ndarray:
     """``pauli`` applied to an amplitude vector; its qubit i acts on index
     bit ``positions[i]`` (bit 0 is the least significant)."""
     xmask = zmask = 0
-    for i, pos in enumerate(positions):
-        if pauli.x[i]:
+    for pos, xb, zb in zip(positions, pauli.x.tolist(), pauli.z.tolist()):
+        if xb:
             xmask |= 1 << pos
-        if pauli.z[i]:
+        if zb:
             zmask |= 1 << pos
-    idx = np.arange(len(vec))
-    signs = 1 - 2 * parity(idx & zmask)
+    idx = _INDEX[:len(vec)]
     out = np.empty_like(vec)
-    out[idx ^ xmask] = pauli.phase_value * signs * vec
+    out[idx ^ xmask] = pauli.phase_value * _PARITY_SIGN[idx & zmask] * vec
     return out
+
+
+def _positions(state: PureStateVector, labels, pauli: PauliOperator) -> list:
+    """Index bit of each label, checked against the Pauli's width."""
+    if len(labels) != pauli.num_qubits:
+        raise InvalidArgumentError("label count must match Pauli width")
+    q = state.num_qubits
+    return [q - 1 - state.axis(lab) for lab in labels]
 
 
 def apply_pauli(state: PureStateVector, pauli: PauliOperator,
@@ -186,10 +203,7 @@ def apply_pauli(state: PureStateVector, pauli: PauliOperator,
     """Apply a Pauli to the given labels (default: all, in label order)."""
     if labels is None:
         labels = state.labels
-    if len(labels) != pauli.num_qubits:
-        raise InvalidArgumentError("label count must match Pauli width")
-    q = state.num_qubits
-    positions = [q - 1 - state.axis(lab) for lab in labels]
+    positions = _positions(state, labels, pauli)
     return PureStateVector(state.labels,
                            pauli_on_vector(state.amplitudes, pauli, positions))
 
@@ -200,28 +214,32 @@ def measure_pauli(state: PureStateVector, pauli: PauliOperator, labels, rng):
     Bit 0 is the +1 eigenvalue.  Labels are kept (the measurement is a
     stabilizer measurement, not a destructive single-qubit read-out).
     """
-    applied = apply_pauli(state, pauli, labels)
-    vplus = (state.amplitudes + applied.amplitudes) / 2
-    vminus = (state.amplitudes - applied.amplitudes) / 2
-    pplus = float(np.linalg.norm(vplus) ** 2)
-    bit = 0 if rng.random() < pplus else 1
-    v = vplus if bit == 0 else vminus
-    v = v / np.linalg.norm(v)
-    return bit, PureStateVector(state.labels, v)
+    vec = state.amplitudes
+    applied = pauli_on_vector(vec, pauli, _positions(state, labels, pauli))
+    vplus = (vec + applied) / 2
+    pplus = np.vdot(vplus, vplus).real
+    if rng.random() < pplus:
+        return 0, PureStateVector(state.labels, vplus / math.sqrt(pplus))
+    vminus = (vec - applied) / 2
+    pminus = np.vdot(vminus, vminus).real
+    return 1, PureStateVector(state.labels, vminus / math.sqrt(pminus))
 
 
 def measure_qubit(state: PureStateVector, label, basis, rng):
     """Destructively measure one qubit; returns (bit, state without label)."""
     evecs = eigenvectors(basis)
     ax = state.axis(label)
-    q = state.num_qubits
-    t = np.moveaxis(state.amplitudes.reshape((2,) * q), ax, 0).reshape(2, -1)
-    proj = evecs.conj() @ t  # rows: outcome amplitudes on the rest
-    probs = np.sum(np.abs(proj) ** 2, axis=1)
-    bit = 0 if rng.random() < probs[0] else 1
-    rest = proj[bit] / np.sqrt(probs[bit])
-    new_labels = tuple(l for l in state.labels if l != tuple(label))
-    return bit, PureStateVector(new_labels, rest)
+    # measured qubit first; one 2-D product beats 2**ax stacked 2x2 ones
+    t = state.amplitudes.reshape(2 ** ax, 2, -1).transpose(1, 0, 2)
+    proj = evecs.conj() @ t.reshape(2, -1)  # rows: outcome amplitudes
+    rest = proj[0]
+    prob = np.vdot(rest, rest).real
+    bit = 0 if rng.random() < prob else 1
+    if bit:
+        rest = proj[1]
+        prob = np.vdot(rest, rest).real
+    return bit, PureStateVector(state.labels[:ax] + state.labels[ax + 1:],
+                                rest / math.sqrt(prob))
 
 
 def measurement_probabilities(state: PureStateVector, bases) -> np.ndarray:

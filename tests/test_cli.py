@@ -55,6 +55,23 @@ def test_invalid_adversary_fails_before_simulation(capsys, spec, named):
     assert named in err
 
 
+@pytest.mark.parametrize("spec, named", [
+    ("fixed-pauli:op=X@C", "center"),        # channels cannot reach C
+    ("pauli:XX=0.5;II=0.5@m1", "block has 4"),  # auth block is u = 4
+    ("fixed-pauli:op=XZ@m2", "block has 4"),
+], ids=["fixed-pauli@C", "pauli-table-arity", "fixed-pauli-arity"])
+def test_protocol2_rejects_attack_before_first_round(capsys, tmp_path, spec,
+                                                     named):
+    out = tmp_path / "t.jsonl"
+    code, stdout, err = run_cli(capsys, "run", "--protocol", "2", "--n", "3",
+                                "--m", "1", "--t", "2", "--rounds", "40",
+                                "--seed", "5", "--adversary", spec,
+                                "--out", str(out))
+    assert code == 1
+    assert stdout == "" and not out.exists()
+    assert named in err
+
+
 def test_run_determinism_byte_identical(capsys, tmp_path):
     outs = []
     files = []

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qkdnet import protocol, states
 from qkdnet.adversary import AdversarySpec, parse_adversary
 from qkdnet.errors import InvalidArgumentError, StateError
 from qkdnet.protocol import (NetworkConfig, RoundRecord, derive_key_bits,
@@ -183,12 +184,52 @@ def test_seed_keyword_is_recorded():
         run_protocol1(cfg, NO_ATTACK, np.random.default_rng(7))
 
 
-def test_run_rejects_bad_arguments_before_first_round():
-    cfg = NetworkConfig(n=2, m=1, t=1, rounds=20, auth_enabled=False)
-    with pytest.raises(InvalidArgumentError, match="m9"):
-        run_protocol1(cfg, parse_adversary("intercept@m9"), 1)
-    with pytest.raises(InvalidArgumentError, match="protocol must be 1"):
-        run_protocol1(NetworkConfig(n=2, m=1, protocol=2), NO_ATTACK, 1)
+_P1_T1 = NetworkConfig(n=2, m=1, t=1, rounds=20, auth_enabled=False)
+_P1_T2 = NetworkConfig(n=2, m=1, t=2, rounds=20, auth_enabled=False)
+_P2_AUTH = NetworkConfig(n=3, m=1, t=2, rounds=40, protocol=2)  # u = 4
+
+
+@pytest.mark.parametrize("runner, config, spec, match", [
+    (run_protocol1, _P1_T1, "intercept@m9", "m9"),
+    (run_protocol1, NetworkConfig(n=2, m=1, protocol=2), "",
+     "protocol must be 1"),
+    (run_protocol2, _P2_AUTH, "fixed-pauli:op=X@C", "center"),
+    (run_protocol1, _P1_T1, "depolarize:p=0.1@C", "center"),
+    (run_protocol2, _P2_AUTH, "pauli:XX=0.5;II=0.5@m1", "block has 4"),
+    (run_protocol2, _P2_AUTH, "fixed-pauli:op=XZ@m2", "block has 4"),
+    (run_protocol1, _P1_T1, "pauli:XX=0.5;II=0.5@m1", "block has 1"),
+    (run_protocol1, _P1_T1, "fixed-pauli:op=XZ@m2", "block has 1"),
+    (run_protocol1, _P1_T2, "pauli:X=0.5;II=0.5@m1", "block has 2"),
+], ids=["unknown-member", "wrong-protocol", "fixed-pauli@C", "depolarize@C",
+        "pauli-table-arity-auth", "fixed-pauli-arity-auth",
+        "pauli-table-arity", "fixed-pauli-arity", "pauli-table-mixed-widths"])
+def test_run_rejects_bad_arguments_before_first_round(monkeypatch, runner,
+                                                      config, spec, match):
+    def no_rounds(*args, **kwargs):
+        raise AssertionError("a round was prepared")
+
+    monkeypatch.setattr(states, "make_cat", no_rounds)
+    with pytest.raises(InvalidArgumentError, match=match):
+        runner(config, parse_adversary(spec), 1)
+
+
+def test_initial_state_is_read_only_and_shared(monkeypatch):
+    made = []
+
+    def record(config):
+        made.append(original(config))
+        return made[-1]
+
+    original = protocol._initial_state
+    monkeypatch.setattr(protocol, "_initial_state", record)
+    run_protocol1(_P1_T2, parse_adversary("intercept@m1"), 3)
+    assert len(made) == 1  # one initial state per run, not per round
+    amps = made[0].amplitudes
+    assert not amps.flags.writeable
+    with pytest.raises(ValueError):
+        amps[0] = 0
+    fresh = original(_P1_T2)
+    assert np.array_equal(amps, fresh.amplitudes)  # no round changed it
 
 
 def test_transcript_jsonl_schema_and_redaction():

@@ -155,7 +155,12 @@ def test_family_json_rejects_tampered_codes(fam22):
     def drop_generator(code):
         code["generators"].pop()
 
-    for edit in (flip_letter, drop_qubit, drop_generator):
+    def swap_generator(code):
+        # XIII -> ZIII leaves a valid code whose family audits at 1.0
+        assert code["generators"][0] == "XIII"
+        code["generators"][0] = "ZIII"
+
+    for edit in (flip_letter, drop_qubit, drop_generator, swap_generator):
         with pytest.raises(InvalidArgumentError):
             family_from_json(_tampered(fam22, edit))
 

@@ -180,3 +180,105 @@ def test_invalid_inputs_rejected():
     with pytest.raises(InvalidArgumentError):
         measure_qubit(make_cat(2, PHI_PLUS), ("q", 0), "Q",
                       np.random.default_rng(0))
+
+
+# --------------------------------------------------------------------------
+# differential tests: the vector kernels against dense matrices
+# --------------------------------------------------------------------------
+
+class _FixedDraw:
+    """Stands in for a Generator whose next uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _random_state(rng, n):
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    return PureStateVector(tuple(states.default_labels(n)),
+                           amps / np.linalg.norm(amps))
+
+
+def _embedded_matrix(pauli, positions, n):
+    """Dense 2^n matrix of ``pauli`` acting on index bits ``positions``."""
+    x = np.zeros(n, dtype=np.uint8)
+    z = np.zeros(n, dtype=np.uint8)
+    for i, pos in enumerate(positions):  # index bit b is qubit n-1-b
+        x[n - 1 - pos], z[n - 1 - pos] = pauli.x[i], pauli.z[i]
+    return PauliOperator(x, z, pauli.phase).to_matrix()
+
+
+def _qubit_projector_row(evec, ax, n):
+    """(2^(n-1), 2^n) map <evec| on qubit ``ax``, identity elsewhere."""
+    return np.kron(np.kron(np.eye(2 ** ax), evec.conj()[None, :]),
+                   np.eye(2 ** (n - 1 - ax)))
+
+
+def test_pauli_on_vector_matches_dense_matrix():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        k = int(rng.integers(1, n + 1))
+        positions = [int(p) for p in rng.permutation(n)[:k]]
+        letters = "".join(rng.choice(list("IXYZ"), size=k))
+        pauli = PauliOperator.from_string(letters, int(rng.integers(0, 4)))
+        vec = _random_state(rng, n).amplitudes
+        want = _embedded_matrix(pauli, positions, n) @ vec
+        got = states.pauli_on_vector(vec, pauli, positions)
+        assert np.allclose(got, want, atol=1e-12), (letters, positions)
+
+
+def test_measure_qubit_matches_marginals_and_projectors():
+    rng = np.random.default_rng(22)
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        st = _random_state(rng, n)
+        ax = int(rng.integers(0, n))
+        label = st.labels[ax]
+        basis = str(rng.choice(["X", "Y", "Z"]))
+        bases = {lab: "Z" for lab in st.labels}
+        bases[label] = basis
+        joint = measurement_probabilities(st, bases).reshape((2,) * n)
+        p0 = joint.sum(axis=tuple(a for a in range(n) if a != ax))[0]
+        # outcome 0 iff the uniform draw falls below the branch probability
+        for u, want_bit in ((p0 - 1e-9, 0), (p0 + 1e-9, 1)):
+            bit, post = measure_qubit(st, label, basis, _FixedDraw(u))
+            assert bit == want_bit
+            evec = states.eigenvectors(basis)[bit]
+            ref = _qubit_projector_row(evec, ax, n) @ st.amplitudes
+            assert np.allclose(post.amplitudes, ref / np.linalg.norm(ref),
+                               atol=1e-12)
+            assert post.labels == st.labels[:ax] + st.labels[ax + 1:]
+
+
+def test_measure_pauli_matches_dense_projectors():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        st = _random_state(rng, n)
+        k = int(rng.integers(1, n + 1))
+        axes = [int(a) for a in rng.permutation(n)[:k]]
+        letters = "".join(rng.choice(list("XYZ"), size=k))
+        pauli = PauliOperator.from_string(letters)  # Hermitian
+        dense = _embedded_matrix(pauli, [n - 1 - a for a in axes], n)
+        labels = [st.labels[a] for a in axes]
+        eye = np.eye(2 ** n)
+        plus = (eye + dense) / 2 @ st.amplitudes
+        pplus = np.vdot(plus, plus).real
+        for u, want_bit in ((pplus - 1e-9, 0), (pplus + 1e-9, 1)):
+            bit, post = states.measure_pauli(st, pauli, labels,
+                                             _FixedDraw(u))
+            assert bit == want_bit
+            sign = 1 if bit == 0 else -1
+            ref = (eye + sign * dense) / 2 @ st.amplitudes
+            assert np.allclose(post.amplitudes, ref / np.linalg.norm(ref),
+                               atol=1e-12)
+            assert post.labels == st.labels
+
+
+def test_state_with_nan_amplitude_rejected():
+    with pytest.raises(InvalidArgumentError):
+        PureStateVector((("q", 0),), np.array([np.nan, 0.0], dtype=complex))
