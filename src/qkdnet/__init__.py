@@ -10,7 +10,7 @@ from .analysis import InequalityReport, protocol_statistics
 from .auth import (ACCEPT, REJECT, AuthKeys, AuthOutcome, auth_receive,
                    auth_send, keygen)
 from .errors import CapacityError, InvalidArgumentError, StateError
-from .paulis import PauliOperator, pauli_mul, symplectic_product
+from .paulis import PauliOperator, pauli_mul
 from .protocol import (NetworkConfig, RoundRecord, Transcript, run_protocol1,
                        run_protocol2, transcript_to_jsonl)
 from .stabilizer import (PurityFamily, StabilizerCode, audit_family,
@@ -29,8 +29,8 @@ __all__ = [
     "corrupt_announcement", "decode_coset", "encode_coset",
     "family_from_json", "family_to_json", "fidelity", "gen_purity_family",
     "keygen", "make_cat", "parse_adversary", "pauli_mul",
-    "protocol_statistics", "run_protocol1", "run_protocol2",
-    "symplectic_product", "tensor", "trace_distance", "transcript_to_jsonl",
+    "protocol_statistics", "run_protocol1", "run_protocol2", "tensor",
+    "trace_distance", "transcript_to_jsonl",
 ]
 
 __version__ = "0.1.0"

@@ -14,24 +14,14 @@ from . import states
 from .errors import InvalidArgumentError
 from .paulis import PauliOperator
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 IDENTITY = "identity"
 DEPOLARIZING = "depolarizing"
 PAULI_CHANNEL = "pauli"
 INTERCEPT_RESEND = "intercept_resend"
 FIXED_PAULI = "fixed_pauli"
 
-# shared one-letter operators for the per-qubit trajectory kinds
+# one-letter operators shared by the per-qubit Kraus and trajectory forms
 _LETTER_OPS = {c: PauliOperator.from_string(c) for c in "IXYZ"}
-for _op in _LETTER_OPS.values():
-    _op.x.setflags(write=False)
-    _op.z.setflags(write=False)
 
 
 @dataclass
@@ -81,10 +71,8 @@ class ChannelSpec:
             return [np.eye(2, dtype=complex)]
         if self.kind == DEPOLARIZING:
             p = self.p
-            return [np.sqrt(1 - 3 * p / 4) * _PAULI_1Q["I"],
-                    np.sqrt(p / 4) * _PAULI_1Q["X"],
-                    np.sqrt(p / 4) * _PAULI_1Q["Y"],
-                    np.sqrt(p / 4) * _PAULI_1Q["Z"]]
+            return [np.sqrt(w) * _LETTER_OPS[c].to_matrix()
+                    for w, c in zip([1 - 3 * p / 4] + [p / 4] * 3, "IXYZ")]
         if self.kind == INTERCEPT_RESEND:
             ops = []
             w = 1 / np.sqrt(len(self.bases))

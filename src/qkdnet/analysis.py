@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -416,11 +417,19 @@ def table_correlation_check(group_sizes, shots: int, rng) -> dict:
 # --------------------------------------------------------------------------
 
 def _binomial_ci(k: int, n: int, z: float = 1.96) -> tuple:
+    """Wilson score interval for k successes in n trials.
+
+    Unlike the Wald interval it stays honest at k = 0 and k = n, where its
+    bounds are exactly 0 and 1.
+    """
     if n == 0:
         return (0.0, 1.0)
     p = k / n
-    se = np.sqrt(max(p * (1 - p), 1e-12) / n)
-    return (float(max(0.0, p - z * se)), float(min(1.0, p + z * se)))
+    denom = 1 + z * z / n
+    centre = (p + z * z / (2 * n)) / denom
+    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+    return (0.0 if k == 0 else centre - half,
+            1.0 if k == n else centre + half)
 
 
 def protocol_statistics(transcript) -> dict:

@@ -60,19 +60,20 @@ def keygen(family: PurityFamily, t: int, rng) -> AuthKeys:
     return AuthKeys(k=k, x=x, y=y)
 
 
-def _pad_operator(x_bits: np.ndarray, t: int) -> PauliOperator:
-    xs = np.array([x_bits[2 * j] for j in range(t)], dtype=np.uint8)
-    zs = np.array([x_bits[2 * j + 1] for j in range(t)], dtype=np.uint8)
-    return PauliOperator(xs, zs)  # X^a Z^b per qubit, phase untracked
+def _pad_operator(x_bits, t: int) -> PauliOperator:
+    """X^a Z^b on qubit j for pad bits (a, b) = (x_bits[2j], x_bits[2j+1])."""
+    xs = zs = 0
+    for a, b in zip(x_bits[0:2 * t:2], x_bits[1:2 * t:2]):
+        xs, zs = xs << 1 | int(a) & 1, zs << 1 | int(b) & 1
+    return PauliOperator(t, xs, zs)  # phase untracked
 
 
 def apply_pad(state, x_bits, labels, inverse: bool = False):
     """Quantum one-time pad X^x1 Z^x2 per qubit on the given labels."""
-    t = len(labels)
-    p = _pad_operator(np.asarray(x_bits, dtype=np.uint8), t)
+    p = _pad_operator(x_bits, len(labels))
     if inverse:
         # (X^a Z^b)^-1 = Z^b X^a = (-1)^(a.b) X^a Z^b
-        p = PauliOperator(p.x, p.z, (2 * int(p.x @ p.z)) % 4)
+        p = PauliOperator(p.n, p.x, p.z, 2 * (p.x & p.z).bit_count())
     return states.apply_pauli(state, p, labels)
 
 

@@ -1,4 +1,5 @@
-"""GF(2^s) arithmetic on integer bit representations plus F2 linear algebra."""
+"""GF(2^s) arithmetic on integer bit representations plus F2 linear algebra
+on integer bit rows."""
 from __future__ import annotations
 
 import numpy as np
@@ -86,54 +87,24 @@ class BinaryField:
         return list(chosen)
 
 
-def int_to_bits(a: int, width: int) -> np.ndarray:
-    return np.array([(a >> i) & 1 for i in range(width)], dtype=np.uint8)
+def row_reduce(rows) -> list:
+    """Echelon basis of the F2 span of integer bit rows: nonzero rows with
+    distinct leading bits, in decreasing order."""
+    basis: list[int] = []
+    for v in rows:
+        v = int(v)
+        for b in basis:
+            v = min(v, v ^ b)  # clears b's leading bit when v has it
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return basis
 
 
-def row_reduce(mat: np.ndarray):
-    """RREF over F2; returns (reduced matrix, pivot column list)."""
-    m = (np.asarray(mat, dtype=np.uint8) % 2).copy()
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[[r, pivot]] = m[[pivot, r]]
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] ^= m[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m[:r], pivots
-
-
-def in_row_space(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Boolean array: which rows of ``vecs`` lie in the F2 row space of ``mat``."""
-    red, pivots = row_reduce(mat)
-    v = (np.asarray(vecs, dtype=np.uint8) % 2).copy()
-    if v.ndim == 1:
-        v = v[None, :]
-    for row, c in zip(red, pivots):
-        mask = v[:, c].astype(bool)
-        v[mask] ^= row
-    return ~v.any(axis=1)
-
-
-def invert_f2(mat: np.ndarray) -> np.ndarray:
-    m = (np.asarray(mat, dtype=np.uint8) % 2).copy()
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise InvalidArgumentError("matrix must be square")
-    aug = np.hstack([m, np.eye(n, dtype=np.uint8)])
-    red, pivots = row_reduce(aug)
-    if pivots[:n] != list(range(n)):
-        raise InvalidArgumentError("matrix is singular over F2")
-    return red[:, n:]
+def in_row_space(rows, vecs) -> np.ndarray:
+    """Boolean array: which integer bit rows in ``vecs`` lie in the F2 span
+    of the integer bit rows ``rows``."""
+    v = np.atleast_1d(np.array(vecs, dtype=np.int64))
+    for b in row_reduce(rows):
+        v ^= (v >> (b.bit_length() - 1) & 1) * b
+    return v == 0

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import gf2, states
 from .errors import CapacityError, InvalidArgumentError
-from .paulis import PauliOperator, symplectic_product
+from .paulis import PauliOperator, parity
 
-DENSE_AUDIT_CAP = 8  # max u for exhaustive 4^u error enumeration
+DENSE_AUDIT_CAP = 9  # max u for exhaustive 4^u error enumeration
 
 
 @dataclass
@@ -43,18 +43,12 @@ class StabilizerCode:
     def num_generators(self) -> int:
         return self.u - self.t
 
-    def generator_matrix(self) -> np.ndarray:
-        """(s, 2u) bit matrix of generator (x | z) vectors."""
-        return np.array([g.symplectic() for g in self.generators], dtype=np.uint8)
-
     def validate(self) -> None:
         for i, a in enumerate(self.generators):
             for b in self.generators[i + 1:]:
                 if not a.commutes_with(b):
                     raise InvalidArgumentError("generators do not commute")
-        gm = self.generator_matrix()
-        red, _ = gf2.row_reduce(gm)
-        if red.shape[0] != len(self.generators):
+        if len(gf2.row_reduce(_rows(self.generators))) != len(self.generators):
             raise InvalidArgumentError("generators are not independent")
         for j in range(self.t):
             for g in self.generators:
@@ -62,70 +56,69 @@ class StabilizerCode:
                     raise InvalidArgumentError("logical X hits a generator")
                 if not self.logical_z[j].commutes_with(g):
                     raise InvalidArgumentError("logical Z hits a generator")
-            for k in range(self.t):
-                want = 1 if j == k else 0
-                ip = symplectic_product(self.logical_x[j].symplectic(),
-                                        self.logical_z[k].symplectic())
-                if ip != want:
+            for k, lz in enumerate(self.logical_z):
+                if self.logical_x[j].commutes_with(lz) == (j == k):
                     raise InvalidArgumentError("logical pair relations broken")
+
+
+def _rows(ops) -> list:
+    """Code rows ``(x << n) | z``: the (x | z) bits read left to right."""
+    return [p.x << p.n | p.z for p in ops]
+
+
+def _symplectic(v: int, w: int, u: int) -> int:
+    """Symplectic product of two code rows on u qubits."""
+    return (v >> u & w ^ v & w >> u).bit_count() & 1
 
 
 def syndrome(code: StabilizerCode, e: PauliOperator) -> np.ndarray:
     """Bit i = 1 iff e anticommutes with generator i."""
-    if e.num_qubits != code.u:
+    if e.n != code.u:
         raise InvalidArgumentError("error width must equal u")
     return np.array([0 if g.commutes_with(e) else 1 for g in code.generators],
                     dtype=np.uint8)
 
 
-def symplectic_complete(gen_bits: np.ndarray, u: int):
+def symplectic_complete(gen_rows: list, u: int):
     """Extend commuting generator rows to a full symplectic basis of F2^(2u).
 
-    Returns (logical_x_bits, logical_z_bits): t hyperbolic pairs commuting
+    Returns (logical_x_rows, logical_z_rows): t hyperbolic pairs commuting
     with the generator span.
     """
-    s = gen_bits.shape[0]
-    remaining = [row.astype(np.uint8).copy() for row in gen_bits]
-    remaining += [row for row in np.eye(2 * u, dtype=np.uint8)]
+    s = len(gen_rows)
+    # unit rows in (x | z) column order: x of qubit 0 first
+    remaining = list(gen_rows) + [1 << b for b in range(2 * u - 1, -1, -1)]
     pairs = []
     while remaining:
         v = remaining.pop(0)
-        if not v.any():
+        if not v:
             continue
-        j = None
-        for idx, w in enumerate(remaining):
-            if symplectic_product(v, w) == 1:
-                j = idx
-                break
+        j = next((idx for idx, w in enumerate(remaining)
+                  if _symplectic(v, w, u)), None)
         if j is None:
             continue  # v lies in the span of completed pairs
         w = remaining.pop(j)
-        for k in range(len(remaining)):
-            uvec = remaining[k]
-            if symplectic_product(uvec, w):
-                uvec = uvec ^ v
-            if symplectic_product(uvec, v):
-                uvec = uvec ^ w
-            remaining[k] = uvec
+        for k, row in enumerate(remaining):
+            if _symplectic(row, w, u):
+                row ^= v
+            if _symplectic(row, v, u):
+                row ^= w
+            remaining[k] = row
         pairs.append((v, w))
     assert len(pairs) == u, "symplectic completion failed"
     logical = pairs[s:]
-    lx = np.array([p[0] for p in logical], dtype=np.uint8)
-    lz = np.array([p[1] for p in logical], dtype=np.uint8)
-    return lx, lz
+    return [p[0] for p in logical], [p[1] for p in logical]
 
 
-def code_from_generator_bits(gen_bits: np.ndarray, u: int) -> StabilizerCode:
-    """Build a code (with Hermitian generators and logicals) from bit rows."""
-    gen_bits = np.asarray(gen_bits, dtype=np.uint8) % 2
-    s = gen_bits.shape[0]
-    red, _ = gf2.row_reduce(gen_bits)
-    if red.shape[0] != s:
+def code_from_generator_bits(gen_rows: list, u: int) -> StabilizerCode:
+    """Build a code (with Hermitian generators and logicals) from code rows."""
+    s = len(gen_rows)
+    if len(gf2.row_reduce(gen_rows)) != s:
         raise InvalidArgumentError("generator rows are dependent")
-    lx_bits, lz_bits = symplectic_complete(gen_bits, u)
-    gens = [PauliOperator.from_bits_hermitian(row[:u], row[u:]) for row in gen_bits]
-    lx = [PauliOperator.from_bits_hermitian(row[:u], row[u:]) for row in lx_bits]
-    lz = [PauliOperator.from_bits_hermitian(row[:u], row[u:]) for row in lz_bits]
+    lx_rows, lz_rows = symplectic_complete(gen_rows, u)
+    low = (1 << u) - 1
+    gens, lx, lz = ([PauliOperator(u, row >> u, row & low).hermitian()
+                     for row in rows] for rows in (gen_rows, lx_rows, lz_rows))
     return StabilizerCode(u=u, t=u - s, generators=gens, logical_x=lx, logical_z=lz)
 
 
@@ -252,49 +245,57 @@ class PurityFamily:
 
 
 def _family_generator_bits(r: int, s: int) -> dict:
-    """Raw (s, 2u) generator bit matrices per key, before seeded relabeling."""
+    """Raw generator code rows per key, before seeded relabeling."""
     fld = gf2.BinaryField(s)
     basis = fld.self_dual_basis()
-    bmat = np.column_stack([gf2.int_to_bits(b, s) for b in basis])
-    binv = gf2.invert_f2(bmat)
-
-    def coords(c: int) -> np.ndarray:
-        return (binv @ gf2.int_to_bits(c, s)) % 2
+    # coords[c]: s-bit coordinates of field element c, coefficient of
+    # basis[0] in the top bit
+    coords = [0] * fld.size
+    for m in range(fld.size):
+        c = 0
+        for k, b in enumerate(basis):
+            if m >> (s - 1 - k) & 1:
+                c ^= b
+        coords[c] = m
 
     u = r * s
     out = {}
     for x in range(fld.size):
-        gvec = [fld.pow(x, i) for i in range(r)]
-        hvec = [fld.pow(x, r + i) for i in range(r)]
         rows = []
         for bj in basis:
-            xbits = np.concatenate([coords(fld.mul(bj, gi)) for gi in gvec])
-            zbits = np.concatenate([coords(fld.mul(bj, hi)) for hi in hvec])
-            rows.append(np.concatenate([xbits, zbits]))
-        out[x] = np.array(rows, dtype=np.uint8)
+            xs = zs = 0
+            for i in range(r):
+                xs = xs << s | coords[fld.mul(bj, fld.pow(x, i))]
+                zs = zs << s | coords[fld.mul(bj, fld.pow(x, r + i))]
+            rows.append(xs << u | zs)
+        out[x] = rows
     return out
 
 
 def _seeded_relabeling(u: int, rng) -> tuple:
     """Random single-qubit symplectic relabeling: permutation + per-qubit
     X/Z swap and shear; preserves commutation and the audited error."""
-    perm = rng.permutation(u)
-    swap = rng.integers(0, 2, size=u)
-    shear = rng.integers(0, 2, size=u)
+    perm = rng.permutation(u).tolist()
+    swap = rng.integers(0, 2, size=u).tolist()
+    shear = rng.integers(0, 2, size=u).tolist()
     return perm, swap, shear
 
 
-def _apply_relabeling(bits: np.ndarray, u: int, relab) -> np.ndarray:
+def _apply_relabeling(rows: list, u: int, relab) -> list:
+    """New qubit q takes old qubit perm[q], then shears and swaps."""
     perm, swap, shear = relab
-    x = bits[:, :u][:, perm].copy()
-    z = bits[:, u:][:, perm].copy()
-    # shear: z += x on selected qubits (phase-gate-like)
-    z[:, shear == 1] ^= x[:, shear == 1]
-    # swap: exchange x and z on selected qubits (Hadamard-like)
-    xs = x.copy()
-    x[:, swap == 1] = z[:, swap == 1]
-    z[:, swap == 1] = xs[:, swap == 1]
-    return np.hstack([x, z])
+    out = []
+    for row in rows:
+        x = z = 0
+        for q in range(u):
+            b = u - 1 - perm[q]
+            xb, zb = row >> (u + b) & 1, row >> b & 1
+            zb ^= xb & shear[q]  # z += x (phase-gate-like)
+            if swap[q]:  # exchange x and z (Hadamard-like)
+                xb, zb = zb, xb
+            x, z = x << 1 | xb, z << 1 | zb
+        out.append(x << u | z)
+    return out
 
 
 def gen_purity_family(r: int, s: int, seed,
@@ -310,8 +311,8 @@ def gen_purity_family(r: int, s: int, seed,
         raise InvalidArgumentError("need r >= 2 and s >= 2")
     u = r * s
     relab = _seeded_relabeling(u, np.random.default_rng(seed))
-    codes = {x: code_from_generator_bits(_apply_relabeling(bits, u, relab), u)
-             for x, bits in _family_generator_bits(r, s).items()}
+    codes = {x: code_from_generator_bits(_apply_relabeling(rows, u, relab), u)
+             for x, rows in _family_generator_bits(r, s).items()}
     fam = PurityFamily(r=r, s=s, codes=codes)
     if audit == "auto" and u <= DENSE_AUDIT_CAP:
         eps = audit_family(fam)
@@ -343,21 +344,22 @@ def audit_family(fam: PurityFamily, sample_errors: int | None = None,
             rng = np.random.default_rng(0)
         idx = rng.integers(1, 4 ** u, size=sample_errors)
         n_err = sample_errors
-    xpart = np.zeros((n_err, u), dtype=np.uint8)
-    zpart = np.zeros((n_err, u), dtype=np.uint8)
+    # base-4 digit q of the pattern index is (x_q, z_q) of qubit q
+    ex = np.zeros(n_err, dtype=np.int64)
+    ez = np.zeros(n_err, dtype=np.int64)
     for q in range(u):
-        digit = (idx // 4 ** q) % 4
-        xpart[:, q] = digit & 1
-        zpart[:, q] = digit >> 1
-    errs = np.hstack([xpart, zpart])
+        ex |= (idx >> 2 * q & 1) << (u - 1 - q)
+        ez |= (idx >> 2 * q + 1 & 1) << (u - 1 - q)
     counts = np.zeros(n_err, dtype=np.int64)
     for code in fam.codes.values():
-        gm = code.generator_matrix()
-        gm_sw = np.hstack([gm[:, u:], gm[:, :u]])
-        synd = (errs @ gm_sw.T) % 2
-        trivial = ~synd.any(axis=1)
-        in_stab = gf2.in_row_space(gm, errs)
-        counts += (trivial & ~in_stab).astype(np.int64)
+        hit = np.zeros(n_err, dtype=bool)
+        for g in code.generators:
+            hit |= parity((ex & g.z) ^ (ez & g.x)) == 1
+        trivial = ~hit
+        # only syndrome-trivial errors can be undetected logical errors
+        in_stab = gf2.in_row_space(_rows(code.generators),
+                                   ex[trivial] << u | ez[trivial])
+        counts[trivial] += ~in_stab
     eps = float(counts.max() / len(fam.codes)) if n_err else 0.0
     fam.epsilon_audited = eps
     return eps
@@ -400,7 +402,7 @@ def family_from_json(text: str) -> PurityFamily:
         ops = {name: [PauliOperator.from_string(g) for g in body[name]]
                for name in ("generators", "logical_x", "logical_z")}
         if len(ops["generators"]) != s or any(
-                p.num_qubits != u for group in ops.values() for p in group):
+                p.n != u for group in ops.values() for p in group):
             raise InvalidArgumentError(
                 f"code {k} needs {s} generators on u = r*s = {u} qubits")
         code = StabilizerCode(u=u, t=u - s, **ops)

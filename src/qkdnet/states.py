@@ -178,11 +178,14 @@ def pauli_on_vector(vec: np.ndarray, pauli: PauliOperator,
                     positions) -> np.ndarray:
     """``pauli`` applied to an amplitude vector; its qubit i acts on index
     bit ``positions[i]`` (bit 0 is the least significant)."""
+    x, z = pauli.x, pauli.z
     xmask = zmask = 0
-    for pos, xb, zb in zip(positions, pauli.x.tolist(), pauli.z.tolist()):
-        if xb:
+    bit = 1 << pauli.n
+    for pos in positions:  # qubit i is mask bit n-1-i
+        bit >>= 1
+        if x & bit:
             xmask |= 1 << pos
-        if zb:
+        if z & bit:
             zmask |= 1 << pos
     idx = _INDEX[:len(vec)]
     out = np.empty_like(vec)
@@ -192,7 +195,7 @@ def pauli_on_vector(vec: np.ndarray, pauli: PauliOperator,
 
 def _positions(state: PureStateVector, labels, pauli: PauliOperator) -> list:
     """Index bit of each label, checked against the Pauli's width."""
-    if len(labels) != pauli.num_qubits:
+    if len(labels) != pauli.n:
         raise InvalidArgumentError("label count must match Pauli width")
     q = state.num_qubits
     return [q - 1 - state.axis(lab) for lab in labels]

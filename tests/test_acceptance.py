@@ -143,7 +143,8 @@ def test_criterion_6_authentication_soundness():
         e = PauliOperator.from_bits_hermitian(
             [(pattern >> i) & 1 for i in range(fam.u)],
             [(pattern >> (fam.u + i)) & 1 for i in range(fam.u)])
-        if gf2.in_row_space(code.generator_matrix(), e.symplectic())[0]:
+        if gf2.in_row_space([g.x << fam.u | g.z for g in code.generators],
+                            e.x << fam.u | e.z)[0]:
             continue  # stabilizer element: acts trivially, not an attack
         attacked_trials += 1
         phys = auth_send(keys, fam, logical)

@@ -99,6 +99,16 @@ def test_protocol_statistics_fields():
     json.dumps(stats)  # plain types only
 
 
+def test_binomial_ci_is_wilson_at_the_edges():
+    # 0 errors in 9 test bits: the Wald interval was [0, 6.5e-7]
+    lo, hi = analysis._binomial_ci(0, 9)
+    assert lo == 0.0 and hi == pytest.approx(0.2992, abs=1e-4)
+    lo, hi = analysis._binomial_ci(9, 9)
+    assert lo == pytest.approx(0.7008, abs=1e-4) and hi == 1.0
+    lo, hi = analysis._binomial_ci(1, 9)
+    assert (lo, hi) == pytest.approx((0.0199, 0.4350), abs=1e-4)
+
+
 def test_report_emission_round_trip():
     rng = np.random.default_rng(6)
     reports = [analysis.fuchs_van_de_graaf_suite(20, [2], rng),

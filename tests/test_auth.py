@@ -30,6 +30,14 @@ def test_pad_is_self_inverse():
         assert np.allclose(back.amplitudes, st.amplitudes)
 
 
+def test_pad_bits_select_x_then_z():
+    st = random_logical(np.random.default_rng(2))
+    # bits (x1, x2) of qubit j apply X^x1 Z^x2: X on qubit 0, bare XZ on 1
+    padded = apply_pad(st, np.array([1, 0, 1, 1], dtype=np.uint8), st.labels)
+    want = PauliOperator(2, 0b11, 0b01).to_matrix() @ st.amplitudes
+    assert np.allclose(padded.amplitudes, want)
+
+
 def test_clean_channel_round_trip(fam):
     rng = np.random.default_rng(2)
     for _ in range(10):

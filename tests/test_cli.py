@@ -143,7 +143,7 @@ def test_audit_code_degenerate_family_fails(capsys):
 
 
 def test_audit_code_capacity_exit(capsys):
-    code, _, err = run_cli(capsys, "audit-code", "--r", "3", "--s", "3",
+    code, _, err = run_cli(capsys, "audit-code", "--r", "2", "--s", "5",
                            "--seed", "1")
     assert code == 1
     assert "cap" in err

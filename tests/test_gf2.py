@@ -1,0 +1,22 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkdnet import gf2
+
+rows_and_vecs = st.integers(1, 12).flatmap(lambda w: st.tuples(
+    st.lists(st.integers(0, 2 ** w - 1), max_size=5),
+    st.lists(st.integers(0, 2 ** w - 1), min_size=1, max_size=10)))
+
+
+@settings(deadline=None)
+@given(rows_and_vecs)
+def test_in_row_space_matches_span_enumeration(case):
+    rows, vecs = case
+    span = {0}
+    for r in rows:
+        span |= {v ^ r for v in span}
+    assert gf2.in_row_space(rows, vecs).tolist() == [v in span for v in vecs]
+    basis = gf2.row_reduce(rows)
+    assert 2 ** len(basis) == len(span)
+    leads = [b.bit_length() for b in basis]
+    assert leads == sorted(set(leads), reverse=True) and 0 not in leads

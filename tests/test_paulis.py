@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdnet.errors import InvalidArgumentError
-from qkdnet.paulis import PauliOperator, parity, pauli_mul, symplectic_product
+from qkdnet.paulis import PauliOperator, parity, pauli_mul
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -20,11 +22,53 @@ def dense(s):
     return m
 
 
+@st.composite
+def paulis(draw, n=None):
+    """A Pauli with any phase on n (default: 1 to 6) qubits."""
+    if n is None:
+        n = draw(st.integers(1, 6))
+    mask = st.integers(0, 2 ** n - 1)
+    return PauliOperator(n, draw(mask), draw(mask), draw(st.integers(0, 3)))
+
+
+pauli_pairs = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(paulis(n), paulis(n)))
+
+
 def test_from_string_matches_dense_matrices():
     for s in ("I", "X", "Y", "Z", "XY", "ZZY", "IYXZ"):
         op = PauliOperator.from_string(s)
         assert np.allclose(op.to_matrix(), dense(s))
         assert op.to_string() == s
+    # qubit 0 is the top mask bit; each Y carries an i
+    assert PauliOperator.from_string("XIZY") == PauliOperator(4, 0b1001,
+                                                              0b0011, 1)
+
+
+@settings(deadline=None)
+@given(paulis())
+def test_string_round_trip_and_matrix_match_letters(p):
+    s = p.to_string()
+    extra = p.phase - s.count("Y")  # phase beyond the Hermitian letters
+    assert PauliOperator.from_string(s, extra) == p
+    assert np.allclose(p.to_matrix(), 1j ** extra * dense(s))
+
+
+@settings(deadline=None)
+@given(pauli_pairs)
+def test_pauli_mul_matches_dense(pair):
+    a, b = pair
+    assert np.allclose(pauli_mul(a, b).to_matrix(),
+                       a.to_matrix() @ b.to_matrix())
+
+
+@settings(deadline=None)
+@given(paulis())
+def test_hermitian_matches_dense(p):
+    h = p.hermitian()
+    m = h.to_matrix()
+    assert (h.n, h.x, h.z) == (p.n, p.x, p.z)
+    assert np.allclose(m, m.conj().T)
 
 
 def test_single_qubit_multiplication_table():
@@ -44,22 +88,17 @@ def test_multi_qubit_multiplication_matches_dense():
         assert np.allclose(pauli_mul(pa, pb).to_matrix(), dense(sa) @ dense(sb))
 
 
-def test_commutation_equals_symplectic_product():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        n = int(rng.integers(1, 6))
-        pa = PauliOperator(rng.integers(0, 2, n), rng.integers(0, 2, n))
-        pb = PauliOperator(rng.integers(0, 2, n), rng.integers(0, 2, n))
-        ma, mb = pa.to_matrix(), pb.to_matrix()
-        commutes = np.allclose(ma @ mb, mb @ ma)
-        assert pa.commutes_with(pb) == commutes
-        assert (symplectic_product(pa.symplectic(), pb.symplectic()) == 0) \
-            == commutes
+@settings(deadline=None)
+@given(pauli_pairs)
+def test_commutation_matches_dense(pair):
+    a, b = pair
+    ma, mb = a.to_matrix(), b.to_matrix()
+    assert a.commutes_with(b) == np.allclose(ma @ mb, mb @ ma)
 
 
 def test_hermitian_phase_convention():
     # Y = i * XZ in the internal convention; hermitian() restores i**(x.z)
-    op = PauliOperator(np.array([1]), np.array([1]), phase=0)  # bare XZ
+    op = PauliOperator(1, 1, 1, phase=0)  # bare XZ
     assert np.allclose(op.to_matrix(), X @ Z)
     assert np.allclose(op.hermitian().to_matrix(), Y)
     h = PauliOperator.from_bits_hermitian([1, 1, 0], [1, 0, 1])
@@ -69,13 +108,16 @@ def test_hermitian_phase_convention():
 
 def test_phase_value_cycle():
     for k in range(4):
-        op = PauliOperator(np.array([0]), np.array([0]), phase=k)
+        op = PauliOperator(1, 0, 0, phase=k)
         assert np.allclose(op.to_matrix(), (1j) ** k * I2)
 
 
 def test_mismatched_lengths_rejected():
+    for n, x, z in ((2, 0b100, 0), (2, 0, 0b111), (1, -1, 0), (-1, 0, 0)):
+        with pytest.raises(InvalidArgumentError):
+            PauliOperator(n, x, z)  # a mask wider than n
     with pytest.raises(InvalidArgumentError):
-        PauliOperator(np.array([1, 0]), np.array([1]))
+        PauliOperator.from_bits_hermitian([1, 0], [1])
     a = PauliOperator.from_string("XX")
     b = PauliOperator.from_string("X")
     with pytest.raises(InvalidArgumentError):

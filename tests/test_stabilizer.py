@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdnet import states
 from qkdnet.errors import CapacityError, InvalidArgumentError
@@ -65,10 +67,38 @@ def test_degenerate_single_key_family_fails_audit(fam22):
     assert audit_family(degenerate) > degenerate.epsilon_formula
 
 
+def test_exhaustive_audit_of_3_3_within_budget():
+    fam = gen_purity_family(3, 3, seed=0)  # u = 9, audited on generation
+    assert fam.epsilon_audited <= fam.epsilon_formula
+    assert fam.epsilon_audited == pytest.approx(0.625)  # (2r-1)/2^s
+
+
+def test_audit_matches_per_error_oracle():
+    # a one-pattern sampled audit returns that pattern's undetected fraction
+    for fam in (gen_purity_family(2, s, seed=3) for s in (2, 3)):
+        u = fam.u
+        for seed in range(40):
+            eps = audit_family(fam, sample_errors=1,
+                               rng=np.random.default_rng(seed))
+            pattern = int(np.random.default_rng(seed).integers(1, 4 ** u))
+            digits = [pattern // 4 ** q % 4 for q in range(u)]  # qubit q
+            e = PauliOperator.from_bits_hermitian([d & 1 for d in digits],
+                                                  [d >> 1 for d in digits])
+            missed = 0
+            for code in fam.codes.values():
+                group = [PauliOperator.from_string("I" * u)]
+                for g in code.generators:
+                    group += [pauli_mul(h, g) for h in group]
+                in_stab = any((h.x, h.z) == (e.x, e.z) for h in group)
+                if not syndrome(code, e).any() and not in_stab:
+                    missed += 1
+            assert eps == missed / len(fam.codes)
+
+
 def test_audit_capacity_guard():
-    fam = gen_purity_family(3, 3, seed=0, audit="skip")
     with pytest.raises(CapacityError):
-        audit_family(fam)
+        audit_family(gen_purity_family(3, 4, seed=0, audit="skip"))  # u = 12
+    fam = gen_purity_family(3, 3, seed=0, audit="skip")
     # sampled audit over the full key set stays within budget
     rng = np.random.default_rng(0)
     eps = audit_family(fam, sample_errors=2000, rng=rng)
@@ -105,6 +135,20 @@ def test_error_shifts_syndrome(fam22):
         assert np.array_equal(measured, y ^ syndrome(code, e))
 
 
+@settings(deadline=None)
+@given(data=st.data())
+def test_syndrome_matches_dense_anticommutation(fam22, fam23, data):
+    fam = data.draw(st.sampled_from([fam22, fam23]))
+    code = fam.codes[data.draw(st.sampled_from(fam.keys))]
+    mask = st.integers(0, 2 ** fam.u - 1)
+    e = PauliOperator(fam.u, data.draw(mask), data.draw(mask),
+                      data.draw(st.integers(0, 3)))
+    me = e.to_matrix()
+    want = [int(not np.allclose(g.to_matrix() @ me, me @ g.to_matrix()))
+            for g in code.generators]
+    assert syndrome(code, e).tolist() == want
+
+
 def test_stabilizer_element_acts_trivially(fam22):
     rng = np.random.default_rng(9)
     code = fam22.codes[fam22.keys[0]]
@@ -119,17 +163,19 @@ def test_stabilizer_element_acts_trivially(fam22):
                            states.to_density(logical)) == pytest.approx(1.0)
 
 
-def test_family_json_round_trip(fam22):
-    back = family_from_json(family_to_json(fam22))
-    assert back.r == 2 and back.s == 2
-    assert back.keys == fam22.keys
-    assert back.epsilon_audited == fam22.epsilon_audited
-    for k in fam22.keys:
-        a, b = fam22.codes[k], back.codes[k]
-        assert [g.to_string() for g in a.generators] \
-            == [g.to_string() for g in b.generators]
-        assert [g.to_string() for g in a.logical_x] \
-            == [g.to_string() for g in b.logical_x]
+@settings(deadline=None, max_examples=15)
+@given(rs=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_family_json_round_trip(rs, seed):
+    fam = gen_purity_family(*rs, seed=seed)
+    back = family_from_json(family_to_json(fam))
+    assert (back.r, back.s) == rs
+    assert back.keys == fam.keys
+    assert back.epsilon_audited == fam.epsilon_audited
+    for k in fam.keys:
+        a, b = fam.codes[k], back.codes[k]
+        assert a.generators == b.generators
+        assert a.logical_x == b.logical_x and a.logical_z == b.logical_z
 
 
 def _tampered(fam, edit):
@@ -160,7 +206,12 @@ def test_family_json_rejects_tampered_codes(fam22):
         assert code["generators"][0] == "XIII"
         code["generators"][0] = "ZIII"
 
-    for edit in (flip_letter, drop_qubit, drop_generator, swap_generator):
+    def swap_logical_z(code):
+        # logical X_0 then pairs with Z_1: the pair relations break
+        code["logical_z"].reverse()
+
+    for edit in (flip_letter, drop_qubit, drop_generator, swap_generator,
+                 swap_logical_z):
         with pytest.raises(InvalidArgumentError):
             family_from_json(_tampered(fam22, edit))
 

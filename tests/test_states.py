@@ -204,11 +204,12 @@ def _random_state(rng, n):
 
 def _embedded_matrix(pauli, positions, n):
     """Dense 2^n matrix of ``pauli`` acting on index bits ``positions``."""
-    x = np.zeros(n, dtype=np.uint8)
-    z = np.zeros(n, dtype=np.uint8)
-    for i, pos in enumerate(positions):  # index bit b is qubit n-1-b
-        x[n - 1 - pos], z[n - 1 - pos] = pauli.x[i], pauli.z[i]
-    return PauliOperator(x, z, pauli.phase).to_matrix()
+    letters = ["I"] * n
+    for c, pos in zip(pauli.to_string(), positions):  # bit b is qubit n-1-b
+        letters[n - 1 - pos] = c
+    # the embedding keeps every Y, so the phase beyond the Hermitian letters
+    extra = pauli.phase - letters.count("Y")
+    return PauliOperator.from_string("".join(letters), extra).to_matrix()
 
 
 def _qubit_projector_row(evec, ax, n):
