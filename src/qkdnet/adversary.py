@@ -47,10 +47,11 @@ class ChannelSpec:
         if self.kind == DEPOLARIZING and not 0.0 <= self.p <= 1.0:
             raise InvalidArgumentError("depolarizing p must be in [0, 1]")
         if self.kind == PAULI_CHANNEL:
+            # written so that a NaN probability fails both checks
             total = sum(self.pauli_probs.values())
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:
                 raise InvalidArgumentError("Pauli probabilities must sum to 1")
-            if any(p < 0 for p in self.pauli_probs.values()):
+            if not all(p >= 0 for p in self.pauli_probs.values()):
                 raise InvalidArgumentError("Pauli probabilities must be >= 0")
         if self.kind == INTERCEPT_RESEND:
             if not self.bases or any(b not in "XYZ" for b in self.bases):
@@ -190,19 +191,11 @@ class AdversarySpec:
         return None
 
 
-def apply_attack(state: states.DensityMatrix, spec: ChannelSpec, rng=None):
+def apply_attack(state: states.DensityMatrix, spec: ChannelSpec):
     """Exact CPTP application of one channel to a density matrix."""
-    targets = []
-    for lab in state.labels:
-        if lab[0] in spec.targets:
-            targets.append(lab)
+    targets = [lab for lab in state.labels if lab[0] in spec.targets]
     if not targets:
         raise InvalidArgumentError("no target member qubits present in state")
-    if spec.is_per_qubit():
-        kraus = spec.single_qubit_kraus()
-        for lab in targets:
-            state = states.apply_kraus(state, kraus, [lab])
-        return state
     return states.apply_channel(state, spec, targets)
 
 
@@ -249,6 +242,14 @@ def _normalize_member(name: str) -> str:
     return low
 
 
+def _number(key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"parameter {key!r} is not a number: {text!r}") from None
+
+
 def parse_adversary(text: str | None) -> AdversarySpec:
     """Parse the comma-separated ``kind[:param=value...]@member`` grammar."""
     spec = AdversarySpec()
@@ -278,14 +279,14 @@ def parse_adversary(text: str | None) -> AdversarySpec:
                 k, v = pair.split("=", 1)
                 params[k.strip()] = v.strip()
         if is_dishonest:
-            p = float(params.pop("p", 1.0))
+            p = _number("p", params.pop("p", "1.0"))
             if params:
                 raise InvalidArgumentError(f"unknown parameters {params}")
             spec.dishonest.append(DishonestSpec(member=member, mode=kind, p=p))
             continue
         kwargs = {"kind": kind, "targets": (member,)}
         if "p" in params:
-            kwargs["p"] = float(params.pop("p"))
+            kwargs["p"] = _number("p", params.pop("p"))
         if "bases" in params:
             kwargs["bases"] = tuple(params.pop("bases").upper())
         if "op" in params:
@@ -293,7 +294,7 @@ def parse_adversary(text: str | None) -> AdversarySpec:
         if kind == PAULI_CHANNEL:
             table = {}
             for k in list(params):
-                table[k.upper()] = float(params.pop(k))
+                table[k.upper()] = _number(k, params.pop(k))
             kwargs["pauli_probs"] = table
         if params:
             raise InvalidArgumentError(f"unknown parameters {params}")

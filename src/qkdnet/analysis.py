@@ -80,44 +80,64 @@ def check_fuchs_van_de_graaf(x, y) -> tuple:
     return float(lower_margin), float(upper_margin)
 
 
+def _worst_trial(trials: int, trial, witness=None) -> tuple:
+    """Largest violation over ``trial(0)`` .. ``trial(trials - 1)``.
+
+    ``trial(i)`` returns ``(violation, make_witness)``; ``make_witness()``
+    runs only when trial i sets a new worst.  Returns ``(worst, witness)``,
+    with the given ``witness`` (default empty) if no trial sets one.
+    """
+    worst = -np.inf
+    witness = {} if witness is None else witness
+    for i in range(trials):
+        v, make_witness = trial(i)
+        if v > worst:
+            worst, witness = v, make_witness()
+    return float(worst), witness
+
+
+def _draw_dim(dims, rng) -> int:
+    return int(dims[rng.integers(0, len(dims))])
+
+
+def _output_fidelity(kraus, vec) -> float:
+    """<vec| sum_k K rho K^dagger |vec> with rho = |vec><vec|."""
+    rho = np.outer(vec, vec.conj())
+    out = sum(k @ rho @ k.conj().T for k in kraus)
+    return float(np.real(vec.conj() @ out @ vec))
+
+
 def fuchs_van_de_graaf_suite(trials: int, dims, rng,
                              tol: float = DEFAULT_TOL) -> InequalityReport:
     dims = list(dims)
-    worst = -np.inf
-    witness = {}
-    for i in range(trials):
-        dim = int(dims[rng.integers(0, len(dims))])
+
+    def trial(i):
+        dim = _draw_dim(dims, rng)
         a = random_density(dim, rng)
         b = random_density(dim, rng)
-        lo, hi = check_fuchs_van_de_graaf(a, b)
-        v = max(lo, hi)
-        if v > worst:
-            worst = v
-            witness = {"trial": i, "dim": dim,
-                       "rho": _serialize_matrix(a), "sigma": _serialize_matrix(b)}
-    return InequalityReport("fuchs-van-de-graaf", trials, float(worst),
-                            witness, tol)
+        return max(check_fuchs_van_de_graaf(a, b)), lambda: {
+            "trial": i, "dim": dim,
+            "rho": _serialize_matrix(a), "sigma": _serialize_matrix(b)}
+    return InequalityReport("fuchs-van-de-graaf", trials,
+                            *_worst_trial(trials, trial), tol)
 
 
 def pure_saturation_suite(trials: int, dims, rng,
                           tol: float = DEFAULT_TOL) -> InequalityReport:
     """On pure-pure pairs the upper bound is tight: D = sqrt(1 - F)."""
     dims = list(dims)
-    worst = -np.inf
-    witness = {}
-    for i in range(trials):
-        dim = int(dims[rng.integers(0, len(dims))])
+
+    def trial(i):
+        dim = _draw_dim(dims, rng)
         a = haar_state(dim, rng)
         b = haar_state(dim, rng)
         ra = np.outer(a, a.conj())
         rb = np.outer(b, b.conj())
         gap = abs(trace_distance(ra, rb)
                   - np.sqrt(max(1 - fidelity(ra, rb), 0.0)))
-        if gap > worst:
-            worst = gap
-            witness = {"trial": i, "dim": dim}
-    return InequalityReport("pure-pair-saturation", trials, float(worst),
-                            witness, tol)
+        return gap, lambda: {"trial": i, "dim": dim}
+    return InequalityReport("pure-pair-saturation", trials,
+                            *_worst_trial(trials, trial), tol)
 
 
 def depolarizing_equality_check(p: float, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -131,19 +151,13 @@ def depolarizing_equality_check(p: float, tol: float = DEFAULT_TOL) -> Inequalit
     ch = ChannelSpec(kind=DEPOLARIZING, p=p, targets=("a",))
     kraus = ch.single_qubit_kraus()
     # eps over pure inputs (covariant channel: any state suffices, check a few)
-    eps = 0.0
-    for v in (np.array([1, 0], dtype=complex),
-              np.array([1, 1], dtype=complex) / np.sqrt(2),
-              np.array([1, 1j], dtype=complex) / np.sqrt(2)):
-        rho = np.outer(v, v.conj())
-        out = sum(k @ rho @ k.conj().T for k in kraus)
-        eps = max(eps, 1 - float(np.real(v.conj() @ out @ v)))
+    eps = max(1 - _output_fidelity(kraus, v) for v in (
+        np.array([1, 0], dtype=complex),
+        np.array([1, 1], dtype=complex) / np.sqrt(2),
+        np.array([1, 1j], dtype=complex) / np.sqrt(2)))
     bound = 1 - (1 + 2 / 4) * eps
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    big = [np.kron(k, np.eye(2)) for k in kraus]
-    rho = np.outer(bell, bell.conj())
-    out = sum(k @ rho @ k.conj().T for k in big)
-    f = float(np.real(bell.conj() @ out @ bell))
+    f = _output_fidelity([np.kron(k, np.eye(2)) for k in kraus], bell)
     gap = abs(f - bound)
     witness = {"p": p, "epsilon": eps, "entanglement_fidelity": f,
                "bound": bound}
@@ -166,20 +180,17 @@ def check_double_concavity(pairs) -> float:
 def double_concavity_suite(trials: int, dims, rng,
                            tol: float = DEFAULT_TOL) -> InequalityReport:
     dims = list(dims)
-    worst = -np.inf
-    witness = {}
-    for i in range(trials):
-        dim = int(dims[rng.integers(0, len(dims))])
+
+    def trial(i):
+        dim = _draw_dim(dims, rng)
         k = int(rng.integers(2, 5))
         w = rng.dirichlet(np.ones(k))
         pairs = [(w[j], random_density(dim, rng), random_density(dim, rng))
                  for j in range(k)]
-        v = check_double_concavity(pairs)
-        if v > worst:
-            worst = v
-            witness = {"trial": i, "dim": dim, "weights": [float(x) for x in w]}
-    return InequalityReport("double-concavity", trials, float(worst),
-                            witness, tol)
+        return check_double_concavity(pairs), lambda: {
+            "trial": i, "dim": dim, "weights": [float(x) for x in w]}
+    return InequalityReport("double-concavity", trials,
+                            *_worst_trial(trials, trial), tol)
 
 
 def check_bures_triangle(a, b, c) -> float:
@@ -192,17 +203,13 @@ def bures_triangle_suite(trials: int, dims, rng,
                          tol: float = DEFAULT_TOL) -> InequalityReport:
     """Triangle inequality of the Bures metric over random triples."""
     dims = list(dims)
-    worst = -np.inf
-    witness = {}
-    for i in range(trials):
-        dim = int(dims[rng.integers(0, len(dims))])
+
+    def trial(i):
+        dim = _draw_dim(dims, rng)
         a, b, c = (random_density(dim, rng) for _ in range(3))
-        v = check_bures_triangle(a, b, c)
-        if v > worst:
-            worst = v
-            witness = {"trial": i, "dim": dim}
-    return InequalityReport("bures-triangle", trials, float(worst),
-                            witness, tol)
+        return check_bures_triangle(a, b, c), lambda: {"trial": i, "dim": dim}
+    return InequalityReport("bures-triangle", trials,
+                            *_worst_trial(trials, trial), tol)
 
 
 def measure_channel_epsilon(channel, num_qubits: int, rng,
@@ -213,19 +220,10 @@ def measure_channel_epsilon(channel, num_qubits: int, rng,
     """
     dim = 2 ** num_qubits
     kraus = channel.kraus_terms(num_qubits)
-    worst = 0.0
-    def infidelity(vec):
-        rho = np.outer(vec, vec.conj())
-        out = sum(k @ rho @ k.conj().T for k in kraus)
-        return 1.0 - float(np.real(vec.conj() @ out @ vec))
-    for b in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[b] = 1.0
-        worst = max(worst, infidelity(v))
-        worst = max(worst, infidelity(np.ones(dim) / np.sqrt(dim)))
-    for _ in range(samples):
-        worst = max(worst, infidelity(haar_state(dim, rng)))
-    return worst
+    fixed = [*np.eye(dim, dtype=complex), np.ones(dim) / np.sqrt(dim)]
+    haar = (haar_state(dim, rng) for _ in range(samples))
+    return max(0.0, *(1.0 - _output_fidelity(kraus, v)
+                      for v in itertools.chain(fixed, haar)))
 
 
 def check_entanglement_fidelity_bound(channel, num_qubits: int, rng,
@@ -238,21 +236,16 @@ def check_entanglement_fidelity_bound(channel, num_qubits: int, rng,
     eps = measure_channel_epsilon(channel, num_qubits, rng,
                                   samples=epsilon_samples)
     bound = 1 - (1 + dim / 4) * eps
-    kraus = channel.kraus_terms(num_qubits)
-    big = [np.kron(k, np.eye(dim)) for k in kraus]
-    worst = -np.inf
-    witness = {"epsilon": eps, "dim": dim}
-    for i in range(purifications):
-        psi = haar_state(dim * dim, rng)
-        rho = np.outer(psi, psi.conj())
-        out = sum(k @ rho @ k.conj().T for k in big)
-        f = float(np.real(psi.conj() @ out @ psi))
-        v = bound - f
-        if v > worst:
-            worst = v
-            witness = {"epsilon": eps, "dim": dim, "trial": i, "fidelity": f}
-    return InequalityReport("entanglement-fidelity-bound", purifications,
-                            float(worst), witness, tol)
+    big = [np.kron(k, np.eye(dim)) for k in channel.kraus_terms(num_qubits)]
+
+    def trial(i):
+        f = _output_fidelity(big, haar_state(dim * dim, rng))
+        return bound - f, lambda: {"epsilon": eps, "dim": dim, "trial": i,
+                                   "fidelity": f}
+    return InequalityReport(
+        "entanglement-fidelity-bound", purifications,
+        *_worst_trial(purifications, trial, {"epsilon": eps, "dim": dim}),
+        tol)
 
 
 def check_composed_channel_bound(per_member_channels, n: int, t: int, rng,
@@ -283,28 +276,24 @@ def check_composed_channel_bound(per_member_channels, n: int, t: int, rng,
         eps1 = max(eps1, measure_channel_epsilon(ch, t, rng,
                                                  samples=epsilon_samples))
     factor = 1 + 2.0 ** (t - 2)
-    worst = -np.inf
-    witness = {"epsilon1": eps1}
     current = phi
-    for mu, ch in zip(members, per_member_channels):
-        targets = [(mu, c) for c in range(t)]
-        current = states.apply_channel(current, ch, targets)
-        f_single = fidelity(phi, states.apply_channel(
-            phi, ch, targets))
-        v_single = (1 - factor * eps1) - f_single
-        if v_single > worst:
-            worst = v_single
-            witness = {"epsilon1": eps1, "stage": f"single:{mu}",
-                       "fidelity": f_single}
-    f_total = fidelity(phi, current)
-    bound = 1 - n * np.sqrt(factor * eps1)
-    v_total = bound - np.sqrt(f_total)
-    if v_total > worst:
-        worst = v_total
-        witness = {"epsilon1": eps1, "stage": "composed",
-                   "fidelity": f_total}
-    return InequalityReport("composed-channel-bound", n + 1, float(worst),
-                            witness, tol)
+
+    def stage(i):
+        # stages 0..n-1: member i's channel alone; stage n: all composed
+        nonlocal current
+        if i == n:
+            f = fidelity(phi, current)
+            name, v = "composed", (1 - n * np.sqrt(factor * eps1)) - np.sqrt(f)
+        else:
+            mu, ch = members[i], per_member_channels[i]
+            targets = [(mu, c) for c in range(t)]
+            current = states.apply_channel(current, ch, targets)
+            f = fidelity(phi, states.apply_channel(phi, ch, targets))
+            name, v = f"single:{mu}", (1 - factor * eps1) - f
+        return v, lambda: {"epsilon1": eps1, "stage": name, "fidelity": f}
+    return InequalityReport("composed-channel-bound", n + 1,
+                            *_worst_trial(n + 1, stage, {"epsilon1": eps1}),
+                            tol)
 
 
 def _random_channel(rng, num_qubits: int):
@@ -325,41 +314,34 @@ def entanglement_fidelity_suite(draws: int, rng, num_qubits: int = 1,
                                 tol: float = DEFAULT_TOL) -> InequalityReport:
     """Purification bound over random channels, plus the closed-form
     equality case for the one-qubit depolarizing channel at p = 0.1."""
-    worst = -np.inf
-    witness = {}
-    for _ in range(draws):
-        ch = _random_channel(rng, num_qubits)
-        rep = check_entanglement_fidelity_bound(
-            ch, num_qubits, rng, purifications=40, epsilon_samples=60)
-        if rep.max_violation > worst:
-            worst = rep.max_violation
-            witness = rep.witness
-    eq = depolarizing_equality_check(0.1)
-    if eq.max_violation > worst:
-        worst = eq.max_violation
-        witness = eq.witness
+    def trial(i):
+        # trials 0..draws-1 draw a channel; the last is the equality case
+        if i == draws:
+            rep = depolarizing_equality_check(0.1)
+        else:
+            rep = check_entanglement_fidelity_bound(
+                _random_channel(rng, num_qubits), num_qubits, rng,
+                purifications=40, epsilon_samples=60)
+        return rep.max_violation, lambda: rep.witness
     return InequalityReport("entanglement-fidelity-bound", draws,
-                            float(worst), witness, tol)
+                            *_worst_trial(draws + 1, trial), tol)
 
 
 def composed_bound_suite(draws: int, rng, tol: float = DEFAULT_TOL,
                          max_n: int = 3, t: int = 2) -> InequalityReport:
     """Composed-transit bound over random per-member depolarizing strengths."""
     from .adversary import ChannelSpec, DEPOLARIZING
-    worst = -np.inf
-    witness = {}
-    for i in range(draws):
+
+    def trial(i):
         n = int(rng.integers(2, max_n + 1))
         channels = [ChannelSpec(kind=DEPOLARIZING,
                                 p=float(rng.uniform(0, 0.2)),
                                 targets=(f"m{j}",)) for j in range(n)]
         rep = check_composed_channel_bound(channels, n, t, rng,
                                            epsilon_samples=20)
-        if rep.max_violation > worst:
-            worst = rep.max_violation
-            witness = dict(rep.witness, draw=i, n=n)
-    return InequalityReport("composed-channel-bound", draws, float(worst),
-                            witness, tol)
+        return rep.max_violation, lambda: dict(rep.witness, draw=i, n=n)
+    return InequalityReport("composed-channel-bound", draws,
+                            *_worst_trial(draws, trial), tol)
 
 
 # --------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 
 import numpy as np
@@ -126,9 +127,14 @@ def cmd_audit_code(args) -> int:
 def cmd_verify_inequalities(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    dims = [int(d) for d in args.dims.split(",") if d.strip()]
+    try:
+        dims = [int(d) for d in args.dims.split(",") if d.strip()]
+    except ValueError:
+        dims = []
     if not dims or any(d < 2 for d in dims):
         raise UsageError("--dims needs integers >= 2")
+    if not 0.0 <= args.tol < math.inf:  # also rejects NaN
+        raise UsageError("--tol must be a finite number >= 0")
     rng = np.random.default_rng(args.seed)
     channel_draws = max(1, args.trials // 50)
     reports = [
@@ -157,6 +163,8 @@ def cmd_verify_inequalities(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_tables(args) -> int:
+    if args.shots < 1:
+        raise UsageError("--shots must be >= 1")
     rng = np.random.default_rng(args.seed)
     bad = 0
     for n in range(2, 7):
@@ -232,11 +240,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise UsageError("--seed must be >= 0")
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (InvalidArgumentError, CapacityError, OSError) as exc:
+    except (UsageError, InvalidArgumentError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

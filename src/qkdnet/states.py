@@ -4,11 +4,10 @@ States carry an ordered tuple of qubit labels ``(owner, slot)``; the first
 label is the most significant bit of the amplitude index.  Everything is
 plain complex128 numpy; joint systems are capped at ``MAX_QUBITS`` qubits.
 Pauli actions, measurements and isometries act on pure states; density
-matrices serve channels, partial traces, the metrics and serialization.
+matrices serve the Kraus channels and the metrics.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -284,66 +283,46 @@ def apply_isometry(state: PureStateVector, matrix, in_labels,
     return PureStateVector(tuple(out_labels) + tuple(rest), out.ravel())
 
 
-def partial_permute_density(dm: DensityMatrix, new_order) -> DensityMatrix:
-    new_order = tuple(tuple(l) for l in new_order)
-    q = dm.num_qubits
-    perm = [dm.axis(l) for l in new_order]
-    t = dm.matrix.reshape((2,) * (2 * q))
-    t = t.transpose(perm + [q + p for p in perm])
-    dim = 2 ** q
-    return DensityMatrix(new_order, t.reshape(dim, dim))
-
-
-def partial_trace(state, keep) -> DensityMatrix:
-    """Reduced state on the kept labels (order taken from ``keep``)."""
-    dm = to_density(state)
-    keep = [tuple(l) for l in keep]
-    q = dm.num_qubits
-    keep_axes = [dm.axis(l) for l in keep]
-    drop_axes = [a for a in range(q) if a not in keep_axes]
-    k = len(keep_axes)
-    t = dm.matrix.reshape((2,) * (2 * q))
-    perm = keep_axes + drop_axes + [q + a for a in keep_axes] + [q + a for a in drop_axes]
-    t = t.transpose(perm).reshape(2 ** k, 2 ** (q - k), 2 ** k, 2 ** (q - k))
-    red = np.einsum("iaja->ij", t)
-    return DensityMatrix(tuple(keep), red)
-
-
 def apply_kraus(state, kraus_ops, labels) -> DensityMatrix:
-    """Apply a CPTP map given by Kraus matrices on the label subset."""
+    """Apply a CPTP map given by Kraus matrices on the label subset.
+
+    Each operator is contracted on the target axes of the ``(2,)*2q``
+    tensor in place, so the labels keep their order.
+    """
     dm = to_density(state)
-    labels = [tuple(l) for l in labels]
-    k = len(labels)
     q = dm.num_qubits
-    axes = [dm.axis(l) for l in labels]
-    rest_axes = [a for a in range(q) if a not in axes]
-    perm = axes + rest_axes
+    kets = [dm.axis(l) for l in labels]
+    bras = [q + a for a in kets]
+    k = len(kets)
+    ins = list(range(k, 2 * k))
     t = dm.matrix.reshape((2,) * (2 * q))
-    t = t.transpose(perm + [q + p for p in perm])
-    t = t.reshape(2 ** k, 2 ** (q - k), 2 ** k, 2 ** (q - k))
     acc = np.zeros_like(t)
     for kmat in kraus_ops:
-        acc += np.einsum("pi,iajb,qj->paqb", kmat, t, kmat.conj())
-    new_labels = tuple(labels) + tuple(dm.labels[a] for a in rest_axes)
+        # K on the ket axes, then K^dagger on the bra axes; each product's
+        # new axes are moved back to where the contracted ones were
+        kt = kmat.reshape((2,) * (2 * k))
+        out = np.moveaxis(np.tensordot(kt, t, axes=(ins, kets)),
+                          range(k), kets)
+        acc += np.moveaxis(np.tensordot(out, kt.conj(), axes=(bras, ins)),
+                           range(2 * q - k, 2 * q), bras)
     dim = 2 ** q
-    out = DensityMatrix(new_labels, acc.reshape(dim, dim))
-    return partial_permute_density(out, dm.labels)
+    return DensityMatrix(dm.labels, acc.reshape(dim, dim))
 
 
 def apply_channel(state: DensityMatrix, channel, targets) -> DensityMatrix:
-    """Apply a CPTP channel; ``channel`` is a ChannelSpec-like object
-    exposing ``kraus_terms(k)`` or a plain list of Kraus matrices."""
+    """Apply a ``ChannelSpec`` to the target labels: a per-qubit kind one
+    target qubit at a time, a joint kind once on the whole block."""
+    state = to_density(state)
     targets = [tuple(l) for l in targets]
-    if hasattr(channel, "kraus_terms"):
-        kraus = channel.kraus_terms(len(targets))
+    if channel.is_per_qubit():
+        kraus = channel.single_qubit_kraus()
+        for lab in targets:
+            state = apply_kraus(state, kraus, [lab])
     else:
-        kraus = list(channel)
-    if kraus and kraus[0].shape != (2 ** len(targets),) * 2:
-        raise InvalidArgumentError("channel arity does not match target count")
-    out = apply_kraus(state, kraus, targets)
-    if abs(np.trace(out.matrix).real - 1.0) > 1e-9:
+        state = apply_kraus(state, channel.kraus_terms(len(targets)), targets)
+    if abs(np.trace(state.matrix).real - 1.0) > 1e-9:
         raise InvalidArgumentError("channel is not trace preserving")
-    return out
+    return state
 
 
 # --------------------------------------------------------------------------
@@ -394,41 +373,3 @@ def bures_distance(x, y) -> float:
     """sqrt(2 - 2 sqrt(F))."""
     f = fidelity(x, y)
     return float(np.sqrt(max(2 - 2 * np.sqrt(f), 0.0)))
-
-
-# --------------------------------------------------------------------------
-# serialization
-# --------------------------------------------------------------------------
-
-def _interleave(arr: np.ndarray) -> list:
-    flat = arr.ravel()
-    out = []
-    for c in flat:
-        out.append(float(c.real))
-        out.append(float(c.imag))
-    return out
-
-
-def state_to_json(state) -> str:
-    if isinstance(state, PureStateVector):
-        doc = {"kind": "pure",
-               "labels": [list(l) for l in state.labels],
-               "amplitudes": _interleave(state.amplitudes)}
-    else:
-        doc = {"kind": "density",
-               "labels": [list(l) for l in state.labels],
-               "matrix": _interleave(state.matrix)}
-    return json.dumps(doc, sort_keys=True)
-
-
-def state_from_json(text: str):
-    doc = json.loads(text)
-    labels = tuple(tuple(l) for l in doc["labels"])
-    if doc["kind"] == "pure":
-        raw = np.array(doc["amplitudes"], dtype=float)
-        amps = raw[0::2] + 1j * raw[1::2]
-        return PureStateVector(labels, amps)
-    raw = np.array(doc["matrix"], dtype=float)
-    flat = raw[0::2] + 1j * raw[1::2]
-    dim = 2 ** len(labels)
-    return DensityMatrix(labels, flat.reshape(dim, dim))

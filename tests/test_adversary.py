@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qkdnet import states
+from qkdnet.analysis import random_density
 from qkdnet.adversary import (AdversarySpec, ChannelSpec, DishonestSpec,
                               apply_attack, corrupt_announcement,
                               parse_adversary)
@@ -75,6 +76,40 @@ def test_sample_apply_trajectories_average_to_channel(spec, width):
     assert np.max(np.abs(acc - exact)) < 0.03
 
 
+_PER_QUBIT = {
+    "identity": ChannelSpec(kind="identity", targets=("a",)),
+    "depolarizing": ChannelSpec(kind="depolarizing", p=0.3, targets=("a",)),
+    "intercept-XY": ChannelSpec(kind="intercept_resend", targets=("a",)),
+    "intercept-XYZ": ChannelSpec(kind="intercept_resend",
+                                 bases=("X", "Y", "Z"), targets=("a",)),
+    "fixed-pauli-X": ChannelSpec(kind="fixed_pauli", operator="X",
+                                 targets=("a",)),
+}
+_JOINT = {
+    "pauli-table": ChannelSpec(kind="pauli", targets=("a",),
+                               pauli_probs={"XI": 0.5, "IZ": 0.3, "YY": 0.2}),
+    "fixed-pauli-XZ": ChannelSpec(kind="fixed_pauli", operator="XZ",
+                                  targets=("a",)),
+}
+
+
+@pytest.mark.parametrize("spec", [*_PER_QUBIT.values(), *_JOINT.values()],
+                         ids=[*_PER_QUBIT, *_JOINT])
+def test_apply_attack_matches_joint_kraus(spec):
+    # member a's two qubits sit behind b's, so neither is a leading axis
+    labels = (("b", 0), ("a", 0), ("a", 1))
+    rho = random_density(8, np.random.default_rng(31))
+    dm = states.DensityMatrix(labels, rho)
+    kraus = spec.kraus_terms(2)
+    embedded = [np.kron(np.eye(2), k) for k in kraus]
+    dense = sum(k @ rho @ k.conj().T for k in embedded)
+    out = apply_attack(dm, spec)
+    joint = states.apply_kraus(dm, kraus, labels[1:])
+    assert out.labels == labels and joint.labels == labels
+    assert np.max(np.abs(joint.matrix - dense)) < 1e-12
+    assert np.max(np.abs(out.matrix - joint.matrix)) < 1e-12
+
+
 def test_fixed_pauli_deterministic():
     rng = np.random.default_rng(0)
     spec = ChannelSpec(kind="fixed_pauli", operator="X", targets=("a",))
@@ -126,6 +161,11 @@ def test_parse_member_aliases():
     "pauli:II=0.5;XX=0.2@m1",    # probabilities don't sum to 1
     "depolarize:p=0.1;q=3@m1",   # unknown parameter
     "lie-outcome:@m1",           # malformed parameters
+    "depolarize:p=abc@m1",       # parameter values must be numbers
+    "pauli:XX=zz@m1",
+    "lie-outcome:p=x@m1",
+    "depolarize:p=0.1@m1@m2",    # two members
+    "pauli:I=nan@m1",            # NaN passed the sum check
 ])
 def test_parse_rejects_invalid_specs(bad):
     with pytest.raises(InvalidArgumentError):

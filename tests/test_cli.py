@@ -176,6 +176,24 @@ def test_verify_inequalities_zero_trials_is_usage_error(capsys):
     assert "trials" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-inequalities", "--dims", "2,x"],
+    ["verify-inequalities", "--tol", "nan"],
+    ["tables", "--shots", "-5"],
+    ["run", "--n", "2", "--m", "1", "--seed", "-1"],
+    ["audit-code", "--r", "2", "--s", "2", "--seed", "-1"],
+    ["verify-inequalities", "--seed", "-1"],
+    ["tables", "--seed", "-1"],
+], ids=["dims-not-int", "tol-nan", "shots-negative", "run-seed-negative",
+        "audit-seed-negative", "verify-seed-negative", "tables-seed-negative"])
+def test_bad_numbers_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_inequalities_determinism(capsys):
     outs = []
     for _ in range(2):

@@ -5,11 +5,10 @@ from qkdnet import states
 from qkdnet.errors import CapacityError, InvalidArgumentError
 from qkdnet.paulis import PauliOperator
 from qkdnet.states import (CAT_KINDS, PHI_MINUS, PHI_PLUS, PSI_MINUS,
-                           PSI_PLUS, DensityMatrix, PureStateVector,
+                           PSI_PLUS, PureStateVector,
                            basis_state, bures_distance, fidelity, make_cat,
                            measure_qubit, measurement_probabilities,
-                           partial_trace, permute_labels, tensor, to_density,
-                           trace_distance)
+                           permute_labels, tensor, to_density, trace_distance)
 
 _COEF = {PHI_PLUS: 1, PHI_MINUS: -1, PSI_PLUS: 1j, PSI_MINUS: -1j}
 
@@ -116,12 +115,6 @@ def test_measure_qubit_collapses_partner():
         assert b0 == b1
 
 
-def test_partial_trace_of_cat_is_maximally_mixed_on_ends():
-    cat = make_cat(3, PHI_PLUS)
-    red = partial_trace(to_density(cat), [cat.labels[0]])
-    assert np.allclose(red.matrix, np.eye(2) / 2)
-
-
 def test_fidelity_and_trace_distance_basics():
     z0 = np.diag([1.0, 0.0]).astype(complex)
     z1 = np.diag([0.0, 1.0]).astype(complex)
@@ -155,17 +148,6 @@ def test_apply_kraus_is_trace_preserving():
              np.sqrt(p) * np.array([[0, 1], [1, 0]], dtype=complex)]
     out = states.apply_kraus(dm, kraus, [dm.labels[0]])
     assert np.trace(out.matrix).real == pytest.approx(1.0)
-
-
-def test_serialization_round_trip():
-    for st in (make_cat(3, PSI_MINUS),
-               to_density(make_cat(2, PHI_MINUS))):
-        back = states.state_from_json(states.state_to_json(st))
-        assert back.labels == st.labels
-        if isinstance(st, DensityMatrix):
-            assert np.allclose(back.matrix, st.matrix)
-        else:
-            assert np.allclose(back.amplitudes, st.amplitudes)
 
 
 def test_invalid_inputs_rejected():
