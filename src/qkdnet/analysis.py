@@ -282,13 +282,13 @@ def check_composed_channel_bound(per_member_channels, n: int, t: int, rng,
         # stages 0..n-1: member i's channel alone; stage n: all composed
         nonlocal current
         if i == n:
-            f = fidelity(phi, current)
+            f = fidelity(state, current)
             name, v = "composed", (1 - n * np.sqrt(factor * eps1)) - np.sqrt(f)
         else:
             mu, ch = members[i], per_member_channels[i]
             targets = [(mu, c) for c in range(t)]
             current = states.apply_channel(current, ch, targets)
-            f = fidelity(phi, states.apply_channel(phi, ch, targets))
+            f = fidelity(state, states.apply_channel(phi, ch, targets))
             name, v = f"single:{mu}", (1 - factor * eps1) - f
         return v, lambda: {"epsilon1": eps1, "stage": name, "fidelity": f}
     return InequalityReport("composed-channel-bound", n + 1,

@@ -333,8 +333,8 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
          protocol: int) -> Transcript:
     if config.protocol != protocol:
         raise InvalidArgumentError(f"config.protocol must be {protocol}")
-    if not isinstance(seed, (int, np.integer)):
-        raise InvalidArgumentError("seed must be an integer")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgumentError("seed must be a non-negative integer")
     _check_targets(config, adversary)
     rng = np.random.default_rng(seed)
     if config.qubit_budget() > states.MAX_QUBITS:

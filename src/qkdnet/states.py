@@ -286,27 +286,23 @@ def apply_isometry(state: PureStateVector, matrix, in_labels,
 def apply_kraus(state, kraus_ops, labels) -> DensityMatrix:
     """Apply a CPTP map given by Kraus matrices on the label subset.
 
-    Each operator is contracted on the target axes of the ``(2,)*2q``
-    tensor in place, so the labels keep their order.
+    The superoperator sum_k K (x) conj(K) is contracted once with the ket
+    and bra target axes of the ``(2,)*2q`` tensor, in place, so the labels
+    keep their order.
     """
     dm = to_density(state)
     q = dm.num_qubits
     kets = [dm.axis(l) for l in labels]
     bras = [q + a for a in kets]
     k = len(kets)
-    ins = list(range(k, 2 * k))
-    t = dm.matrix.reshape((2,) * (2 * q))
-    acc = np.zeros_like(t)
-    for kmat in kraus_ops:
-        # K on the ket axes, then K^dagger on the bra axes; each product's
-        # new axes are moved back to where the contracted ones were
-        kt = kmat.reshape((2,) * (2 * k))
-        out = np.moveaxis(np.tensordot(kt, t, axes=(ins, kets)),
-                          range(k), kets)
-        acc += np.moveaxis(np.tensordot(out, kt.conj(), axes=(bras, ins)),
-                           range(2 * q - k, 2 * q), bras)
+    # rows (ket out, bra out), columns (ket in, bra in)
+    sup = sum(np.kron(kmat, kmat.conj()) for kmat in kraus_ops)
+    t = np.tensordot(sup.reshape((2,) * (4 * k)),
+                     dm.matrix.reshape((2,) * (2 * q)),
+                     axes=(range(2 * k, 4 * k), kets + bras))
     dim = 2 ** q
-    return DensityMatrix(dm.labels, acc.reshape(dim, dim))
+    return DensityMatrix(dm.labels, np.moveaxis(t, range(2 * k), kets + bras)
+                         .reshape(dim, dim))
 
 
 def apply_channel(state: DensityMatrix, channel, targets) -> DensityMatrix:
@@ -343,21 +339,40 @@ def _check_same_dim(a, b):
         raise InvalidArgumentError("dimension mismatch")
 
 
+def _clamp_psd(w: np.ndarray, scale: float) -> np.ndarray:
+    """Zero the eigenvalues within round-off of a matrix of norm ``scale``:
+    sqrt(1e-16) would otherwise inject 1e-8."""
+    cut = max(float(scale), 0.0) * len(w) * np.finfo(float).eps
+    return np.where(w > cut, w, 0.0)
+
+
 def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     """PSD square root via Hermitian eigendecomposition with clamping."""
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    # zero out round-off eigenvalues: sqrt(1e-16) would otherwise inject 1e-8
-    cut = max(float(w.max()), 0.0) * len(w) * np.finfo(float).eps
-    w = np.where(w > cut, w, 0.0)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(_clamp_psd(w, w.max()))) @ v.conj().T
 
 
 def fidelity(x, y) -> float:
-    """Uhlmann fidelity tr(sqrt(sqrt(X) Y sqrt(X)))^2, clipped to [0, 1]."""
-    a, b = _as_matrix(x), _as_matrix(y)
-    _check_same_dim(a, b)
-    sa = sqrtm_psd(a)
-    val = float(np.trace(sqrtm_psd(sa @ b @ sa)).real) ** 2
+    """Uhlmann fidelity tr(sqrt(sqrt(X) Y sqrt(X)))^2, clipped to [0, 1];
+    <psi|Y|psi> when either side is a ``PureStateVector`` |psi>."""
+    if isinstance(y, PureStateVector):
+        x, y = y, x
+    b = _as_matrix(y)
+    if isinstance(x, PureStateVector):
+        v = x.amplitudes
+        if b.shape != (len(v), len(v)):
+            raise InvalidArgumentError("dimension mismatch")
+        val = float(np.vdot(v, b @ v).real)
+    else:
+        a = _as_matrix(x)
+        _check_same_dim(a, b)
+        sa = sqrtm_psd(a)
+        m = sa @ b @ sa  # tr sqrt(M) from M's clamped eigenvalues
+        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        # M's round-off scales with |A| |B| <= tr A tr B, not with M's own
+        # largest eigenvalue: for pure A, M = F |a><a| plus O(eps) noise
+        scale = np.trace(a).real * np.trace(b).real
+        val = float(np.sqrt(_clamp_psd(w, scale)).sum()) ** 2
     return min(max(val, 0.0), 1.0)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdnet import states
 from qkdnet.analysis import random_density
@@ -170,6 +172,157 @@ def test_parse_member_aliases():
 def test_parse_rejects_invalid_specs(bad):
     with pytest.raises(InvalidArgumentError):
         parse_adversary(bad)
+
+
+# --------------------------------------------------------------------------
+# property tests over the spec-string grammar of the cli docstring
+# --------------------------------------------------------------------------
+
+_probability = st.floats(0.0, 1.0).map(repr)
+
+
+@st.composite
+def _mixed_case(draw, alphabet, min_size, max_size):
+    """Letters of ``alphabet`` in random case; returns (text, upper case)."""
+    text = draw(st.text(alphabet, min_size=min_size, max_size=max_size))
+    cased = "".join(c.lower() if draw(st.booleans()) else c for c in text)
+    return cased, text
+
+
+@st.composite
+def _member(draw):
+    """A member spelling and the target it names."""
+    i = draw(st.integers(1, 9))
+    return draw(st.sampled_from([
+        (f"m{i}", f"m{i}"), (f"M{i}", f"m{i}"), (f"member{i}", f"m{i}"),
+        (f"Member{i}", f"m{i}"), ("C", "C"), ("c", "C"), ("center", "C")]))
+
+
+_CHANNEL_KINDS = {"identity": "identity", "depolarize": "depolarizing",
+                  "depolarizing": "depolarizing", "pauli": "pauli",
+                  "intercept": "intercept_resend",
+                  "intercept-resend": "intercept_resend",
+                  "fixed-pauli": "fixed_pauli"}
+_DISHONEST_KINDS = ("lie-basis", "lie-outcome", "silent-drop")
+
+
+@st.composite
+def _attack(draw):
+    """One valid attack as [name, [[key, value], ...], "@member"], and the
+    ``ChannelSpec`` or ``DishonestSpec`` it parses to."""
+    spelled, target = draw(_member())
+    name = draw(st.sampled_from([*_CHANNEL_KINDS, *_DISHONEST_KINDS]))
+    params = []
+    if name in _DISHONEST_KINDS:
+        p = draw(st.none() | _probability)
+        if p is not None:
+            params.append(["p", p])
+        want = DishonestSpec(member=target, mode=name.replace("-", "_"),
+                             p=1.0 if p is None else float(p))
+        return [name, params, "@" + spelled], want
+    fields = {"kind": _CHANNEL_KINDS[name]}
+    if fields["kind"] == "depolarizing" and draw(st.booleans()):
+        params.append(["p", draw(_probability)])
+        fields["p"] = float(params[-1][1])
+    elif fields["kind"] == "intercept_resend" and draw(st.booleans()):
+        bases, upper = draw(_mixed_case("XYZ", 1, 3))
+        params.append(["bases", bases])
+        fields["bases"] = tuple(upper)
+    elif fields["kind"] == "fixed_pauli":
+        op, upper = draw(_mixed_case("IXYZ", 1, 3))
+        params.append(["op", op])
+        fields["operator"] = upper
+    elif fields["kind"] == "pauli":
+        width = draw(st.integers(1, 3))
+        keys = draw(st.lists(_mixed_case("IXYZ", width, width), min_size=1,
+                             max_size=4, unique_by=lambda k: k[1]))
+        weights = draw(st.lists(st.integers(1, 20), min_size=len(keys),
+                                max_size=len(keys)))
+        probs = [w / sum(weights) for w in weights]
+        params += [[cased, repr(p)] for (cased, _), p in zip(keys, probs)]
+        fields["pauli_probs"] = {upper: p
+                                 for (_, upper), p in zip(keys, probs)}
+    return [name, params, "@" + spelled], ChannelSpec(targets=(target,),
+                                                      **fields)
+
+
+def _render(attacks) -> str:
+    return ",".join(
+        name + (":" + ";".join("=".join(kv) for kv in params)
+                if params else "") + member
+        for name, params, member in attacks)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_attack(), min_size=1, max_size=4))
+def test_parse_property_valid_strings(attacks):
+    spec = parse_adversary(_render([a for a, _ in attacks]))
+    assert spec.channels == [w for _, w in attacks
+                             if isinstance(w, ChannelSpec)]
+    assert spec.dishonest == [w for _, w in attacks
+                              if isinstance(w, DishonestSpec)]
+
+
+def _corruptions(name, params) -> list:
+    """The one-token corruptions that apply to an attack."""
+    out = ["kind", "no-at", "empty-member", "empty-params", "unknown-key"]
+    if params:
+        out.append("no-equals")
+    if any(k not in ("bases", "op") for k, _ in params):
+        out.append("not-a-number")
+    if name in _DISHONEST_KINDS or _CHANNEL_KINDS[name] == "depolarizing":
+        out.append("out-of-range")
+    if name in ("pauli", "fixed-pauli") or any(k == "bases"
+                                               for k, _ in params):
+        out.append("bad-letter")
+    return out
+
+
+def _corrupt(draw, attack) -> list:
+    name, params, member = attack
+    params = [list(kv) for kv in params]
+    how = draw(st.sampled_from(_corruptions(name, params)))
+    if how == "kind":
+        name = draw(st.sampled_from(["warp", "", "depolarise", "fixed_pauli",
+                                     "lie", "pauli-table"]))
+    elif how == "no-at":
+        member = member[1:]
+    elif how == "empty-member":
+        member = "@"
+    elif how == "empty-params":
+        name, params = name + ":", []
+    elif how == "unknown-key":
+        params.insert(draw(st.integers(0, len(params))), ["q", "0"])
+    elif how == "no-equals":
+        kv = draw(st.sampled_from(params))
+        kv[:] = ["".join(kv)]
+    elif how == "not-a-number":
+        kv = draw(st.sampled_from([kv for kv in params
+                                   if kv[0] not in ("bases", "op")]))
+        kv[1] = draw(st.sampled_from(["abc", "", "0.1.2", "1e", "p"]))
+    elif how == "out-of-range":
+        params = [kv for kv in params if kv[0] != "p"]
+        params.append(["p", repr(draw(
+            st.floats(1.0, 10.0, exclude_min=True)
+            | st.floats(-10.0, 0.0, exclude_max=True)))])
+    else:  # bad-letter: one letter outside the Pauli or basis alphabet
+        kv = draw(st.sampled_from([kv for kv in params
+                                   if kv[0] in ("bases", "op")
+                                   or name == "pauli"]))
+        i = 0 if name == "pauli" else 1
+        pos = draw(st.integers(0, len(kv[i]) - 1))
+        kv[i] = kv[i][:pos] + draw(st.sampled_from("Q1A")) + kv[i][pos + 1:]
+    return [name, params, member]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_attack(), min_size=1, max_size=3), st.data())
+def test_parse_property_one_corrupted_token_is_rejected(attacks, data):
+    texts = [a for a, _ in attacks]
+    i = data.draw(st.integers(0, len(texts) - 1))
+    texts[i] = _corrupt(data.draw, texts[i])
+    with pytest.raises(InvalidArgumentError):
+        parse_adversary(_render(texts))
 
 
 def test_invalid_channel_specs_rejected():

@@ -204,6 +204,50 @@ def test_verify_inequalities_determinism(capsys):
     assert outs[0] == outs[1]
 
 
+# max_violation per suite at two seeds, compared to 1e-12 rather than by
+# bytes: round-off in the dense algebra moves the last digits, a changed
+# check moves more.  The composed draw has n = 3 at seed 0, n = 2 at seed 2.
+_VERIFY_SUITES = ("fuchs-van-de-graaf", "pure-pair-saturation",
+                  "double-concavity", "bures-triangle",
+                  "entanglement-fidelity-bound", "composed-channel-bound")
+_VERIFY_TRIALS = (50, 50, 50, 50, 1, 1)
+_VERIFY_RECORDED = {
+    "0": (-0.00013743734959281717, 5.551115123125783e-16,
+          -0.02101961494572213, -0.010299890533414395,
+          3.3306690738754696e-16, -0.20697558814284156),
+    "2": (-0.00027369665409859856, 1.942890293094024e-15,
+          -0.015890732612026892, -0.3269699315617904,
+          3.3306690738754696e-16, -0.08457544668577066),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_VERIFY_RECORDED))
+def test_verify_inequalities_values_pinned(capsys, seed):
+    code, stdout, _ = run_cli(capsys, "verify-inequalities", "--trials",
+                              "50", "--seed", seed)
+    assert code == 0
+    lines = stdout.splitlines()
+    assert len(lines) == 6
+    for line, suite, trials, want in zip(lines, _VERIFY_SUITES,
+                                         _VERIFY_TRIALS,
+                                         _VERIFY_RECORDED[seed]):
+        head, value = line.rsplit(" max_violation=", 1)
+        assert head == f"PASS {suite} trials={trials}"
+        assert float(value) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_verify_inequalities_pure_pairs_pass_at_round_off(capsys):
+    # a pure pair with F = 0.1356 at dim 2: a round-off eigenvalue of
+    # sqrt(A) B sqrt(A) once passed the clamp and FAILed the saturation
+    # suite at 3.3e-9
+    code, stdout, _ = run_cli(capsys, "verify-inequalities", "--trials",
+                              "50", "--seed", "1693489682")
+    assert code == 0
+    line = stdout.splitlines()[1]
+    assert line.startswith("PASS pure-pair-saturation trials=50 ")
+    assert abs(float(line.rsplit("=", 1)[1])) < 1e-12
+
+
 def test_tables_replay(capsys):
     code, stdout, _ = run_cli(capsys, "tables", "--shots", "500",
                               "--seed", "0")

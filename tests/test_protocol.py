@@ -189,28 +189,31 @@ _P1_T2 = NetworkConfig(n=2, m=1, t=2, rounds=20, auth_enabled=False)
 _P2_AUTH = NetworkConfig(n=3, m=1, t=2, rounds=40, protocol=2)  # u = 4
 
 
-@pytest.mark.parametrize("runner, config, spec, match", [
-    (run_protocol1, _P1_T1, "intercept@m9", "m9"),
-    (run_protocol1, NetworkConfig(n=2, m=1, protocol=2), "",
+@pytest.mark.parametrize("runner, config, spec, seed, match", [
+    (run_protocol1, _P1_T1, "intercept@m9", 1, "m9"),
+    (run_protocol1, NetworkConfig(n=2, m=1, protocol=2), "", 1,
      "protocol must be 1"),
-    (run_protocol2, _P2_AUTH, "fixed-pauli:op=X@C", "center"),
-    (run_protocol1, _P1_T1, "depolarize:p=0.1@C", "center"),
-    (run_protocol2, _P2_AUTH, "pauli:XX=0.5;II=0.5@m1", "block has 4"),
-    (run_protocol2, _P2_AUTH, "fixed-pauli:op=XZ@m2", "block has 4"),
-    (run_protocol1, _P1_T1, "pauli:XX=0.5;II=0.5@m1", "block has 1"),
-    (run_protocol1, _P1_T1, "fixed-pauli:op=XZ@m2", "block has 1"),
-    (run_protocol1, _P1_T2, "pauli:X=0.5;II=0.5@m1", "block has 2"),
+    (run_protocol2, _P2_AUTH, "fixed-pauli:op=X@C", 1, "center"),
+    (run_protocol1, _P1_T1, "depolarize:p=0.1@C", 1, "center"),
+    (run_protocol2, _P2_AUTH, "pauli:XX=0.5;II=0.5@m1", 1, "block has 4"),
+    (run_protocol2, _P2_AUTH, "fixed-pauli:op=XZ@m2", 1, "block has 4"),
+    (run_protocol1, _P1_T1, "pauli:XX=0.5;II=0.5@m1", 1, "block has 1"),
+    (run_protocol1, _P1_T1, "fixed-pauli:op=XZ@m2", 1, "block has 1"),
+    (run_protocol1, _P1_T2, "pauli:X=0.5;II=0.5@m1", 1, "block has 2"),
+    (run_protocol1, _P1_T1, "", -1, "non-negative"),
 ], ids=["unknown-member", "wrong-protocol", "fixed-pauli@C", "depolarize@C",
         "pauli-table-arity-auth", "fixed-pauli-arity-auth",
-        "pauli-table-arity", "fixed-pauli-arity", "pauli-table-mixed-widths"])
+        "pauli-table-arity", "fixed-pauli-arity", "pauli-table-mixed-widths",
+        "negative-seed"])
 def test_run_rejects_bad_arguments_before_first_round(monkeypatch, runner,
-                                                      config, spec, match):
+                                                      config, spec, seed,
+                                                      match):
     def no_rounds(*args, **kwargs):
         raise AssertionError("a round was prepared")
 
     monkeypatch.setattr(states, "make_cat", no_rounds)
     with pytest.raises(InvalidArgumentError, match=match):
-        runner(config, parse_adversary(spec), 1)
+        runner(config, parse_adversary(spec), seed)
 
 
 def test_initial_state_is_read_only_and_shared(monkeypatch):

@@ -5,7 +5,7 @@ from qkdnet import states
 from qkdnet.errors import CapacityError, InvalidArgumentError
 from qkdnet.paulis import PauliOperator
 from qkdnet.states import (CAT_KINDS, PHI_MINUS, PHI_PLUS, PSI_MINUS,
-                           PSI_PLUS, PureStateVector,
+                           PSI_PLUS, DensityMatrix, PureStateVector,
                            basis_state, bures_distance, fidelity, make_cat,
                            measure_qubit, measurement_probabilities,
                            permute_labels, tensor, to_density, trace_distance)
@@ -265,3 +265,98 @@ def test_measure_pauli_matches_dense_projectors():
 def test_state_with_nan_amplitude_rejected():
     with pytest.raises(InvalidArgumentError):
         PureStateVector((("q", 0),), np.array([np.nan, 0.0], dtype=complex))
+
+
+# --------------------------------------------------------------------------
+# differential tests: the fidelity and Kraus fast paths against the
+# explicit formulas
+# --------------------------------------------------------------------------
+
+def _uhlmann(a, b):
+    """tr(sqrt(sqrt(A) B sqrt(A)))^2 with both square roots taken."""
+    sa = states.sqrtm_psd(a)
+    return float(np.trace(states.sqrtm_psd(sa @ b @ sa)).real) ** 2
+
+
+def _random_mixed(rng, n, rank):
+    """Density matrix of the given rank on n qubits."""
+    g = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def test_pure_side_fidelity_matches_uhlmann():
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        psi = _random_state(rng, n)
+        phi = _random_state(rng, n)
+        rho = _random_mixed(rng, n, int(rng.integers(1, 2 ** n + 1)))
+        others = [(rho, rho), (DensityMatrix(psi.labels, rho), rho),
+                  (phi, to_density(phi).matrix)]
+        for other, dense in others:
+            want = _uhlmann(to_density(psi).matrix, dense)
+            assert fidelity(psi, other) == pytest.approx(want, abs=1e-12)
+            assert fidelity(other, psi) == pytest.approx(want, abs=1e-12)
+
+
+def test_pure_side_fidelity_rejects_dimension_mismatch():
+    psi = make_cat(2, PHI_PLUS)
+    for other in (to_density(make_cat(3, PHI_PLUS)), np.eye(8) / 8,
+                  make_cat(1, PHI_PLUS), np.full(4, 0.5), np.eye(4)[:, :2]):
+        with pytest.raises(InvalidArgumentError):
+            fidelity(psi, other)
+        with pytest.raises(InvalidArgumentError):
+            fidelity(other, psi)
+
+
+def test_mixed_fidelity_eigenvalue_trace_matches_uhlmann():
+    rng = np.random.default_rng(25)
+    for n in (1, 2, 3):
+        d = 2 ** n
+        for _ in range(5):
+            a = _random_mixed(rng, n, d)
+            b = _random_mixed(rng, n, d)
+            assert fidelity(a, b) == pytest.approx(_uhlmann(a, b), abs=1e-12)
+        # rank-deficient on either side and on both: M = sqrt(A) B sqrt(A)
+        # has exact zero eigenvalues whose round-off the explicit formula's
+        # cut, relative to M's largest eigenvalue, can let through; the
+        # nuclear norm |sqrt(A) sqrt(B)|_1 has only O(eps) round-off
+        for rank_a, rank_b in ((1, d), (d, d // 2), (d // 2, 1), (1, 1)):
+            for _ in range(5):
+                a = _random_mixed(rng, n, rank_a)
+                b = _random_mixed(rng, n, rank_b)
+                sv = np.linalg.svd(states.sqrtm_psd(a) @ states.sqrtm_psd(b),
+                                   compute_uv=False)
+                assert fidelity(a, b) == pytest.approx(sv.sum() ** 2,
+                                                       abs=1e-12)
+
+
+def _random_kraus(rng, k, terms):
+    """``terms`` Kraus matrices of a random CPTP map on k qubits."""
+    d = 2 ** k
+    g = rng.normal(size=(terms * d, d)) + 1j * rng.normal(size=(terms * d, d))
+    iso, _ = np.linalg.qr(g)
+    return list(iso.reshape(terms, d, d))
+
+
+def _embedded_operator(kmat, axes, n):
+    """Dense 2^n matrix of ``kmat`` acting on the qubits ``axes``, in order."""
+    order = list(axes) + [a for a in range(n) if a not in axes]
+    full = np.kron(kmat, np.eye(2 ** (n - len(axes)))).reshape((2,) * (2 * n))
+    inv = [int(i) for i in np.argsort(order)]
+    return full.transpose(inv + [n + i for i in inv]).reshape(2 ** n, 2 ** n)
+
+
+@pytest.mark.parametrize("axes", [[3], [4, 1], [0, 2], [3, 0, 2], [4, 2, 0]])
+def test_apply_kraus_matches_explicit_sum(axes):
+    rng = np.random.default_rng(26)
+    n = 5
+    labels = tuple(states.default_labels(n))
+    rho = DensityMatrix(labels, _random_mixed(rng, n, 2 ** n))
+    kraus = _random_kraus(rng, len(axes), 3)
+    out = states.apply_kraus(rho, kraus, [labels[a] for a in axes])
+    embedded = [_embedded_operator(k, axes, n) for k in kraus]
+    want = sum(e @ rho.matrix @ e.conj().T for e in embedded)
+    assert out.labels == labels
+    assert np.allclose(out.matrix, want, atol=1e-12)
