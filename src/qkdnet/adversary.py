@@ -204,7 +204,8 @@ def corrupt_announcement(truth, spec: DishonestSpec | None, rng):
     if spec is None:
         return truth
     if spec.mode == "lie_basis":
-        if truth in ("X", "Y"):
+        # p = 1, the default, draws nothing, so such runs keep their stream
+        if truth in ("X", "Y") and (spec.p >= 1.0 or rng.random() < spec.p):
             return "Y" if truth == "X" else "X"
         return truth
     if spec.mode == "lie_outcome":
@@ -229,6 +230,13 @@ _KIND_ALIASES = {
     "lie-basis": ("lie_basis", True),
     "lie-outcome": ("lie_outcome", True),
     "silent-drop": ("silent_drop", True),
+}
+
+# the parameters each kind reads; a pauli table reads its Pauli strings
+_KIND_PARAMS = {
+    IDENTITY: (), DEPOLARIZING: ("p",), INTERCEPT_RESEND: ("bases",),
+    FIXED_PAULI: ("op",), "lie_basis": ("p",), "lie_outcome": ("p",),
+    "silent_drop": (),
 }
 
 
@@ -276,27 +284,35 @@ def parse_adversary(text: str | None) -> AdversarySpec:
             for pair in paramstr.split(";"):
                 if "=" not in pair:
                     raise InvalidArgumentError(f"bad parameter {pair!r}")
-                k, v = pair.split("=", 1)
-                params[k.strip()] = v.strip()
+                k, v = (x.strip() for x in pair.split("=", 1))
+                if k in params:
+                    raise InvalidArgumentError(
+                        f"parameter {k!r} given twice in {chunk!r}")
+                params[k] = v
+        if kind == PAULI_CHANNEL:
+            read = {k for k in params if k and not k.upper().strip("IXYZ")}
+        else:
+            read = set(_KIND_PARAMS[kind])
+        unread = sorted(set(params) - read)
+        if unread:
+            raise InvalidArgumentError(
+                f"{name} does not take parameters {unread}")
         if is_dishonest:
-            p = _number("p", params.pop("p", "1.0"))
-            if params:
-                raise InvalidArgumentError(f"unknown parameters {params}")
+            p = _number("p", params.get("p", "1.0"))
             spec.dishonest.append(DishonestSpec(member=member, mode=kind, p=p))
             continue
         kwargs = {"kind": kind, "targets": (member,)}
-        if "p" in params:
-            kwargs["p"] = _number("p", params.pop("p"))
-        if "bases" in params:
-            kwargs["bases"] = tuple(params.pop("bases").upper())
-        if "op" in params:
-            kwargs["operator"] = params.pop("op").upper()
         if kind == PAULI_CHANNEL:
-            table = {}
-            for k in list(params):
-                table[k.upper()] = _number(k, params.pop(k))
+            table = {k.upper(): _number(k, v) for k, v in params.items()}
+            if len(table) != len(params):
+                raise InvalidArgumentError(
+                    f"a Pauli string is given twice in {chunk!r}")
             kwargs["pauli_probs"] = table
-        if params:
-            raise InvalidArgumentError(f"unknown parameters {params}")
+        if "p" in params:
+            kwargs["p"] = _number("p", params["p"])
+        if "bases" in params:
+            kwargs["bases"] = tuple(params["bases"].upper())
+        if "op" in params:
+            kwargs["operator"] = params["op"].upper()
         spec.channels.append(ChannelSpec(**kwargs))
     return spec

@@ -49,15 +49,38 @@ class InequalityReport:
 # random state generation (reproducible given the rng)
 # --------------------------------------------------------------------------
 
-def haar_state(dim: int, rng) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def _unit_vectors(g: np.ndarray) -> np.ndarray:
+    """Unit complex vectors (..., dim) from normal draws (..., 2, dim) of
+    their real and imaginary parts.
+
+    The squared norm is summed the way ``np.linalg.norm`` sums one vector
+    (a BLAS dot per part), so a batch gives the same bits as one draw at a
+    time.
+    """
+    v = g[..., 0, :] + 1j * g[..., 1, :]
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return v / np.sqrt(sq[..., 0])
+
+
+def haar_states(count: int, dim: int, rng) -> np.ndarray:
+    """``count`` Haar-random pure states as rows; one normal draw gives the
+    same stream as ``count`` single-state draws."""
+    return _unit_vectors(rng.normal(size=(count, 2, dim)))
+
+
+def _densities(g: np.ndarray) -> np.ndarray:
+    """Density matrices (..., d, d) from normal draws (..., 2, d*d): each is
+    the partial trace of a Haar-random pure state of squared dimension."""
+    psi = _unit_vectors(g)
+    dim = math.isqrt(psi.shape[-1])
+    psi = psi.reshape(psi.shape[:-1] + (dim, dim))
+    return psi @ states._dagger(psi)
 
 
 def random_density(dim: int, rng) -> np.ndarray:
     """Partial trace of a Haar-random pure state of squared dimension."""
-    psi = haar_state(dim * dim, rng).reshape(dim, dim)
-    return psi @ psi.conj().T
+    return _densities(rng.normal(size=(2, dim * dim)))
 
 
 def _serialize_matrix(m: np.ndarray) -> list:
@@ -65,79 +88,93 @@ def _serialize_matrix(m: np.ndarray) -> list:
 
 
 # --------------------------------------------------------------------------
-# individual inequality checkers
+# individual inequality checkers; the inputs may be stacks (..., d, d) and
+# then give one margin per stack index
 # --------------------------------------------------------------------------
 
 def check_fuchs_van_de_graaf(x, y) -> tuple:
-    """Margins of 1 - sqrt(F) <= D and D <= sqrt(1 - F) for one pair.
+    """Margins of 1 - sqrt(F) <= D and D <= sqrt(1 - F).
 
     Positive margin means the corresponding inequality is violated.
     """
     f = fidelity(x, y)
     d = trace_distance(x, y)
     lower_margin = (1 - np.sqrt(f)) - d
-    upper_margin = d - np.sqrt(max(1 - f, 0.0))
-    return float(lower_margin), float(upper_margin)
+    upper_margin = d - np.sqrt(np.maximum(1 - f, 0.0))
+    return lower_margin, upper_margin
 
 
-def _worst_trial(trials: int, trial, witness=None) -> tuple:
-    """Largest violation over ``trial(0)`` .. ``trial(trials - 1)``.
+def _worst_trial(violations, witness_of, empty=None) -> tuple:
+    """``(worst, witness_of(i))`` for the trial i with the largest violation.
 
-    ``trial(i)`` returns ``(violation, make_witness)``; ``make_witness()``
-    runs only when trial i sets a new worst.  Returns ``(worst, witness)``,
-    with the given ``witness`` (default empty) if no trial sets one.
+    The first index wins a tie, and a NaN violation counts as the largest
+    (the first NaN wins), so a trial that computed nothing fails its suite.
+    With no trials the result is ``(-inf, empty)``, ``{}`` by default.
     """
-    worst = -np.inf
-    witness = {} if witness is None else witness
+    v = np.asarray(violations, dtype=float)
+    if v.size == 0:
+        return -math.inf, {} if empty is None else empty
+    i = int(np.argmax(v))  # argmax returns the first NaN, if any
+    return float(v[i]), witness_of(i)
+
+
+def _draw_trials(trials: int, dims, rng, draw) -> tuple:
+    """Draw every trial first: its dimension from ``dims``, then
+    ``draw(dim)``, in trial order, so the RNG stream is that of evaluating
+    each trial as it is drawn.  Returns each trial's dimension and draw,
+    and ``{dim: trial indices}`` for evaluating one stack per dimension."""
+    dims = list(dims)
+    dim_of, drawn, by_dim = [], [], {}
     for i in range(trials):
-        v, make_witness = trial(i)
-        if v > worst:
-            worst, witness = v, make_witness()
-    return float(worst), witness
+        dim = int(dims[rng.integers(0, len(dims))])
+        dim_of.append(dim)
+        drawn.append(draw(dim))
+        by_dim.setdefault(dim, []).append(i)
+    return dim_of, drawn, by_dim
 
 
-def _draw_dim(dims, rng) -> int:
-    return int(dims[rng.integers(0, len(dims))])
-
-
-def _output_fidelity(kraus, vec) -> float:
-    """<vec| sum_k K rho K^dagger |vec> with rho = |vec><vec|."""
-    rho = np.outer(vec, vec.conj())
-    out = sum(k @ rho @ k.conj().T for k in kraus)
-    return float(np.real(vec.conj() @ out @ vec))
+def _output_fidelity(kraus, vecs):
+    """<v| sum_k K |v><v| K^dagger |v> = sum_k |<v|K|v>|^2 for each state
+    v of ``vecs`` (..., dim)."""
+    kv = vecs @ np.swapaxes(kraus, -1, -2)  # (terms, ..., dim)
+    amp = (vecs.conj() * kv).sum(axis=-1)
+    return (amp.real ** 2 + amp.imag ** 2).sum(axis=0)
 
 
 def fuchs_van_de_graaf_suite(trials: int, dims, rng,
                              tol: float = DEFAULT_TOL) -> InequalityReport:
-    dims = list(dims)
+    dim_of, drawn, by_dim = _draw_trials(
+        trials, dims, rng, lambda dim: rng.normal(size=(2, 2, dim * dim)))
+    violations = np.empty(trials)
+    for idx in by_dim.values():
+        rho = _densities(np.stack([drawn[i] for i in idx]))
+        violations[idx] = np.maximum(
+            *check_fuchs_van_de_graaf(rho[:, 0], rho[:, 1]))
 
-    def trial(i):
-        dim = _draw_dim(dims, rng)
-        a = random_density(dim, rng)
-        b = random_density(dim, rng)
-        return max(check_fuchs_van_de_graaf(a, b)), lambda: {
-            "trial": i, "dim": dim,
-            "rho": _serialize_matrix(a), "sigma": _serialize_matrix(b)}
+    def witness_of(i):
+        a, b = _densities(drawn[i])
+        return {"trial": i, "dim": dim_of[i],
+                "rho": _serialize_matrix(a), "sigma": _serialize_matrix(b)}
     return InequalityReport("fuchs-van-de-graaf", trials,
-                            *_worst_trial(trials, trial), tol)
+                            *_worst_trial(violations, witness_of), tol)
 
 
 def pure_saturation_suite(trials: int, dims, rng,
                           tol: float = DEFAULT_TOL) -> InequalityReport:
     """On pure-pure pairs the upper bound is tight: D = sqrt(1 - F)."""
-    dims = list(dims)
-
-    def trial(i):
-        dim = _draw_dim(dims, rng)
-        a = haar_state(dim, rng)
-        b = haar_state(dim, rng)
-        ra = np.outer(a, a.conj())
-        rb = np.outer(b, b.conj())
-        gap = abs(trace_distance(ra, rb)
-                  - np.sqrt(max(1 - fidelity(ra, rb), 0.0)))
-        return gap, lambda: {"trial": i, "dim": dim}
-    return InequalityReport("pure-pair-saturation", trials,
-                            *_worst_trial(trials, trial), tol)
+    dim_of, drawn, by_dim = _draw_trials(
+        trials, dims, rng, lambda dim: rng.normal(size=(2, 2, dim)))
+    violations = np.empty(trials)
+    for idx in by_dim.values():
+        v = _unit_vectors(np.stack([drawn[i] for i in idx]))
+        rho = v[..., :, None] * v.conj()[..., None, :]
+        ra, rb = rho[:, 0], rho[:, 1]
+        violations[idx] = np.abs(trace_distance(ra, rb) - np.sqrt(
+            np.maximum(1 - fidelity(ra, rb), 0.0)))
+    return InequalityReport(
+        "pure-pair-saturation", trials,
+        *_worst_trial(violations,
+                      lambda i: {"trial": i, "dim": dim_of[i]}), tol)
 
 
 def depolarizing_equality_check(p: float, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -151,13 +188,11 @@ def depolarizing_equality_check(p: float, tol: float = DEFAULT_TOL) -> Inequalit
     ch = ChannelSpec(kind=DEPOLARIZING, p=p, targets=("a",))
     kraus = ch.single_qubit_kraus()
     # eps over pure inputs (covariant channel: any state suffices, check a few)
-    eps = max(1 - _output_fidelity(kraus, v) for v in (
-        np.array([1, 0], dtype=complex),
-        np.array([1, 1], dtype=complex) / np.sqrt(2),
-        np.array([1, 1j], dtype=complex) / np.sqrt(2)))
+    probes = np.array([[1, 0], [1, 1], [1, 1j]]) / np.sqrt([1, 2, 2])[:, None]
+    eps = float((1 - _output_fidelity(kraus, probes)).max())
     bound = 1 - (1 + 2 / 4) * eps
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    f = _output_fidelity([np.kron(k, np.eye(2)) for k in kraus], bell)
+    f = float(_output_fidelity([np.kron(k, np.eye(2)) for k in kraus], bell))
     gap = abs(f - bound)
     witness = {"p": p, "epsilon": eps, "entanglement_fidelity": f,
                "bound": bound}
@@ -165,51 +200,73 @@ def depolarizing_equality_check(p: float, tol: float = DEFAULT_TOL) -> Inequalit
                             float(gap), witness, tol)
 
 
-def check_double_concavity(pairs) -> float:
-    """Margin of sum_j w_j sqrt(F_j) - sqrt(F(mixtures)); positive = violated."""
+def check_double_concavity(pairs):
+    """Margin of sum_j w_j sqrt(F_j) - sqrt(F(mixtures)); positive = violated.
+
+    ``pairs`` holds ``(w_j, a_j, b_j)``; with stacks a_j, b_j of shape
+    (..., d, d), each w_j has shape (...).
+    """
     weights = np.array([w for w, _, _ in pairs], dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-12:
+    if np.any(np.abs(weights.sum(axis=0) - 1.0) > 1e-12):
         raise InvalidArgumentError("weights must sum to 1")
-    mix_a = sum(w * states._as_matrix(a) for w, a, _ in pairs)
-    mix_b = sum(w * states._as_matrix(b) for w, _, b in pairs)
+    mats = [(w[..., None, None], states._as_matrix(a), states._as_matrix(b))
+            for w, (_, a, b) in zip(weights, pairs)]
+    mix_a = sum(w * a for w, a, _ in mats)
+    mix_b = sum(w * b for w, _, b in mats)
     lhs = np.sqrt(fidelity(mix_a, mix_b))
-    rhs = sum(w * np.sqrt(fidelity(a, b)) for w, a, b in pairs)
-    return float(rhs - lhs)
+    f = fidelity(np.stack([a for _, a, _ in mats]),
+                 np.stack([b for _, _, b in mats]))
+    rhs = sum(w * np.sqrt(fj) for w, fj in zip(weights, f))
+    return rhs - lhs
 
 
 def double_concavity_suite(trials: int, dims, rng,
                            tol: float = DEFAULT_TOL) -> InequalityReport:
-    dims = list(dims)
-
-    def trial(i):
-        dim = _draw_dim(dims, rng)
+    def draw(dim):
         k = int(rng.integers(2, 5))
         w = rng.dirichlet(np.ones(k))
-        pairs = [(w[j], random_density(dim, rng), random_density(dim, rng))
-                 for j in range(k)]
-        return check_double_concavity(pairs), lambda: {
-            "trial": i, "dim": dim, "weights": [float(x) for x in w]}
-    return InequalityReport("double-concavity", trials,
-                            *_worst_trial(trials, trial), tol)
+        return w, rng.normal(size=(k, 2, 2, dim * dim))  # (a_j, b_j) pairs
+    dim_of, drawn, by_dim = _draw_trials(trials, dims, rng, draw)
+    violations = np.empty(trials)
+    for dim, idx in by_dim.items():
+        # trials with fewer pairs are padded with zero-weight zero matrices,
+        # which add exact zeros to both sides
+        ks = [len(drawn[i][0]) for i in idx]
+        rows = np.repeat(np.arange(len(idx)), ks)
+        cols = np.concatenate([np.arange(k) for k in ks])
+        w = np.zeros((len(idx), max(ks)))
+        w[rows, cols] = np.concatenate([drawn[i][0] for i in idx])
+        ab = np.zeros((len(idx), max(ks), 2, dim, dim), dtype=complex)
+        ab[rows, cols] = _densities(np.concatenate([drawn[i][1]
+                                                    for i in idx]))
+        violations[idx] = check_double_concavity(
+            [(w[:, j], ab[:, j, 0], ab[:, j, 1]) for j in range(max(ks))])
+    return InequalityReport(
+        "double-concavity", trials,
+        *_worst_trial(violations, lambda i: {
+            "trial": i, "dim": dim_of[i],
+            "weights": [float(x) for x in drawn[i][0]]}), tol)
 
 
-def check_bures_triangle(a, b, c) -> float:
+def check_bures_triangle(a, b, c):
     """Margin of d_B(a,c) - d_B(a,b) - d_B(b,c); positive = violated."""
-    return float(bures_distance(a, c)
-                 - bures_distance(a, b) - bures_distance(b, c))
+    return bures_distance(a, c) - bures_distance(a, b) - bures_distance(b, c)
 
 
 def bures_triangle_suite(trials: int, dims, rng,
                          tol: float = DEFAULT_TOL) -> InequalityReport:
     """Triangle inequality of the Bures metric over random triples."""
-    dims = list(dims)
-
-    def trial(i):
-        dim = _draw_dim(dims, rng)
-        a, b, c = (random_density(dim, rng) for _ in range(3))
-        return check_bures_triangle(a, b, c), lambda: {"trial": i, "dim": dim}
-    return InequalityReport("bures-triangle", trials,
-                            *_worst_trial(trials, trial), tol)
+    dim_of, drawn, by_dim = _draw_trials(
+        trials, dims, rng, lambda dim: rng.normal(size=(3, 2, dim * dim)))
+    violations = np.empty(trials)
+    for idx in by_dim.values():
+        rho = _densities(np.stack([drawn[i] for i in idx]))
+        violations[idx] = check_bures_triangle(rho[:, 0], rho[:, 1],
+                                               rho[:, 2])
+    return InequalityReport(
+        "bures-triangle", trials,
+        *_worst_trial(violations,
+                      lambda i: {"trial": i, "dim": dim_of[i]}), tol)
 
 
 def measure_channel_epsilon(channel, num_qubits: int, rng,
@@ -220,10 +277,11 @@ def measure_channel_epsilon(channel, num_qubits: int, rng,
     """
     dim = 2 ** num_qubits
     kraus = channel.kraus_terms(num_qubits)
-    fixed = [*np.eye(dim, dtype=complex), np.ones(dim) / np.sqrt(dim)]
-    haar = (haar_state(dim, rng) for _ in range(samples))
-    return max(0.0, *(1.0 - _output_fidelity(kraus, v)
-                      for v in itertools.chain(fixed, haar)))
+    vecs = np.concatenate([np.eye(dim), np.full((1, dim), 1 / np.sqrt(dim)),
+                           haar_states(samples, dim, rng)])
+    # np.maximum, unlike max(), keeps a NaN infidelity
+    return float(np.maximum((1.0 - _output_fidelity(kraus, vecs)).max(),
+                            0.0))
 
 
 def check_entanglement_fidelity_bound(channel, num_qubits: int, rng,
@@ -237,14 +295,12 @@ def check_entanglement_fidelity_bound(channel, num_qubits: int, rng,
                                   samples=epsilon_samples)
     bound = 1 - (1 + dim / 4) * eps
     big = [np.kron(k, np.eye(dim)) for k in channel.kraus_terms(num_qubits)]
-
-    def trial(i):
-        f = _output_fidelity(big, haar_state(dim * dim, rng))
-        return bound - f, lambda: {"epsilon": eps, "dim": dim, "trial": i,
-                                   "fidelity": f}
+    f = _output_fidelity(big, haar_states(purifications, dim * dim, rng))
     return InequalityReport(
         "entanglement-fidelity-bound", purifications,
-        *_worst_trial(purifications, trial, {"epsilon": eps, "dim": dim}),
+        *_worst_trial(bound - f, lambda i: {
+            "epsilon": eps, "dim": dim, "trial": i, "fidelity": float(f[i])},
+            {"epsilon": eps, "dim": dim}),
         tol)
 
 
@@ -276,24 +332,23 @@ def check_composed_channel_bound(per_member_channels, n: int, t: int, rng,
         eps1 = max(eps1, measure_channel_epsilon(ch, t, rng,
                                                  samples=epsilon_samples))
     factor = 1 + 2.0 ** (t - 2)
+    # stages 0..n-1: member i's channel alone; stage n: all composed
     current = phi
-
-    def stage(i):
-        # stages 0..n-1: member i's channel alone; stage n: all composed
-        nonlocal current
-        if i == n:
-            f = fidelity(state, current)
-            name, v = "composed", (1 - n * np.sqrt(factor * eps1)) - np.sqrt(f)
-        else:
-            mu, ch = members[i], per_member_channels[i]
-            targets = [(mu, c) for c in range(t)]
-            current = states.apply_channel(current, ch, targets)
-            f = fidelity(state, states.apply_channel(phi, ch, targets))
-            name, v = f"single:{mu}", (1 - factor * eps1) - f
-        return v, lambda: {"epsilon1": eps1, "stage": name, "fidelity": f}
-    return InequalityReport("composed-channel-bound", n + 1,
-                            *_worst_trial(n + 1, stage, {"epsilon1": eps1}),
-                            tol)
+    fids = []
+    for mu, ch in zip(members, per_member_channels):
+        targets = [(mu, c) for c in range(t)]
+        current = states.apply_channel(current, ch, targets)
+        fids.append(fidelity(state, states.apply_channel(phi, ch, targets)))
+    fids.append(fidelity(state, current))
+    fids = np.array(fids)
+    violations = np.append((1 - factor * eps1) - fids[:n],
+                           (1 - n * np.sqrt(factor * eps1)) - np.sqrt(fids[n]))
+    names = [f"single:{mu}" for mu in members] + ["composed"]
+    return InequalityReport(
+        "composed-channel-bound", n + 1,
+        *_worst_trial(violations, lambda i: {
+            "epsilon1": eps1, "stage": names[i], "fidelity": float(fids[i])}),
+        tol)
 
 
 def _random_channel(rng, num_qubits: int):
@@ -314,17 +369,14 @@ def entanglement_fidelity_suite(draws: int, rng, num_qubits: int = 1,
                                 tol: float = DEFAULT_TOL) -> InequalityReport:
     """Purification bound over random channels, plus the closed-form
     equality case for the one-qubit depolarizing channel at p = 0.1."""
-    def trial(i):
-        # trials 0..draws-1 draw a channel; the last is the equality case
-        if i == draws:
-            rep = depolarizing_equality_check(0.1)
-        else:
-            rep = check_entanglement_fidelity_bound(
-                _random_channel(rng, num_qubits), num_qubits, rng,
-                purifications=40, epsilon_samples=60)
-        return rep.max_violation, lambda: rep.witness
-    return InequalityReport("entanglement-fidelity-bound", draws,
-                            *_worst_trial(draws + 1, trial), tol)
+    reports = [check_entanglement_fidelity_bound(
+        _random_channel(rng, num_qubits), num_qubits, rng,
+        purifications=40, epsilon_samples=60) for _ in range(draws)]
+    reports.append(depolarizing_equality_check(0.1))
+    return InequalityReport(
+        "entanglement-fidelity-bound", draws,
+        *_worst_trial([r.max_violation for r in reports],
+                      lambda i: reports[i].witness), tol)
 
 
 def composed_bound_suite(draws: int, rng, tol: float = DEFAULT_TOL,
@@ -332,16 +384,19 @@ def composed_bound_suite(draws: int, rng, tol: float = DEFAULT_TOL,
     """Composed-transit bound over random per-member depolarizing strengths."""
     from .adversary import ChannelSpec, DEPOLARIZING
 
-    def trial(i):
+    ns, reports = [], []
+    for _ in range(draws):
         n = int(rng.integers(2, max_n + 1))
         channels = [ChannelSpec(kind=DEPOLARIZING,
                                 p=float(rng.uniform(0, 0.2)),
                                 targets=(f"m{j}",)) for j in range(n)]
-        rep = check_composed_channel_bound(channels, n, t, rng,
-                                           epsilon_samples=20)
-        return rep.max_violation, lambda: dict(rep.witness, draw=i, n=n)
-    return InequalityReport("composed-channel-bound", draws,
-                            *_worst_trial(draws, trial), tol)
+        ns.append(n)
+        reports.append(check_composed_channel_bound(channels, n, t, rng,
+                                                    epsilon_samples=20))
+    return InequalityReport(
+        "composed-channel-bound", draws,
+        *_worst_trial([r.max_violation for r in reports], lambda i: dict(
+            reports[i].witness, draw=i, n=ns[i])), tol)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,9 @@ Adversary mini-grammar (comma-separated attacks)::
               | lie-basis | lie-outcome | silent-drop
     member   := "m1" .. "mN" | "member1" .. "memberN" | "C"
 
+Each kind takes only the keys it reads: ``p`` (depolarize, lie-basis,
+lie-outcome), ``bases`` (intercept), ``op`` (fixed-pauli) and Pauli
+strings (pauli); another key, or a key given twice, is an error.
 Only lie-basis, lie-outcome and silent-drop may name the center ``C``.  A
 pauli table or multi-letter fixed-pauli needs one letter per qubit of the
 attacked block (t without auth, u = r*s with auth).

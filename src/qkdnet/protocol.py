@@ -289,12 +289,11 @@ def _announced_bases(config, adversary, bases, rng):
     announced = {}
     for mu in config.members:
         spec = adversary.dishonest_for(mu)
-        announced[mu] = []
-        for b in bases[mu]:
-            if spec is not None and spec.mode == "lie_basis":
-                announced[mu].append("Y" if b == "X" else "X")
-            else:
-                announced[mu].append(b)
+        if spec is not None and spec.mode == "lie_basis":
+            announced[mu] = [attacks.corrupt_announcement(b, spec, rng)
+                             for b in bases[mu]]
+        else:
+            announced[mu] = list(bases[mu])
     return announced
 
 

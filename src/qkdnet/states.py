@@ -322,7 +322,9 @@ def apply_channel(state: DensityMatrix, channel, targets) -> DensityMatrix:
 
 
 # --------------------------------------------------------------------------
-# fidelity / distance metrics (core versions accept raw square matrices)
+# fidelity / distance metrics (core versions accept raw square matrices or
+# stacks of them, shape (..., d, d); a stack gives one value per matrix, a
+# single matrix a float)
 # --------------------------------------------------------------------------
 
 def _as_matrix(x) -> np.ndarray:
@@ -335,24 +337,35 @@ def _as_matrix(x) -> np.ndarray:
 
 
 def _check_same_dim(a, b):
-    if a.shape != b.shape:
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidArgumentError("dimension mismatch")
 
 
-def _clamp_psd(w: np.ndarray, scale: float) -> np.ndarray:
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _value(x: np.ndarray):
+    """A float for a single matrix's value, the array for a stack's."""
+    return float(x) if x.ndim == 0 else x
+
+
+def _clamp_psd(w: np.ndarray, scale) -> np.ndarray:
     """Zero the eigenvalues within round-off of a matrix of norm ``scale``:
-    sqrt(1e-16) would otherwise inject 1e-8."""
-    cut = max(float(scale), 0.0) * len(w) * np.finfo(float).eps
-    return np.where(w > cut, w, 0.0)
+    sqrt(1e-16) would otherwise inject 1e-8.  ``w`` is (..., d) with one
+    ``scale`` per leading index, so each matrix gets its own cut."""
+    cut = np.maximum(scale, 0.0) * w.shape[-1] * np.finfo(float).eps
+    return np.where(w > cut[..., None], w, 0.0)
 
 
 def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     """PSD square root via Hermitian eigendecomposition with clamping."""
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return (v * np.sqrt(_clamp_psd(w, w.max()))) @ v.conj().T
+    w, v = np.linalg.eigh((m + _dagger(m)) / 2)
+    root = np.sqrt(_clamp_psd(w, w.max(axis=-1)))
+    return (v * root[..., None, :]) @ _dagger(v)
 
 
-def fidelity(x, y) -> float:
+def fidelity(x, y):
     """Uhlmann fidelity tr(sqrt(sqrt(X) Y sqrt(X)))^2, clipped to [0, 1];
     <psi|Y|psi> when either side is a ``PureStateVector`` |psi>."""
     if isinstance(y, PureStateVector):
@@ -363,28 +376,29 @@ def fidelity(x, y) -> float:
         if b.shape != (len(v), len(v)):
             raise InvalidArgumentError("dimension mismatch")
         val = float(np.vdot(v, b @ v).real)
-    else:
-        a = _as_matrix(x)
-        _check_same_dim(a, b)
-        sa = sqrtm_psd(a)
-        m = sa @ b @ sa  # tr sqrt(M) from M's clamped eigenvalues
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        # M's round-off scales with |A| |B| <= tr A tr B, not with M's own
-        # largest eigenvalue: for pure A, M = F |a><a| plus O(eps) noise
-        scale = np.trace(a).real * np.trace(b).real
-        val = float(np.sqrt(_clamp_psd(w, scale)).sum()) ** 2
-    return min(max(val, 0.0), 1.0)
+        return min(max(val, 0.0), 1.0)
+    a = _as_matrix(x)
+    _check_same_dim(a, b)
+    sa = sqrtm_psd(a)
+    m = sa @ b @ sa  # tr sqrt(M) from M's clamped eigenvalues
+    w = np.linalg.eigvalsh((m + _dagger(m)) / 2)
+    # M's round-off scales with |A| |B| <= tr A tr B, not with M's own
+    # largest eigenvalue: for pure A, M = F |a><a| plus O(eps) noise
+    scale = (np.trace(a, axis1=-2, axis2=-1).real
+             * np.trace(b, axis1=-2, axis2=-1).real)
+    val = np.square(np.sqrt(_clamp_psd(w, scale)).sum(axis=-1))
+    return _value(np.clip(val, 0.0, 1.0))
 
 
-def trace_distance(x, y) -> float:
+def trace_distance(x, y):
     """tr|X - Y| / 2."""
     a, b = _as_matrix(x), _as_matrix(y)
     _check_same_dim(a, b)
     w = np.linalg.eigvalsh(a - b)
-    return float(np.abs(w).sum() / 2)
+    return _value(np.abs(w).sum(axis=-1) / 2)
 
 
-def bures_distance(x, y) -> float:
+def bures_distance(x, y):
     """sqrt(2 - 2 sqrt(F))."""
     f = fidelity(x, y)
-    return float(np.sqrt(max(2 - 2 * np.sqrt(f), 0.0)))
+    return _value(np.sqrt(np.maximum(2 - 2 * np.sqrt(f), 0.0)))

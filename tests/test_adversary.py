@@ -125,6 +125,8 @@ def test_corrupt_announcement_modes():
     lie_b = DishonestSpec(member="m1", mode="lie_basis")
     assert corrupt_announcement("X", lie_b, rng) == "Y"
     assert corrupt_announcement("Y", lie_b, rng) == "X"
+    # the default p = 1 lies without a draw, so the stream is untouched
+    assert rng.random() == np.random.default_rng(1).random()
     lie_o = DishonestSpec(member="m1", mode="lie_outcome", p=1.0)
     assert corrupt_announcement(0, lie_o, rng) == 1
     drop = DishonestSpec(member="m1", mode="silent_drop")
@@ -148,6 +150,21 @@ def test_parse_grammar_round_trip():
     assert parse_adversary(None).dishonest == []
 
 
+def test_lie_basis_honours_p():
+    rng = np.random.default_rng(4)
+    never = DishonestSpec(member="m1", mode="lie_basis", p=0.0)
+    assert [corrupt_announcement("X", never, rng) for _ in range(50)] \
+        == ["X"] * 50
+    half = DishonestSpec(member="m1", mode="lie_basis", p=0.5)
+    lies = sum(corrupt_announcement("Y", half, rng) == "X"
+               for _ in range(2000))
+    assert 900 < lies < 1100
+    # outcome bits pass through a basis liar, and draw nothing
+    state = rng.bit_generator.state
+    assert corrupt_announcement(1, half, rng) == 1
+    assert rng.bit_generator.state == state
+
+
 def test_parse_member_aliases():
     spec = parse_adversary("intercept@member2,depolarize:p=0.2@center")
     assert spec.channels[0].targets == ("m2",)
@@ -168,6 +185,15 @@ def test_parse_member_aliases():
     "lie-outcome:p=x@m1",
     "depolarize:p=0.1@m1@m2",    # two members
     "pauli:I=nan@m1",            # NaN passed the sum check
+    # parameters the kind never reads used to be dropped silently
+    "intercept:p=0.0@m1",
+    "identity:p=0.3@m1",
+    "fixed-pauli:op=X;p=0.2@m1",
+    "depolarize:p=0.1;bases=XZ@m1",
+    "pauli:X=1;op=Z@m1",
+    "silent-drop:p=0.5@C",
+    "depolarize:p=0.1;p=0.2@m1",  # the first value used to be dropped
+    "pauli:x=0.5;X=0.5@m1",
 ])
 def test_parse_rejects_invalid_specs(bad):
     with pytest.raises(InvalidArgumentError):
@@ -214,7 +240,7 @@ def _attack(draw):
     name = draw(st.sampled_from([*_CHANNEL_KINDS, *_DISHONEST_KINDS]))
     params = []
     if name in _DISHONEST_KINDS:
-        p = draw(st.none() | _probability)
+        p = None if name == "silent-drop" else draw(st.none() | _probability)
         if p is not None:
             params.append(["p", p])
         want = DishonestSpec(member=target, mode=name.replace("-", "_"),
@@ -263,11 +289,20 @@ def test_parse_property_valid_strings(attacks):
                               if isinstance(w, DishonestSpec)]
 
 
+# the parameters of each kind other than the pauli table, with a value
+# that would be valid for the kind that reads it
+_READS = {"depolarize": ("p",), "depolarizing": ("p",),
+          "intercept": ("bases",), "intercept-resend": ("bases",),
+          "fixed-pauli": ("op",), "lie-basis": ("p",), "lie-outcome": ("p",)}
+_IGNORED = {"p": "0.5", "bases": "XY", "op": "X"}
+
+
 def _corruptions(name, params) -> list:
     """The one-token corruptions that apply to an attack."""
-    out = ["kind", "no-at", "empty-member", "empty-params", "unknown-key"]
+    out = ["kind", "no-at", "empty-member", "empty-params", "unknown-key",
+           "ignored-key"]
     if params:
-        out.append("no-equals")
+        out += ["no-equals", "repeated-key"]
     if any(k not in ("bases", "op") for k, _ in params):
         out.append("not-a-number")
     if name in _DISHONEST_KINDS or _CHANNEL_KINDS[name] == "depolarizing":
@@ -293,6 +328,15 @@ def _corrupt(draw, attack) -> list:
         name, params = name + ":", []
     elif how == "unknown-key":
         params.insert(draw(st.integers(0, len(params))), ["q", "0"])
+    elif how == "ignored-key":
+        # a parameter of another kind, which this kind never reads
+        read = _READS.get(name, ())
+        key = draw(st.sampled_from([k for k in _IGNORED if k not in read]))
+        params.insert(draw(st.integers(0, len(params))),
+                      [key, _IGNORED[key]])
+    elif how == "repeated-key":
+        kv = draw(st.sampled_from(params))
+        params.insert(draw(st.integers(0, len(params))), list(kv))
     elif how == "no-equals":
         kv = draw(st.sampled_from(params))
         kv[:] = ["".join(kv)]

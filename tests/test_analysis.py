@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,73 @@ def test_double_concavity_requires_normalized_weights():
     a, b = analysis.random_density(2, rng), analysis.random_density(2, rng)
     with pytest.raises(InvalidArgumentError):
         analysis.check_double_concavity([(0.7, a, b), (0.7, a, b)])
+
+
+def test_worst_trial_keeps_first_tie_and_nan():
+    def witness_of(i):
+        return {"trial": i}
+    assert analysis._worst_trial([0.5, 0.2, 0.5], witness_of) \
+        == (0.5, {"trial": 0})
+    worst, witness = analysis._worst_trial([-1.0, np.nan, 3.0, np.nan],
+                                           witness_of)
+    assert math.isnan(worst) and witness == {"trial": 1}
+    assert analysis._worst_trial([], witness_of, {"e": 1}) \
+        == (-math.inf, {"e": 1})
+
+
+def _nan_trace_distance(monkeypatch, trials):
+    """Make ``analysis.trace_distance`` give NaN on the given stack rows."""
+    real = analysis.trace_distance
+
+    def patched(x, y):
+        d = np.array(real(x, y))
+        d[list(trials)] = np.nan
+        return d
+    monkeypatch.setattr(analysis, "trace_distance", patched)
+
+
+def test_one_nan_trial_fails_its_suite_and_is_the_witness(monkeypatch):
+    # one dimension, so the stack rows are the trials
+    _nan_trace_distance(monkeypatch, [3])
+    rep = analysis.pure_saturation_suite(10, [2], np.random.default_rng(5))
+    assert math.isnan(rep.max_violation) and not rep.passed
+    assert rep.witness == {"trial": 3, "dim": 2}
+
+
+def test_all_nan_trials_fail_their_suite(monkeypatch):
+    # a NaN used to lose every comparison: -inf and PASS
+    _nan_trace_distance(monkeypatch, range(10))
+    rep = analysis.fuchs_van_de_graaf_suite(10, [2], np.random.default_rng(5))
+    assert math.isnan(rep.max_violation) and not rep.passed
+    assert rep.witness["trial"] == 0
+
+
+def test_haar_states_batch_matches_single_draws():
+    # one draw for a batch gives the same stream and bits as single draws
+    for dim in (2, 5, 64):
+        rng = np.random.default_rng(dim)
+        batch = analysis.haar_states(7, dim, rng)
+        rng = np.random.default_rng(dim)
+        for row in batch:
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            np.testing.assert_array_equal(row, v / np.linalg.norm(v))
+
+
+def test_output_fidelity_matches_explicit_channel_output():
+    rng = np.random.default_rng(6)
+    for dim, terms in ((2, 4), (4, 3)):
+        g = (rng.normal(size=(terms * dim, dim))
+             + 1j * rng.normal(size=(terms * dim, dim)))
+        kraus = list(np.linalg.qr(g)[0].reshape(terms, dim, dim))
+        vecs = analysis.haar_states(6, dim, rng)
+        got = analysis._output_fidelity(kraus, vecs)
+        assert got.shape == (6,)
+        for v, f in zip(vecs, got):
+            rho = np.outer(v, v.conj())
+            out = sum(k @ rho @ k.conj().T for k in kraus)
+            assert f == pytest.approx((v.conj() @ out @ v).real, abs=1e-14)
+            assert analysis._output_fidelity(kraus, v) \
+                == pytest.approx(f, abs=1e-15)
 
 
 def test_measured_epsilon_of_depolarizing_channel():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -236,6 +237,65 @@ def test_verify_inequalities_values_pinned(capsys, seed):
         assert float(value) == pytest.approx(want, rel=0, abs=1e-12)
 
 
+# The four random-pair suites at three seeds, pinned bit for bit:
+# max_violation, and the trial, dimension and SHA-256 of the --out witness
+# (a fuchs-van-de-graaf witness holds both matrices).  Evaluating the drawn
+# trials as one stack per dimension gives the same bits as evaluating each
+# trial on its own, which is how these values were recorded.
+_PAIR_PINNED = {
+    "0": (
+        (-0.0001374373495924841, 20, 2,
+         "440f5dcbd502ae5623488be0fa0d39a3b5d37d1cfd88d567b69a16359e9dba33"),
+        (5.551115123125783e-16, 7, 6,
+         "33988a096aa8d36d05c3577751d8d0e5ea050489b8a1f8ecd72dd8d0fec3388f"),
+        (-0.021019614945722243, 41, 2,
+         "abb833aedbb97d51b07441010ec738d33cb2f3b685329e7757597a77183fcf7f"),
+        (-0.01029989053342302, 38, 2,
+         "14b802e0a821b7afc28590da1eb1a93c5c909459b792d8ed4ea3863dcc10e71c"),
+    ),
+    "2": (
+        (-0.00027369665409859856, 7, 2,
+         "238031fd41effe2bf653aec9701afa70ae8e774e12e12a4a935c583ae1c22620"),
+        (1.27675647831893e-15, 15, 2,
+         "7728f1e29f80aaa894b52c88059d0743957248e1a057657ec7a836e180cf0e26"),
+        (-0.015890732612027003, 10, 2,
+         "04e9d7a0c2abdb20d56433c334abe06ab14183b42e64a7070896b2c1c2e44847"),
+        (-0.3269699315617902, 8, 2,
+         "6e281c1de52f70fdc2194cf28602cef3d2a4622f0e7bc5e78387a36b01876f25"),
+    ),
+    "1693489682": (
+        (-8.220690622712246e-05, 45, 2,
+         "3864eb18da7cfbae30f7138f963f7f7091415487e1cd314c6593dd47b27ee9fc"),
+        (1.1102230246251565e-15, 22, 3,
+         "722129d85be88c01fe1237360e0460245994de668e064b95c18c11b5d22fd910"),
+        (-0.002645303109896635, 38, 2,
+         "3c9accb4f935ea9d06da65f269997fb4f28bb13690b753bfe4255770df1fa242"),
+        (-0.14258318313030457, 37, 2,
+         "a6239ee0cbbce12b0809f2e7cec19f140cc49cf870fa3bbe37851be8c7372cad"),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PAIR_PINNED))
+def test_verify_inequalities_pair_suites_pinned_exactly(capsys, tmp_path,
+                                                        seed):
+    out = tmp_path / "reports.json"
+    code, stdout, _ = run_cli(capsys, "verify-inequalities", "--trials",
+                              "50", "--seed", seed, "--out", str(out))
+    assert code == 0
+    reports = json.loads(out.read_text())
+    for line, rep, suite, (value, trial, dim, digest) in zip(
+            stdout.splitlines(), reports, _VERIFY_SUITES,
+            _PAIR_PINNED[seed]):
+        assert line == f"PASS {suite} trials=50 max_violation={value!r}"
+        assert rep["inequality_id"] == suite
+        assert rep["max_violation"] == value
+        witness = rep["witness"]
+        assert (witness["trial"], witness["dim"]) == (trial, dim)
+        text = json.dumps(witness, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == digest
+
+
 def test_verify_inequalities_pure_pairs_pass_at_round_off(capsys):
     # a pure pair with F = 0.1356 at dim 2: a round-off eigenvalue of
     # sqrt(A) B sqrt(A) once passed the clamp and FAILed the saturation
@@ -246,6 +306,26 @@ def test_verify_inequalities_pure_pairs_pass_at_round_off(capsys):
     line = stdout.splitlines()[1]
     assert line.startswith("PASS pure-pair-saturation trials=50 ")
     assert abs(float(line.rsplit("=", 1)[1])) < 1e-12
+
+
+def test_lie_basis_with_p_zero_never_lies(capsys):
+    # lie-basis used to ignore p and lie about every basis
+    argv = ["run", "--n", "2", "--m", "1", "--t", "1", "--no-auth",
+            "--rounds", "200", "--seed", "3"]
+    code, stdout, _ = run_cli(capsys, *argv, "--adversary", "lie-basis:p=0@m1")
+    assert code == 0
+    assert json.loads(stdout)["test_error_rate"] == 0.0
+    code, stdout, _ = run_cli(capsys, *argv, "--adversary", "lie-basis@m1")
+    assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["intercept:p=0.0@m1", "identity:p=0.3@m1",
+                                  "lie-outcome:op=X@m1"])
+def test_parameter_the_kind_ignores_is_usage_error(capsys, spec):
+    code, stdout, err = run_cli(capsys, "run", "--n", "2", "--seed", "1",
+                                "--adversary", spec)
+    assert code == 1 and stdout == ""
+    assert "does not take parameters" in err
 
 
 def test_tables_replay(capsys):

@@ -360,3 +360,69 @@ def test_apply_kraus_matches_explicit_sum(axes):
     want = sum(e @ rho.matrix @ e.conj().T for e in embedded)
     assert out.labels == labels
     assert np.allclose(out.matrix, want, atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# stacked metrics: each element of a (..., d, d) call against the 2-D call
+# --------------------------------------------------------------------------
+
+def _stack_pairs(rng, n):
+    """Pairs (2, 4, d, d): full-rank, rank-deficient and pure states, and a
+    state paired with itself."""
+    d = 2 ** n
+    ranks = [(d, d), (max(d // 2, 1), d), (1, 1), (1, d)]
+    a = [_random_mixed(rng, n, ra) for ra, _ in ranks]
+    b = [_random_mixed(rng, n, rb) for _, rb in ranks]
+    b[-1] = a[-1]
+    first = np.stack([a, b])
+    second = np.stack([b, [_random_mixed(rng, n, 1) for _ in ranks]])
+    return first, second
+
+
+@pytest.mark.parametrize("metric", [fidelity, trace_distance, bures_distance])
+def test_stacked_metrics_match_single_matrix_calls(metric):
+    rng = np.random.default_rng(27)
+    # the last norms differ by 1e8 between the two halves of the stack, so a
+    # round-off cut shared by the stack would zero true eigenvalues
+    for n, norm in ((1, 1.0), (2, 1.0), (3, 1.0), (2, [[[[1e-4]]], [[[1e4]]]])):
+        a, b = _stack_pairs(rng, n)
+        a, b = a * norm, b * norm
+        got = metric(a, b)
+        assert isinstance(got, np.ndarray) and got.shape == a.shape[:-2]
+        for idx in np.ndindex(*a.shape[:-2]):
+            want = metric(a[idx], b[idx])
+            assert isinstance(want, float)
+            assert abs(got[idx] - want) <= 1e-14
+
+
+def test_stacked_sqrtm_psd_matches_single_matrix_calls():
+    rng = np.random.default_rng(28)
+    a, _ = _stack_pairs(rng, 2)
+    # a small true eigenvalue beside a matrix of a much larger norm: a cut
+    # shared by the stack would zero it
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    small = (u * [1.0, 1e-9, 0.0, 0.0]) @ u.conj().T
+    a = np.concatenate([a, [[small, 1e8 * a[0, 0], small, 1e8 * a[0, 1]]]])
+    got = states.sqrtm_psd(a)
+    for idx in np.ndindex(*a.shape[:-2]):
+        want = states.sqrtm_psd(a[idx])
+        assert np.abs(got[idx] - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.linalg.eigvalsh(got[-1, 0])[-2] == pytest.approx(np.sqrt(1e-9))
+
+
+def test_clamp_psd_cuts_each_matrix_at_its_own_scale():
+    w = np.array([[1e-9, 1.0], [1e-9, 1e8], [-1e-17, 1.0]])
+    got = states._clamp_psd(w, np.array([1.0, 1e8, 1.0]))
+    np.testing.assert_array_equal(got, [[1e-9, 1.0], [0.0, 1e8], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("metric", [fidelity, trace_distance, bures_distance])
+def test_stacked_metrics_reject_mismatched_shapes(metric):
+    rng = np.random.default_rng(29)
+    a, b = _stack_pairs(rng, 2)
+    for x, y in ((a, b[:1]), (a[0], b), (a[0, 0], b), (a, b[..., :2, :2]),
+                 (a[..., :3], b[..., :3])):
+        with pytest.raises(InvalidArgumentError):
+            metric(x, y)
+        with pytest.raises(InvalidArgumentError):
+            metric(y, x)
