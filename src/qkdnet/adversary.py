@@ -7,6 +7,7 @@ comma separated, e.g. ``depolarize:p=0.1@m2,intercept@m1,lie-outcome:p=1.0@m3``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,17 +21,16 @@ PAULI_CHANNEL = "pauli"
 INTERCEPT_RESEND = "intercept_resend"
 FIXED_PAULI = "fixed_pauli"
 
-# one-letter operators shared by the per-qubit Kraus and trajectory forms
-_LETTER_OPS = {c: PauliOperator.from_string(c) for c in "IXYZ"}
 
-
-@dataclass
+@dataclass(frozen=True)
 class ChannelSpec:
     """A CPTP attack on the qubits of the targeted members.
 
-    Per-qubit kinds (identity, depolarizing, intercept-resend, single-letter
-    fixed Pauli) act independently on each target qubit; ``pauli`` tables and
-    multi-letter fixed Paulis act jointly on the whole target block.
+    Every kind is a mixture of Pauli errors (``pauli_mixture``).  Identity,
+    depolarizing, intercept-resend and a one-letter fixed Pauli act on each
+    target qubit alone; ``pauli`` tables and multi-letter fixed Paulis act
+    jointly on the whole target block.  A spec is frozen, so what is derived
+    from its mixture is built once.
     """
 
     kind: str
@@ -54,7 +54,7 @@ class ChannelSpec:
             if not all(p >= 0 for p in self.pauli_probs.values()):
                 raise InvalidArgumentError("Pauli probabilities must be >= 0")
         if self.kind == INTERCEPT_RESEND:
-            if not self.bases or any(b not in "XYZ" for b in self.bases):
+            if not self.bases or not set(self.bases) <= {"X", "Y", "Z"}:
                 raise InvalidArgumentError("intercept bases must be X/Y/Z")
         if self.kind == FIXED_PAULI and not self.operator:
             raise InvalidArgumentError("fixed_pauli needs an operator string")
@@ -63,57 +63,63 @@ class ChannelSpec:
                 if pstr.strip("IXYZ"):
                     raise InvalidArgumentError(
                         f"unknown Pauli letter in {pstr!r}")
-        self.targets = tuple(self.targets)
+        object.__setattr__(self, "targets", tuple(self.targets))
 
-    # ---- exact CPTP form ------------------------------------------------
+    # ---- the channel as a mixture of Pauli errors -------------------------
 
-    def single_qubit_kraus(self) -> list:
+    def pauli_mixture(self) -> list:
+        """``(Pauli string, probability)`` pairs whose mixture is the channel.
+
+        One-letter strings act on each target qubit alone, longer ones on
+        the whole target block.  Intercept-resend over bases B dephases
+        the qubit in a random basis of B: rho/2 + sum_b b rho b / (2|B|).
+        """
         if self.kind == IDENTITY:
-            return [np.eye(2, dtype=complex)]
+            return [("I", 1.0)]
         if self.kind == DEPOLARIZING:
-            p = self.p
-            return [np.sqrt(w) * _LETTER_OPS[c].to_matrix()
-                    for w, c in zip([1 - 3 * p / 4] + [p / 4] * 3, "IXYZ")]
+            return list(zip("IXYZ", [1 - 3 * self.p / 4] + [self.p / 4] * 3))
         if self.kind == INTERCEPT_RESEND:
-            ops = []
-            w = 1 / np.sqrt(len(self.bases))
-            for b in self.bases:
-                for e in states.eigenvectors(b):
-                    ops.append(w * np.outer(e, e.conj()))
-            return ops
-        if self.kind == FIXED_PAULI and len(self.operator) == 1:
-            return [PauliOperator.from_string(self.operator).to_matrix()]
-        raise InvalidArgumentError(f"{self.kind} has no per-qubit Kraus form")
+            w = 1 / (2 * len(self.bases))
+            return [("I", 0.5)] + [(b, w) for b in self.bases]
+        if self.kind == FIXED_PAULI:
+            return [(self.operator, 1.0)]
+        return sorted(self.pauli_probs.items())
 
-    def check_arity(self, num_qubits: int) -> None:
-        """Reject a Pauli table or multi-letter fixed Pauli whose operators
-        do not act on exactly ``num_qubits`` qubits."""
-        if self.kind == PAULI_CHANNEL:
-            widths = {len(pstr) for pstr in self.pauli_probs}
-        elif self.kind == FIXED_PAULI and len(self.operator) > 1:
-            widths = {len(self.operator)}
-        else:
-            return
-        if widths != {num_qubits}:
-            raise InvalidArgumentError(
-                f"{self.kind} operators act on {sorted(widths)} qubits, "
-                f"the target block has {num_qubits}")
+    @cached_property
+    def _widths(self) -> set:
+        return {len(pstr) for pstr, _ in self.pauli_mixture()}
+
+    @cached_property
+    def _draws(self) -> tuple:
+        """The mixture as trajectories draw it: each entry's operator (None
+        for an identity) and the normalized probabilities (None for a
+        single entry, which needs no draw)."""
+        mixture = self.pauli_mixture()
+        ops = [PauliOperator.from_string(pstr) if pstr.strip("I") else None
+               for pstr, _ in mixture]
+        probs = np.array([prob for _, prob in mixture])
+        return ops, (probs / probs.sum()).tolist() if len(ops) > 1 else None
 
     def is_per_qubit(self) -> bool:
-        if self.kind == FIXED_PAULI:
-            return len(self.operator) == 1
-        return self.kind != PAULI_CHANNEL
+        return self._widths == {1}
+
+    def check_arity(self, num_qubits: int) -> None:
+        """Reject block-wide Pauli strings that do not act on exactly
+        ``num_qubits`` qubits."""
+        if self._widths != {1} and self._widths != {num_qubits}:
+            raise InvalidArgumentError(
+                f"{self.kind} operators act on {sorted(self._widths)} "
+                f"qubits, the target block has {num_qubits}")
 
     def kraus_terms(self, num_qubits: int) -> list:
-        """Kraus matrices on 2^num_qubits dimensions."""
+        """Kraus matrices sqrt(p) P on 2^num_qubits dimensions; a per-qubit
+        mixture is tensored over the qubits."""
         self.check_arity(num_qubits)
-        if self.kind == PAULI_CHANNEL:
-            return [np.sqrt(prob) * PauliOperator.from_string(pstr).to_matrix()
-                    for pstr, prob in sorted(self.pauli_probs.items())]
-        if self.kind == FIXED_PAULI and len(self.operator) > 1:
-            return [PauliOperator.from_string(self.operator).to_matrix()]
-        singles = self.single_qubit_kraus()
-        terms = [np.array([[1.0 + 0j]])]
+        terms = [np.sqrt(prob) * PauliOperator.from_string(pstr).to_matrix()
+                 for pstr, prob in self.pauli_mixture()]
+        if not self.is_per_qubit():
+            return terms
+        singles, terms = terms, [np.array([[1.0 + 0j]])]
         for _ in range(num_qubits):
             terms = [np.kron(t, s) for t in terms for s in singles]
         return terms
@@ -121,40 +127,25 @@ class ChannelSpec:
     # ---- pathwise (pure-trajectory) form --------------------------------
 
     def sample_apply(self, state, labels, rng):
-        """Apply one stochastic trajectory of the channel to a pure state."""
+        """Apply one stochastic trajectory of the channel to a pure state:
+        one Pauli drawn from the mixture per qubit or per block."""
         labels = [tuple(l) for l in labels]
-        if self.kind == IDENTITY:
-            return state
         self.check_arity(len(labels))
-        if self.kind == FIXED_PAULI:
-            if len(self.operator) == 1:
-                op = _LETTER_OPS[self.operator]
-                for lab in labels:
-                    state = states.apply_pauli(state, op, [lab])
-                return state
-            return states.apply_pauli(
-                state, PauliOperator.from_string(self.operator), labels)
-        if self.kind == DEPOLARIZING:
-            probs = [1 - 3 * self.p / 4] + [self.p / 4] * 3
-            letters = "IXYZ"
+        if self.kind == INTERCEPT_RESEND:
+            # measure in a random basis and resend the eigenstate: the
+            # channel of its mixture, drawing a basis and an outcome per qubit
             for lab in labels:
-                c = letters[rng.choice(4, p=probs)]
-                if c != "I":
-                    state = states.apply_pauli(state, _LETTER_OPS[c], [lab])
+                basis = self.bases[rng.integers(0, len(self.bases))]
+                bit, rest = states.measure_qubit(state, lab, basis, rng)
+                state = states.permute_labels(states.tensor(
+                    rest, states.eigenstate(basis, bit, lab)), state.labels)
             return state
-        if self.kind == PAULI_CHANNEL:
-            items = sorted(self.pauli_probs.items())
-            probs = np.array([p for _, p in items])
-            pick = items[rng.choice(len(items), p=probs / probs.sum())][0]
-            return states.apply_pauli(
-                state, PauliOperator.from_string(pick), labels)
-        # intercept-resend: measure in a random basis, forward the eigenstate
-        for lab in labels:
-            basis = self.bases[rng.integers(0, len(self.bases))]
-            order = state.labels
-            bit, rest = states.measure_qubit(state, lab, basis, rng)
-            state = states.tensor(rest, states.eigenstate(basis, bit, lab))
-            state = states.permute_labels(state, order)
+        ops, probs = self._draws
+        blocks = [[lab] for lab in labels] if self.is_per_qubit() else [labels]
+        for block in blocks:
+            op = ops[0] if probs is None else ops[rng.choice(len(ops), p=probs)]
+            if op is not None:
+                state = states.apply_pauli(state, op, block)
         return state
 
 

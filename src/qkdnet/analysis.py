@@ -186,7 +186,7 @@ def depolarizing_equality_check(p: float, tol: float = DEFAULT_TOL) -> Inequalit
     """
     from .adversary import ChannelSpec, DEPOLARIZING
     ch = ChannelSpec(kind=DEPOLARIZING, p=p, targets=("a",))
-    kraus = ch.single_qubit_kraus()
+    kraus = ch.kraus_terms(1)
     # eps over pure inputs (covariant channel: any state suffices, check a few)
     probes = np.array([[1, 0], [1, 1], [1, 1j]]) / np.sqrt([1, 2, 2])[:, None]
     eps = float((1 - _output_fidelity(kraus, probes)).max())
@@ -501,8 +501,11 @@ def protocol_statistics(transcript) -> dict:
 # --------------------------------------------------------------------------
 
 def reports_to_json(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True,
-                      indent=2)
+    """The reports as JSON; a NaN or infinite value, which JSON cannot
+    hold, is written as null."""
+    text = json.dumps([r.to_dict() for r in reports])
+    return json.dumps(json.loads(text, parse_constant=lambda _: None),
+                      sort_keys=True, indent=2)
 
 
 def reports_to_csv(reports) -> str:

@@ -16,9 +16,11 @@ Adversary mini-grammar (comma-separated attacks)::
 Each kind takes only the keys it reads: ``p`` (depolarize, lie-basis,
 lie-outcome), ``bases`` (intercept), ``op`` (fixed-pauli) and Pauli
 strings (pauli); another key, or a key given twice, is an error.
-Only lie-basis, lie-outcome and silent-drop may name the center ``C``.  A
-pauli table or multi-letter fixed-pauli needs one letter per qubit of the
-attacked block (t without auth, u = r*s with auth).
+Only silent-drop may name the center ``C``, and only on protocol 2; a
+member takes at most one of lie-basis, lie-outcome and silent-drop.  Pauli
+strings of more than one letter (pauli, fixed-pauli) need one letter per
+qubit of the attacked block (t without auth, u = r*s with auth); one-letter
+strings act on each qubit alone.
 
 Examples: ``depolarize:p=0.1@m2``, ``intercept@member1``,
 ``lie-outcome:p=1.0@m3``, ``fixed-pauli:op=XZ@m1``.

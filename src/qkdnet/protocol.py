@@ -241,33 +241,27 @@ def _initial_state(config: NetworkConfig):
     return state
 
 
-def _authenticated_transit(config, families, adversary, state, rng, aborts,
-                           round_index):
-    """Per-member authenticated send/receive; returns state or None on abort."""
+def _transit(config, families, adversary, state, rng, aborts, round_index):
+    """Send each member's block through its channels, authenticated unless
+    ``families`` is None; returns the state, or None on a syndrome reject."""
     for mu in config.members:
-        fam = families[mu]
-        keys = auth.keygen(fam, config.t, rng)
-        block = [(mu, c) for c in range(config.t)]
-        phys = [(mu, i) for i in range(fam.u)]
-        state = auth.auth_send_in_place(keys, fam, state, block,
-                                        out_labels=phys)
+        block = phys = [(mu, c) for c in range(config.t)]
+        if families is not None:
+            fam = families[mu]
+            keys = auth.keygen(fam, config.t, rng)
+            phys = [(mu, i) for i in range(fam.u)]
+            state = auth.auth_send_in_place(keys, fam, state, block,
+                                            out_labels=phys)
         for ch in adversary.channels_for(mu):
             state = ch.sample_apply(state, phys, rng)
-        outcome = auth.auth_receive_in_place(keys, fam, state, phys, rng,
-                                             out_labels=block)
-        if not outcome.accepted:
-            aborts.append({"round": round_index, "cause": "syndrome-reject",
-                           "member": mu})
-            return None
-        state = outcome.logical_state
-    return state
-
-
-def _unauthenticated_transit(config, adversary, state, rng):
-    for mu in config.members:
-        labels = [(mu, c) for c in range(config.t)]
-        for ch in adversary.channels_for(mu):
-            state = ch.sample_apply(state, labels, rng)
+        if families is not None:
+            outcome = auth.auth_receive_in_place(keys, fam, state, phys, rng,
+                                                 out_labels=block)
+            if not outcome.accepted:
+                aborts.append({"round": round_index,
+                               "cause": "syndrome-reject", "member": mu})
+                return None
+            state = outcome.logical_state
     return state
 
 
@@ -322,6 +316,20 @@ def _check_targets(config: NetworkConfig, adversary: AdversarySpec) -> None:
         raise InvalidArgumentError(
             f"quantum channels cannot target the center {CENTER}; its "
             f"qubits never leave it")
+    members = [d.member for d in adversary.dishonest]
+    twice = sorted({mu for mu in members if members.count(mu) > 1})
+    if twice:
+        raise InvalidArgumentError(
+            f"adversary gives {twice} more than one dishonest behavior; "
+            f"a member carries out only one")
+    # only protocol 2's center announces, and it can only withhold that
+    center = adversary.dishonest_for(CENTER)
+    if center is not None and (config.protocol == 1
+                               or center.mode != "silent_drop"):
+        raise InvalidArgumentError(
+            f"{center.mode.replace('_', '-')}@{CENTER} has no effect on "
+            f"protocol {config.protocol}; only silent-drop reaches the "
+            f"center, on protocol 2")
     r, s = config.family_params
     width = r * s if config.auth_enabled else config.t
     for ch in adversary.channels:
@@ -346,14 +354,10 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
     initial = _initial_state(config)
     members, party_a, party_b = config.members, config.party_a, config.party_b
     for rnd in range(config.rounds):
-        state = initial
-        if config.auth_enabled:
-            state = _authenticated_transit(config, families, adversary, state,
-                                           rng, transcript.aborts, rnd)
-            if state is None:
-                continue
-        else:
-            state = _unauthenticated_transit(config, adversary, state, rng)
+        state = _transit(config, families, adversary, initial, rng,
+                         transcript.aborts, rnd)
+        if state is None:
+            continue
         bases, outcomes, state = _measure_members(config, state, rng)
         announced = _announced_bases(config, adversary, bases, rng)
         for c in range(config.t):
@@ -367,9 +371,7 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
             if config.protocol == 2:
                 cb = "Y" if (y_a + y_b) % 2 == 1 else "X"
                 bit, state = states.measure_qubit(state, (CENTER, c), cb, rng)
-                if center_drop is not None and center_drop.mode == "silent_drop":
-                    rec.center_basis, rec.center_outcome = None, None
-                else:
+                if center_drop is None:  # silent-drop withholds both
                     rec.center_basis, rec.center_outcome = cb, bit
             rec.m_a = _collect_party_parity(party_a, config.collector_a,
                                             adversary, outcomes, c, rng)

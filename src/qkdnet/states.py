@@ -306,12 +306,12 @@ def apply_kraus(state, kraus_ops, labels) -> DensityMatrix:
 
 
 def apply_channel(state: DensityMatrix, channel, targets) -> DensityMatrix:
-    """Apply a ``ChannelSpec`` to the target labels: a per-qubit kind one
-    target qubit at a time, a joint kind once on the whole block."""
+    """Apply a ``ChannelSpec`` to the target labels: a mixture of one-letter
+    Paulis one target qubit at a time, a block-wide one once on the block."""
     state = to_density(state)
     targets = [tuple(l) for l in targets]
     if channel.is_per_qubit():
-        kraus = channel.single_qubit_kraus()
+        kraus = channel.kraus_terms(1)
         for lab in targets:
             state = apply_kraus(state, kraus, [lab])
     else:

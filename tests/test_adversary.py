@@ -58,12 +58,40 @@ def test_intercept_resend_channel_on_bell_pair():
     assert qber == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("bases", ["XY", "XYZ", "X"])
+def test_intercept_pauli_form_matches_measure_and_resend(bases):
+    # oracle: measure in a random basis of B, resend the eigenstate,
+    # sum_b sum_e |e><e| rho |e><e| / |B|, on a target behind b's qubit
+    labels = (("b", 0), ("a", 0), ("b", 1))
+    rho = random_density(8, np.random.default_rng(5))
+
+    def on_target(m):
+        return np.kron(np.kron(np.eye(2), m), np.eye(2))
+
+    oracle = sum(on_target(np.outer(e, e.conj())) @ rho
+                 @ on_target(np.outer(e, e.conj()))
+                 for b in bases for e in states.eigenvectors(b)) / len(bases)
+    spec = ChannelSpec(kind="intercept_resend", bases=tuple(bases),
+                       targets=("a",))
+    kraus = [on_target(k) for k in spec.kraus_terms(1)]
+    pauli_form = sum(k @ rho @ k.conj().T for k in kraus)
+    assert np.max(np.abs(pauli_form - oracle)) < 1e-12
+    out = apply_attack(states.DensityMatrix(labels, rho), spec)
+    assert np.max(np.abs(out.matrix - oracle)) < 1e-12
+
+
 @pytest.mark.parametrize("spec, width", [
+    (ChannelSpec(kind="identity", targets=("a",)), 1),
     (ChannelSpec(kind="depolarizing", p=0.5, targets=("a",)), 1),
+    (ChannelSpec(kind="fixed_pauli", operator="X", targets=("a",)), 1),
+    (ChannelSpec(kind="intercept_resend", targets=("a",)), 1),
+    (ChannelSpec(kind="intercept_resend", bases=("X", "Y", "Z"),
+                 targets=("a",)), 1),
     (ChannelSpec(kind="pauli", targets=("a",),
                  pauli_probs={"XI": 0.5, "IZ": 0.3, "YY": 0.2}), 2),
     (ChannelSpec(kind="fixed_pauli", operator="XZ", targets=("a",)), 2),
-], ids=["depolarizing", "pauli-table", "fixed-pauli-XZ"])
+], ids=["identity", "depolarizing", "fixed-pauli-X", "intercept-XY",
+        "intercept-XYZ", "pauli-table", "fixed-pauli-XZ"])
 def test_sample_apply_trajectories_average_to_channel(spec, width):
     rng = np.random.default_rng(12)
     targets = [("a", i) for i in range(width)]
@@ -110,6 +138,20 @@ def test_apply_attack_matches_joint_kraus(spec):
     assert out.labels == labels and joint.labels == labels
     assert np.max(np.abs(joint.matrix - dense)) < 1e-12
     assert np.max(np.abs(out.matrix - joint.matrix)) < 1e-12
+
+
+def test_one_letter_pauli_table_acts_on_each_qubit():
+    # like a one-letter fixed Pauli; a wider table must span the block
+    single = ChannelSpec(kind="pauli", pauli_probs={"I": 0.8, "X": 0.2})
+    joint = ChannelSpec(kind="pauli", pauli_probs={
+        "II": 0.64, "IX": 0.16, "XI": 0.16, "XX": 0.04})
+    rho = random_density(4, np.random.default_rng(8))
+    out = [sum(k @ rho @ k.conj().T for k in spec.kraus_terms(2))
+           for spec in (single, joint)]
+    assert np.max(np.abs(out[0] - out[1])) < 1e-12
+    single.check_arity(3)
+    with pytest.raises(InvalidArgumentError, match="block has 3"):
+        joint.check_arity(3)
 
 
 def test_fixed_pauli_deterministic():
@@ -378,3 +420,6 @@ def test_invalid_channel_specs_rejected():
         ChannelSpec(kind="fixed_pauli")
     with pytest.raises(InvalidArgumentError):
         ChannelSpec(kind="intercept_resend", bases=("Q",))
+    for bases in (("XY",), ("",)):  # a basis is one letter
+        with pytest.raises(InvalidArgumentError):
+            ChannelSpec(kind="intercept_resend", bases=bases)

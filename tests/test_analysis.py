@@ -189,3 +189,22 @@ def test_report_emission_round_trip():
     lines = csv.strip().splitlines()
     assert lines[0].startswith("inequality_id,")
     assert len(lines) == 3
+
+
+def test_report_json_writes_non_finite_values_as_null():
+    # a NaN violation used to be written as the bare token NaN
+    nan, inf = float("nan"), float("inf")
+    reports = [analysis.InequalityReport(
+        "x", 2, nan, {"fidelity": nan, "stage": "composed",
+                      "rho": [[1.0, -inf], [(inf, 0.5)]]}),
+        analysis.InequalityReport("y", 1, -inf)]
+
+    def reject(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    doc = json.loads(analysis.reports_to_json(reports),
+                     parse_constant=reject)
+    assert doc[0]["max_violation"] is None and doc[0]["passed"] is False
+    assert doc[0]["witness"] == {"fidelity": None, "stage": "composed",
+                                 "rho": [[1.0, None], [[None, 0.5]]]}
+    assert doc[1]["max_violation"] is None and doc[1]["passed"] is True

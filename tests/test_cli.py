@@ -47,7 +47,12 @@ def test_run_requires_seed(capsys):
     ("intercept@m9", "m9"),              # no such member on n=2
     ("intercept@M9", "m9"),              # names are case-normalised first
     ("lie-outcome:p=0.2@m3", "m3"),      # dishonest steps are checked too
-], ids=["warp@m1", "intercept@m9", "intercept@M9", "lie-outcome@m3"])
+    # protocol 1's center announces nothing a dishonest step could change
+    ("silent-drop@C", "protocol 1"),
+    ("lie-outcome:p=1.0@C", "protocol 1"),
+    ("lie-basis@m1,lie-outcome@m1", "m1"),  # only the first was carried out
+], ids=["warp@m1", "intercept@m9", "intercept@M9", "lie-outcome@m3",
+        "silent-drop@C", "lie-outcome@C", "two-dishonest-m1"])
 def test_invalid_adversary_fails_before_simulation(capsys, spec, named):
     code, out, err = run_cli(capsys, "run", "--n", "2", "--m", "1",
                              "--seed", "1", "--adversary", spec)
@@ -60,7 +65,11 @@ def test_invalid_adversary_fails_before_simulation(capsys, spec, named):
     ("fixed-pauli:op=X@C", "center"),        # channels cannot reach C
     ("pauli:XX=0.5;II=0.5@m1", "block has 4"),  # auth block is u = 4
     ("fixed-pauli:op=XZ@m2", "block has 4"),
-], ids=["fixed-pauli@C", "pauli-table-arity", "fixed-pauli-arity"])
+    # the center's announcement never passes through a lie
+    ("lie-basis@C", "protocol 2"),
+    ("lie-outcome:p=1.0@C", "protocol 2"),
+], ids=["fixed-pauli@C", "pauli-table-arity", "fixed-pauli-arity",
+        "lie-basis@C", "lie-outcome@C"])
 def test_protocol2_rejects_attack_before_first_round(capsys, tmp_path, spec,
                                                      named):
     out = tmp_path / "t.jsonl"
@@ -335,3 +344,68 @@ def test_tables_replay(capsys):
     assert "total_violations 0" in stdout
     assert stdout.count("table-I ") == 5
     assert stdout.count("table-II") == 4
+
+
+# One protocol-2 run per channel kind, with auth (u = 4, 30 rounds) and
+# without (t = 2, 60 rounds), at seed 0: exit code and SHA-256 of --out,
+# recorded when each kind had its own sampling branch.
+_TRANSCRIPT_PINNED = {
+    ("identity", True): ("identity@m1", 0, "a4669648a6877a36170101911f6c74bb"
+                         "9e3fbea48255bfd7cddc03c0747a1e61"),
+    ("identity", False): ("identity@m1", 0, "3cea595f365e626d80f874841cf1562b"
+                          "3213e8be1f3e34f53a2f093f62ab0c55"),
+    ("depolarize", True): ("depolarize:p=0.2@m1", 0,
+                           "0069c64dd4ac12750b915d4d1d7e9bd2"
+                           "e48ac1b27c83fffc8a182450af052650"),
+    ("depolarize", False): ("depolarize:p=0.2@m1", 2,
+                            "9242bee1962afa8a0dbfd2f244a266c0"
+                            "2b45efe2ca46baa4b817b0446aa4d53f"),
+    ("pauli-table", True): ("pauli:IIII=0.7;XZIY=0.2;ZZZZ=0.1@m1", 0,
+                            "898740104813a51158aec8d24d7edf14"
+                            "8de7a270492f9e692c20450d27f142f3"),
+    ("pauli-table", False): ("pauli:II=0.7;XZ=0.2;YY=0.1@m1", 2,
+                             "9a9f5ad8f489f3b9d6f878a3f21359ec"
+                             "0cc98efedc41b8ec3f256ca291a99e9a"),
+    ("fixed-pauli-Z", True): ("fixed-pauli:op=Z@m2", 2,
+                              "c7645a887ad3df52e549994c669fec6b"
+                              "0a3875a442740977e974184bec33ea60"),
+    ("fixed-pauli-Z", False): ("fixed-pauli:op=Z@m2", 2,
+                               "e7aa6c5517aae15a025f8593109ec87d"
+                               "e2a078588db1eebc5261ff8f1d4c51cc"),
+    ("fixed-pauli-block", True): ("fixed-pauli:op=XIZY@m2", 2,
+                                  "ace3a63295616a6026a38dc43d259363"
+                                  "c0b043cc6629280d86a00deb3a448f02"),
+    ("fixed-pauli-block", False): ("fixed-pauli:op=XZ@m2", 2,
+                                   "6d7386bf0f63e515da3386599f7aee6f"
+                                   "aaa8f3c636069994225045be47891a83"),
+    ("intercept-XY", True): ("intercept@m1", 0,
+                             "078c81e10a7ba0d20e655fa3248b8993"
+                             "ff572e8c32e5cd1b49aa012165e31280"),
+    ("intercept-XY", False): ("intercept@m1", 2,
+                              "8dc48e94a86a71f33a4c41d19ea56fdb"
+                              "5f5ef38abb6b90bee97cc52706a16005"),
+    ("intercept-XYZ", True): ("intercept:bases=XYZ@m1", 2,
+                              "b94efafa270d3d92bcc3751b983f1b87"
+                              "88ae9b05a37bb567588e4526a9ac7193"),
+    ("intercept-XYZ", False): ("intercept:bases=XYZ@m1", 2,
+                               "98aa12215b742d1f4728770f5fa7c54c"
+                               "c35301b4f7e6973c7e9bf5b2c47acff6"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, auth", sorted(_TRANSCRIPT_PINNED),
+    ids=[f"{k}-{'auth' if a else 'no-auth'}"
+         for k, a in sorted(_TRANSCRIPT_PINNED)])
+def test_run_transcripts_pinned_per_channel_kind(capsys, tmp_path, kind,
+                                                 auth):
+    spec, want_code, digest = _TRANSCRIPT_PINNED[kind, auth]
+    out = tmp_path / "t.jsonl"
+    code, _, _ = run_cli(capsys, "run", "--protocol", "2", "--n", "3",
+                         "--m", "1", "--t", "2", "--seed", "0",
+                         "--rounds", "30" if auth else "60",
+                         *([] if auth else ["--no-auth"]),
+                         "--adversary", spec, "--reveal-secrets",
+                         "--out", str(out))
+    assert code == want_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -201,10 +201,20 @@ _P2_AUTH = NetworkConfig(n=3, m=1, t=2, rounds=40, protocol=2)  # u = 4
     (run_protocol1, _P1_T1, "fixed-pauli:op=XZ@m2", 1, "block has 1"),
     (run_protocol1, _P1_T2, "pauli:X=0.5;II=0.5@m1", 1, "block has 2"),
     (run_protocol1, _P1_T1, "", -1, "non-negative"),
+    # the center announces nothing on protocol 1, only its outcome on 2
+    (run_protocol1, _P1_T1, "silent-drop@C", 1, "protocol 1"),
+    (run_protocol1, _P1_T1, "lie-outcome:p=0.5@C", 1, "protocol 1"),
+    (run_protocol2, _P2_AUTH, "lie-basis@C", 1, "protocol 2"),
+    (run_protocol2, _P2_AUTH, "lie-outcome:p=1.0@C", 1, "protocol 2"),
+    # dishonest_for returns the first spec, so the second was dropped
+    (run_protocol1, _P1_T1, "lie-outcome@m2,lie-basis@m2", 1, "m2"),
+    (run_protocol2, _P2_AUTH, "silent-drop@C,silent-drop@C", 1, "'C'"),
 ], ids=["unknown-member", "wrong-protocol", "fixed-pauli@C", "depolarize@C",
         "pauli-table-arity-auth", "fixed-pauli-arity-auth",
         "pauli-table-arity", "fixed-pauli-arity", "pauli-table-mixed-widths",
-        "negative-seed"])
+        "negative-seed", "silent-drop@C-p1", "lie-outcome@C-p1",
+        "lie-basis@C-p2", "lie-outcome@C-p2", "two-dishonest-member",
+        "two-dishonest-center"])
 def test_run_rejects_bad_arguments_before_first_round(monkeypatch, runner,
                                                       config, spec, seed,
                                                       match):
