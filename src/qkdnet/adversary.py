@@ -22,6 +22,23 @@ INTERCEPT_RESEND = "intercept_resend"
 FIXED_PAULI = "fixed_pauli"
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# the Hermitian one-qubit Pauli matrices that Pauli strings are built from
+_LETTER_MATRICES = {c: _read_only(PauliOperator.from_string(c).to_matrix())
+                    for c in "IXYZ"}
+
+
+def _pauli_matrix(pstr: str) -> np.ndarray:
+    m = _LETTER_MATRICES[pstr[0]]
+    for c in pstr[1:]:
+        m = np.kron(m, _LETTER_MATRICES[c])
+    return m
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """A CPTP attack on the qubits of the targeted members.
@@ -111,18 +128,44 @@ class ChannelSpec:
                 f"{self.kind} operators act on {sorted(self._widths)} "
                 f"qubits, the target block has {num_qubits}")
 
-    def kraus_terms(self, num_qubits: int) -> list:
-        """Kraus matrices sqrt(p) P on 2^num_qubits dimensions; a per-qubit
-        mixture is tensored over the qubits."""
+    @cached_property
+    def _kraus_by_width(self) -> dict:
+        return {}
+
+    @cached_property
+    def _superoperator_by_width(self) -> dict:
+        return {}
+
+    def kraus_terms(self, num_qubits: int) -> np.ndarray:
+        """Read-only stack of the Kraus matrices sqrt(p) P on 2^num_qubits
+        dimensions, built once per width; a per-qubit mixture is tensored
+        over the qubits."""
         self.check_arity(num_qubits)
-        terms = [np.sqrt(prob) * PauliOperator.from_string(pstr).to_matrix()
-                 for pstr, prob in self.pauli_mixture()]
-        if not self.is_per_qubit():
-            return terms
-        singles, terms = terms, [np.array([[1.0 + 0j]])]
-        for _ in range(num_qubits):
-            terms = [np.kron(t, s) for t in terms for s in singles]
+        terms = self._kraus_by_width.get(num_qubits)
+        if terms is None:
+            terms = np.array([np.sqrt(prob) * _pauli_matrix(pstr)
+                              for pstr, prob in self.pauli_mixture()])
+            if self.is_per_qubit():
+                # every kron(t, s), t major, one qubit at a time
+                singles, terms = terms, np.ones((1, 1, 1), dtype=complex)
+                for _ in range(num_qubits):
+                    dim = 2 * terms.shape[-1]
+                    terms = np.einsum("aij,bkl->abikjl", terms,
+                                      singles).reshape(-1, dim, dim)
+            terms = self._kraus_by_width[num_qubits] = _read_only(terms)
         return terms
+
+    def superoperator(self, num_qubits: int) -> np.ndarray:
+        """Read-only sum_k K (x) conj(K) of the Kraus terms on num_qubits
+        qubits, built once per width: rows (ket out, bra out), columns
+        (ket in, bra in)."""
+        sup = self._superoperator_by_width.get(num_qubits)
+        if sup is None:
+            k = self.kraus_terms(num_qubits)
+            dim = 4 ** num_qubits
+            sup = self._superoperator_by_width[num_qubits] = _read_only(
+                np.einsum("kij,kab->iajb", k, k.conj()).reshape(dim, dim))
+        return sup
 
     # ---- pathwise (pure-trajectory) form --------------------------------
 

@@ -386,7 +386,15 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
             continue
         derive_key_bits(rec, config.protocol)
         usable.append(rec)
-    if usable:
+    if not usable:
+        transcript.verdict = "Fail"
+        transcript.aborts.append({"round": None, "cause": "no-usable-bits"})
+    elif int(config.test_fraction * len(usable)) < 1:
+        # decided before the test draw, so other runs keep their stream
+        transcript.verdict = "Fail"
+        transcript.aborts.append({"round": None,
+                                  "cause": "too-few-test-bits"})
+    else:
         verdict, key_a, key_b, observed, test_idx = test_and_finalize(
             usable, config.test_fraction, rng)
         transcript.verdict = verdict
@@ -396,9 +404,6 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
         if verdict == "Fail":
             transcript.aborts.append({"round": None,
                                       "cause": "test-bit-mismatch"})
-    else:
-        transcript.verdict = "Fail"
-        transcript.aborts.append({"round": None, "cause": "no-usable-bits"})
     return transcript
 
 

@@ -77,6 +77,21 @@ class PureStateVector:
             raise InvalidArgumentError(f"unknown label {label!r}") from exc
 
 
+def _hermitian_defect(m: np.ndarray) -> float:
+    """max |m - m^dagger| over the entries, from real temporaries only."""
+    re, im = m.real, m.imag
+    d_re, d_im = re - re.T, im + im.T
+    np.multiply(d_re, d_re, out=d_re)
+    np.multiply(d_im, d_im, out=d_im)
+    d_re += d_im
+    return math.sqrt(d_re.max())
+
+
+def _check_trace(matrix: np.ndarray, message: str) -> None:
+    if not abs(np.trace(matrix).real - 1.0) <= 1e-9:  # also rejects NaN
+        raise InvalidArgumentError(message)
+
+
 @dataclass
 class DensityMatrix:
     labels: tuple
@@ -88,10 +103,10 @@ class DensityMatrix:
         dim = 2 ** len(self.labels)
         if self.matrix.shape != (dim, dim):
             raise InvalidArgumentError("matrix must be 2^q x 2^q")
-        if np.abs(self.matrix - self.matrix.conj().T).max() > 1e-9:
+        # written so that a NaN entry fails both checks
+        if not _hermitian_defect(self.matrix) <= 1e-9:
             raise InvalidArgumentError("matrix is not Hermitian")
-        if abs(np.trace(self.matrix).real - 1.0) > 1e-9:
-            raise InvalidArgumentError("trace is not 1")
+        _check_trace(self.matrix, "trace is not 1")
 
     @property
     def num_qubits(self) -> int:
@@ -283,42 +298,65 @@ def apply_isometry(state: PureStateVector, matrix, in_labels,
     return PureStateVector(tuple(out_labels) + tuple(rest), out.ravel())
 
 
+def _contract(matrix: np.ndarray, steps) -> np.ndarray:
+    """``matrix`` (2^q x 2^q) with each ``(sup, axes)`` of ``steps``
+    contracted in turn, as a new matrix.
+
+    ``sup`` is a k-qubit superoperator, rows (ket out, bra out) and columns
+    (ket in, bra in); ``axes`` are its k ket axes, then its k bra axes, of
+    the ``(2,)*2q`` tensor.  Two work arrays serve every step: a step
+    gathers its axes to the front of the first and multiplies into the
+    second; the result is put back in axis order in the first.
+    """
+    shape = (2,) * (2 * (len(matrix).bit_length() - 1))
+    cur, order = matrix.reshape(shape), list(range(len(shape)))
+    # C order whatever the input's layout: the reshapes below must be views
+    gathered = np.empty(matrix.shape, dtype=complex)
+    product = np.empty_like(gathered)
+    for sup, axes in steps:
+        front = [order.index(a) for a in axes]
+        rest = [i for i in range(len(shape)) if i not in front]
+        np.copyto(gathered.reshape(shape), cur.transpose(front + rest))
+        np.matmul(sup, gathered.reshape(len(sup), -1),
+                  out=product.reshape(len(sup), -1))
+        cur = product.reshape(shape)
+        order = list(axes) + [order[i] for i in rest]
+    np.copyto(gathered.reshape(shape), cur.transpose(np.argsort(order)))
+    return gathered
+
+
 def apply_kraus(state, kraus_ops, labels) -> DensityMatrix:
     """Apply a CPTP map given by Kraus matrices on the label subset.
 
     The superoperator sum_k K (x) conj(K) is contracted once with the ket
-    and bra target axes of the ``(2,)*2q`` tensor, in place, so the labels
-    keep their order.
+    and bra target axes, so the labels keep their order.
     """
     dm = to_density(state)
-    q = dm.num_qubits
     kets = [dm.axis(l) for l in labels]
-    bras = [q + a for a in kets]
-    k = len(kets)
-    # rows (ket out, bra out), columns (ket in, bra in)
     sup = sum(np.kron(kmat, kmat.conj()) for kmat in kraus_ops)
-    t = np.tensordot(sup.reshape((2,) * (4 * k)),
-                     dm.matrix.reshape((2,) * (2 * q)),
-                     axes=(range(2 * k, 4 * k), kets + bras))
-    dim = 2 ** q
-    return DensityMatrix(dm.labels, np.moveaxis(t, range(2 * k), kets + bras)
-                         .reshape(dim, dim))
+    return DensityMatrix(dm.labels, _contract(
+        dm.matrix, [(sup, kets + [dm.num_qubits + a for a in kets])]))
 
 
 def apply_channel(state: DensityMatrix, channel, targets) -> DensityMatrix:
     """Apply a ``ChannelSpec`` to the target labels: a mixture of one-letter
-    Paulis one target qubit at a time, a block-wide one once on the block."""
-    state = to_density(state)
-    targets = [tuple(l) for l in targets]
+    Paulis one target qubit at a time, a block-wide one once on the block.
+
+    Every contraction acts on raw arrays; only the result is validated as
+    a ``DensityMatrix``, after the trace-preservation check.
+    """
+    dm = to_density(state)
+    q = dm.num_qubits
+    kets = [dm.axis(l) for l in targets]
     if channel.is_per_qubit():
-        kraus = channel.kraus_terms(1)
-        for lab in targets:
-            state = apply_kraus(state, kraus, [lab])
+        sup = channel.superoperator(1)
+        steps = [(sup, [a, q + a]) for a in kets]
     else:
-        state = apply_kraus(state, channel.kraus_terms(len(targets)), targets)
-    if abs(np.trace(state.matrix).real - 1.0) > 1e-9:
-        raise InvalidArgumentError("channel is not trace preserving")
-    return state
+        steps = [(channel.superoperator(len(kets)),
+                  kets + [q + a for a in kets])]
+    out = _contract(dm.matrix, steps)
+    _check_trace(out, "channel is not trace preserving")
+    return DensityMatrix(dm.labels, out)
 
 
 # --------------------------------------------------------------------------
@@ -355,7 +393,8 @@ def _clamp_psd(w: np.ndarray, scale) -> np.ndarray:
     sqrt(1e-16) would otherwise inject 1e-8.  ``w`` is (..., d) with one
     ``scale`` per leading index, so each matrix gets its own cut."""
     cut = np.maximum(scale, 0.0) * w.shape[-1] * np.finfo(float).eps
-    return np.where(w > cut[..., None], w, 0.0)
+    # a NaN eigenvalue stays NaN, so a metric of a broken matrix is NaN
+    return np.where(w <= cut[..., None], 0.0, w)
 
 
 def sqrtm_psd(m: np.ndarray) -> np.ndarray:

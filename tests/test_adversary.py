@@ -30,6 +30,17 @@ def test_kraus_completeness(spec):
     _assert_cptp(spec.kraus_terms(n), 2 ** n)
 
 
+def test_channel_terms_are_built_once_per_width():
+    ch = ChannelSpec(kind="depolarizing", p=0.2, targets=("a",))
+    for width in (1, 2):
+        kraus, sup = ch.kraus_terms(width), ch.superoperator(width)
+        assert ch.kraus_terms(width) is kraus
+        assert ch.superoperator(width) is sup
+        assert not kraus.flags.writeable and not sup.flags.writeable
+        want = sum(np.kron(k, k.conj()) for k in kraus)
+        assert np.abs(sup - want).max() <= 1e-15
+
+
 def test_depolarizing_output_fidelity():
     # rho -> (1-p) rho + p I/2, so F(|0><0|) = 1 - p/2
     p = 0.1

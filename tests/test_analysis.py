@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qkdnet import analysis
+from qkdnet import analysis, states
 from qkdnet.adversary import AdversarySpec, ChannelSpec
 from qkdnet.errors import InvalidArgumentError
 from qkdnet.protocol import NetworkConfig, run_protocol1
@@ -143,6 +144,52 @@ def test_composed_channel_bound_holds():
     assert rep.passed
     with pytest.raises(InvalidArgumentError):
         analysis.check_composed_channel_bound(chans, 3, 2, rng)
+
+
+def _cat_copies(n, t):
+    owners = [f"m{i}" for i in range(n)] + ["C"]
+    state = None
+    for c in range(t):
+        cat = states.make_cat(n + 1, states.PHI_PLUS,
+                              [(mu, c) for mu in owners])
+        state = cat if state is None else states.tensor(state, cat)
+    return state
+
+
+def _random_pauli_table(rng, t, member):
+    strings = ["".join(p) for p in itertools.product("IXYZ", repeat=t)]
+    w = rng.dirichlet(np.full(len(strings), 0.3))
+    return ChannelSpec(kind="pauli", targets=(member,), pauli_probs={
+        s: float(p) for s, p in zip(strings, w / w.sum())})
+
+
+@pytest.mark.parametrize("n,t", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("kind", ["depolarizing", "pauli"])
+def test_single_stage_fidelity_matches_dense_channel_output(n, t, kind):
+    # each single-member stage from the pure cat vector against the same
+    # channel applied to the dense density matrix
+    rng = np.random.default_rng(40 + 10 * n + t)
+    state = _cat_copies(n, t)
+    phi = states.to_density(state)
+    chans = []
+    for i in range(n):
+        mu = f"m{i}"
+        ch = (ChannelSpec(kind="depolarizing", p=float(rng.uniform(0, 0.3)),
+                          targets=(mu,)) if kind == "depolarizing"
+              else _random_pauli_table(rng, t, mu))
+        chans.append(ch)
+        targets = [(mu, c) for c in range(t)]
+        dense = states.fidelity(state, states.apply_channel(phi, ch, targets))
+        assert abs(analysis._block_fidelity(state, ch, targets)
+                   - dense) <= 1e-12
+    rep = analysis.check_composed_channel_bound(chans, n, t, rng,
+                                                epsilon_samples=20)
+    stage = rep.witness["stage"]
+    if stage != "composed":
+        i = int(stage.removeprefix("single:m"))
+        dense = states.fidelity(state, states.apply_channel(
+            phi, chans[i], [(f"m{i}", c) for c in range(t)]))
+        assert abs(rep.witness["fidelity"] - dense) <= 1e-12
 
 
 def test_table_correlation_law_exact_and_sampled():

@@ -36,6 +36,28 @@ def test_run_intercept_fails_with_exit_2(capsys):
     assert 0.15 < stats["test_error_rate"] < 0.40
 
 
+def test_run_with_too_few_test_bits_fails_with_its_transcript(capsys,
+                                                               tmp_path):
+    # the syndrome rejects leave 4 usable bits, too few for one test bit at
+    # test_fraction 0.2: a detected attack, not a usage error
+    out = tmp_path / "t.jsonl"
+    code, stdout, _ = run_cli(
+        capsys, "run", "--protocol", "2", "--n", "3", "--m", "1", "--t", "2",
+        "--rounds", "30", "--seed", "1", "--adversary",
+        "depolarize:p=0.1@m1,pauli:IIII=0.5;YYYY=0.5@m1,intercept@m2,"
+        "lie-outcome:p=0.3@m3", "--out", str(out))
+    assert code == 2
+    stats = json.loads(stdout)
+    assert stats["verdict"] == "Fail" and stats["test_bits"] == 0
+    assert stats["test_error_rate"] is None
+    assert stats["test_error_ci95"] is None
+    assert "too-few-test-bits" in stats["abort_causes"]
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert {"abort": {"cause": "too-few-test-bits", "round": None}} in lines
+    assert lines[-1]["summary"]["verdict"] == "Fail"
+    assert lines[-1]["summary"]["key_length"] == 0
+
+
 def test_run_requires_seed(capsys):
     code, _, err = run_cli(capsys, "run", "--n", "2", "--m", "1")
     assert code == 1

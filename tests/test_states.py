@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qkdnet import states
+from qkdnet.adversary import ChannelSpec
 from qkdnet.errors import CapacityError, InvalidArgumentError
 from qkdnet.paulis import PauliOperator
 from qkdnet.states import (CAT_KINDS, PHI_MINUS, PHI_PLUS, PSI_MINUS,
@@ -360,6 +361,96 @@ def test_apply_kraus_matches_explicit_sum(axes):
     want = sum(e @ rho.matrix @ e.conj().T for e in embedded)
     assert out.labels == labels
     assert np.allclose(out.matrix, want, atol=1e-12)
+
+
+_CHANNELS = {
+    "depolarizing": ChannelSpec(kind="depolarizing", p=0.3),
+    "intercept-XYZ": ChannelSpec(kind="intercept_resend",
+                                 bases=("X", "Y", "Z")),
+    "pauli-table": ChannelSpec(kind="pauli", pauli_probs={
+        "I": 0.5, "X": 0.1, "Y": 0.15, "Z": 0.25}),
+}
+
+
+@pytest.mark.parametrize("axes", [[3, 1], [0, 2], [4, 0, 2]])
+@pytest.mark.parametrize("name", sorted(_CHANNELS))
+def test_apply_channel_per_qubit_matches_explicit_sum(axes, name):
+    # non-adjacent targets, some in descending order: sum K rho K^dagger
+    # over every product of the one-qubit terms, on the full space; the
+    # input matrix is Fortran-ordered, so no step may rely on its layout
+    ch = _CHANNELS[name]
+    rng = np.random.default_rng(30)
+    n = 5
+    labels = tuple(states.default_labels(n))
+    rho = DensityMatrix(labels,
+                        np.asfortranarray(_random_mixed(rng, n, 2 ** n)))
+    singles = [np.sqrt(p) * PauliOperator.from_string(s).to_matrix()
+               for s, p in ch.pauli_mixture()]
+    want = np.zeros_like(rho.matrix)
+    for combo in np.ndindex(*(len(singles),) * len(axes)):
+        k = np.eye(1)
+        for i in combo:
+            k = np.kron(k, singles[i])
+        e = _embedded_operator(k, axes, n)
+        want += e @ rho.matrix @ e.conj().T
+    out = states.apply_channel(rho, ch, [labels[a] for a in axes])
+    assert out.labels == labels
+    assert np.abs(out.matrix - want).max() <= 1e-12
+
+
+def test_apply_channel_validates_one_matrix(monkeypatch):
+    built = []
+    check = DensityMatrix.__post_init__
+
+    def counted(self):
+        built.append(self.matrix.shape)
+        check(self)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    labels = tuple(states.default_labels(6))
+    rho = to_density(tensor(make_cat(3, PHI_PLUS, labels[:3]),
+                            make_cat(3, PSI_MINUS, labels[3:])))
+    built.clear()
+    states.apply_channel(rho, _CHANNELS["depolarizing"], labels[::2])
+    assert built == [(64, 64)]
+
+
+def test_density_matrix_rejects_nan():
+    labels = (("a", 0),)
+    diagonal_nan = np.eye(2, dtype=complex) / 2
+    diagonal_nan[0, 0] = np.nan
+    off_diagonal_nan = np.eye(2, dtype=complex) / 2
+    off_diagonal_nan[0, 1] = off_diagonal_nan[1, 0] = np.nan
+    for m in (np.full((2, 2), np.nan), diagonal_nan, off_diagonal_nan):
+        with pytest.raises(InvalidArgumentError):
+            DensityMatrix(labels, m)
+
+
+class _NanChannel:
+    """A per-qubit channel whose superoperator is all NaN."""
+
+    def is_per_qubit(self):
+        return True
+
+    def superoperator(self, num_qubits):
+        return np.full((4 ** num_qubits,) * 2, np.nan, dtype=complex)
+
+
+def test_apply_channel_trace_check_rejects_nan():
+    rho = to_density(make_cat(2, PHI_PLUS))
+    with pytest.raises(InvalidArgumentError, match="trace preserving"):
+        states.apply_channel(rho, _NanChannel(), [rho.labels[0]])
+
+
+def test_metrics_keep_nan():
+    nan_matrix = np.full((2, 2), np.nan, dtype=complex)
+    mixed = np.eye(2) / 2
+    for x, y in ((mixed, nan_matrix), (nan_matrix, mixed)):
+        assert np.isnan(fidelity(x, y))
+        assert np.isnan(bures_distance(x, y))
+        assert np.isnan(trace_distance(x, y))
+    got = states._clamp_psd(np.array([[np.nan, -1e-17, 0.5]]),
+                            np.array([1.0]))
+    np.testing.assert_array_equal(got, [[np.nan, 0.0, 0.5]])
 
 
 # --------------------------------------------------------------------------
