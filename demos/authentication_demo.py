@@ -21,7 +21,7 @@ def main():
     print(f"family (r=2, s=2): {len(fam.codes)} keys, u={fam.u} physical "
           f"qubits, t={fam.t} logical qubits")
     print(f"error budget 2r/(2^s+1) = {fam.epsilon_formula}, "
-          f"exhaustive audit = {fam.epsilon_audited}")
+          f"exact audit = {fam.epsilon_audited}")
     print()
 
     rng = np.random.default_rng(SEED)

@@ -40,8 +40,8 @@ from .adversary import parse_adversary
 from .errors import CapacityError, InvalidArgumentError
 from .protocol import NetworkConfig, run_protocol1, run_protocol2, \
     transcript_to_jsonl
-from .stabilizer import PurityFamily, audit_family, family_to_json, \
-    gen_purity_family
+from .stabilizer import DENSE_AUDIT_CAP, PurityFamily, audit_family, \
+    family_to_json, gen_purity_family
 
 EXIT_OK, EXIT_ERROR, EXIT_FAIL = 0, 1, 2
 
@@ -110,6 +110,9 @@ def cmd_run(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_audit_code(args) -> int:
+    if args.r * args.s > DENSE_AUDIT_CAP:  # fail before generating
+        raise CapacityError(f"u = r*s = {args.r * args.s} exceeds the exact "
+                            f"audit cap {DENSE_AUDIT_CAP}")
     fam = gen_purity_family(args.r, args.s, args.seed, audit="skip")
     if args.degenerate_single_code:
         first = fam.keys[0]

@@ -101,6 +101,20 @@ def row_reduce(rows) -> list:
     return basis
 
 
+def kernel(rows, width: int) -> list:
+    """Basis of the ``width``-bit rows v with an even ``v & row`` for every
+    row in ``rows``: the null space of ``rows`` as a matrix over F2."""
+    basis = row_reduce(rows)
+    # reduced echelon form: no row keeps another row's leading bit
+    for i in range(len(basis)):
+        basis = [a if j == i else min(a, a ^ basis[i])
+                 for j, a in enumerate(basis)]
+    pivots = {b.bit_length() - 1: b for b in basis}
+    # one vector per free bit f: f itself plus each pivot whose row has f
+    return [(1 << f) | sum(1 << p for p, b in pivots.items() if b >> f & 1)
+            for f in range(width) if f not in pivots]
+
+
 def in_row_space(rows, vecs) -> np.ndarray:
     """Boolean array: which integer bit rows in ``vecs`` lie in the F2 span
     of the integer bit rows ``rows``."""

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import gf2, states
 from .errors import CapacityError, InvalidArgumentError
-from .paulis import PauliOperator, parity
+from .paulis import PauliOperator
 
-DENSE_AUDIT_CAP = 9  # max u for exhaustive 4^u error enumeration
+DENSE_AUDIT_CAP = 12  # max u for the exact audit's 4^u pattern histogram
 
 
 @dataclass
@@ -303,12 +303,15 @@ def gen_purity_family(r: int, s: int, seed,
     """Deterministically generate the keyed code family for (r, s), one
     code per key 0 .. 2^s - 1.
 
-    With ``audit="auto"`` families small enough for exhaustive enumeration
-    are audited and generation fails loudly if the audited error exceeds
-    the 2r/(2^s + 1) budget.
+    With ``audit="auto"`` families within the exact audit cap are audited
+    and generation fails loudly if the audited error exceeds the
+    2r/(2^s + 1) budget; ``audit="skip"`` leaves the audit to the caller.
     """
     if r < 2 or s < 2:
         raise InvalidArgumentError("need r >= 2 and s >= 2")
+    if audit not in ("auto", "skip"):
+        raise InvalidArgumentError(
+            f"audit must be 'auto' or 'skip', not {audit!r}")
     u = r * s
     relab = _seeded_relabeling(u, np.random.default_rng(seed))
     codes = {x: code_from_generator_bits(_apply_relabeling(rows, u, relab), u)
@@ -323,44 +326,39 @@ def gen_purity_family(r: int, s: int, seed,
     return fam
 
 
-def audit_family(fam: PurityFamily, sample_errors: int | None = None,
-                 rng=None) -> float:
-    """Exact (or sampled) purity-testing error of the family.
+def undetected_counts(fam: PurityFamily) -> np.ndarray:
+    """Per Pauli pattern, the number of keys that miss it.
 
-    For every nonidentity Pauli pattern e, counts the fraction of keys for
-    which e is syndrome-trivial yet outside the stabilizer group; returns
-    the maximum fraction and stores it in ``epsilon_audited``.
+    Index ``(x << u) | z`` holds the number of keys whose code leaves that
+    pattern syndrome-trivial yet outside the stabilizer group.  Per key
+    these are N(S) minus S: the span of the generators' symplectic kernel,
+    computed from the generator rows alone, less the 2^s stabilizers.
     """
     u = fam.u
-    if sample_errors is None:
-        if u > DENSE_AUDIT_CAP:
-            raise CapacityError(
-                f"u={u} exceeds exhaustive audit cap {DENSE_AUDIT_CAP}; "
-                "pass sample_errors for a sampled audit")
-        n_err = 4 ** u - 1
-        idx = np.arange(1, 4 ** u)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        idx = rng.integers(1, 4 ** u, size=sample_errors)
-        n_err = sample_errors
-    # base-4 digit q of the pattern index is (x_q, z_q) of qubit q
-    ex = np.zeros(n_err, dtype=np.int64)
-    ez = np.zeros(n_err, dtype=np.int64)
-    for q in range(u):
-        ex |= (idx >> 2 * q & 1) << (u - 1 - q)
-        ez |= (idx >> 2 * q + 1 & 1) << (u - 1 - q)
-    counts = np.zeros(n_err, dtype=np.int64)
+    if u > DENSE_AUDIT_CAP:
+        raise CapacityError(
+            f"u={u} exceeds the exact audit cap {DENSE_AUDIT_CAP}")
+    counts = np.zeros(4 ** u, dtype=np.min_scalar_type(len(fam.codes)))
     for code in fam.codes.values():
-        hit = np.zeros(n_err, dtype=bool)
-        for g in code.generators:
-            hit |= parity((ex & g.z) ^ (ez & g.x)) == 1
-        trivial = ~hit
-        # only syndrome-trivial errors can be undetected logical errors
-        in_stab = gf2.in_row_space(_rows(code.generators),
-                                   ex[trivial] << u | ez[trivial])
-        counts[trivial] += ~in_stab
-    eps = float(counts.max() / len(fam.codes)) if n_err else 0.0
+        # row v commutes with g iff v has even overlap with g's row with
+        # its x and z halves swapped
+        swapped = [g.z << u | g.x for g in code.generators]
+        normalizer = np.zeros(1, dtype=np.int64)
+        for b in gf2.kernel(swapped, 2 * u):
+            normalizer = np.concatenate([normalizer, normalizer ^ b])
+        in_stab = gf2.in_row_space(_rows(code.generators), normalizer)
+        # the rows of one key are distinct, so the fancy += is exact
+        counts[normalizer[~in_stab]] += 1
+    return counts
+
+
+def audit_family(fam: PurityFamily) -> float:
+    """Exact purity-testing error of the family.
+
+    The largest fraction of keys that miss one nonidentity Pauli pattern;
+    also stored in ``epsilon_audited``.
+    """
+    eps = int(undetected_counts(fam).max()) / len(fam.codes)
     fam.epsilon_audited = eps
     return eps
 
@@ -390,7 +388,7 @@ def family_to_json(fam: PurityFamily) -> str:
 def family_from_json(text: str) -> PurityFamily:
     """Load a family, rejecting codes that are not valid (r, s) codes.
 
-    A family small enough for the exhaustive audit is audited again; it is
+    A family within the exact audit cap is audited again; it is
     rejected if its error exceeds the 2r/(2^s + 1) budget or differs from
     the stored ``epsilon_audited``.
     """

@@ -174,11 +174,25 @@ def test_audit_code_degenerate_family_fails(capsys):
     assert "Fail" in stdout
 
 
-def test_audit_code_capacity_exit(capsys):
-    code, _, err = run_cli(capsys, "audit-code", "--r", "2", "--s", "5",
-                           "--seed", "1")
-    assert code == 1
-    assert "cap" in err
+def test_audit_code_capacity_exit(capsys, monkeypatch):
+    # rejected before the family is generated, however large it would be
+    def no_generation(*args, **kwargs):
+        raise AssertionError("family generated above the audit cap")
+
+    monkeypatch.setattr(cli, "gen_purity_family", no_generation)
+    for r, s in (("2", "7"), ("60", "8")):
+        code, _, err = run_cli(capsys, "audit-code", "--r", r, "--s", s,
+                               "--seed", "1")
+        assert code == 1
+        assert "cap" in err
+
+
+def test_audit_code_u_10_family(capsys):
+    code, stdout, _ = run_cli(capsys, "audit-code", "--r", "2", "--s", "5",
+                              "--seed", "0")
+    assert code == 0
+    assert stdout.splitlines()[1:] == ["epsilon_audited 0.09375",
+                                       "verdict Pass"]
 
 
 def test_verify_inequalities_passes_and_writes_reports(capsys, tmp_path):

@@ -20,3 +20,18 @@ def test_in_row_space_matches_span_enumeration(case):
     assert 2 ** len(basis) == len(span)
     leads = [b.bit_length() for b in basis]
     assert leads == sorted(set(leads), reverse=True) and 0 not in leads
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.integers(0, 2 ** w - 1), max_size=8))))
+def test_kernel_matches_brute_force(case):
+    width, rows = case
+    null = {v for v in range(2 ** width)
+            if all((v & r).bit_count() % 2 == 0 for r in rows)}
+    basis = gf2.kernel(rows, width)
+    span = {0}
+    for b in basis:
+        span |= {v ^ b for v in span}
+    assert span == null
+    assert len(basis) == width - len(gf2.row_reduce(rows))

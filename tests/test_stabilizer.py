@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdnet import states
+from qkdnet import gf2, states
 from qkdnet.errors import CapacityError, InvalidArgumentError
-from qkdnet.paulis import PauliOperator, pauli_mul
+from qkdnet.paulis import PauliOperator, parity, pauli_mul
 from qkdnet.stabilizer import (PurityFamily, audit_family, decode_coset,
                                encode_coset, family_from_json, family_to_json,
-                               gen_purity_family, syndrome)
+                               gen_purity_family, syndrome, undetected_counts)
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +56,13 @@ def test_audited_error_within_budget(fam22, fam23):
 
 
 def test_seed_variation_preserves_audited_error():
-    eps = {gen_purity_family(2, 2, seed=s).epsilon_audited for s in range(4)}
-    assert eps == {0.75}
+    # the seeded relabeling permutes the nonidentity Paulis, so epsilon is
+    # the same for every seed
+    for (r, s), want in {(2, 2): 0.75, (2, 4): 0.1875, (3, 3): 0.625,
+                         (2, 5): 0.09375}.items():
+        eps = {gen_purity_family(r, s, seed=seed).epsilon_audited
+               for seed in range(8)}
+        assert eps == {want}, (r, s)
 
 
 def test_degenerate_single_key_family_fails_audit(fam22):
@@ -73,13 +78,54 @@ def test_exhaustive_audit_of_3_3_within_budget():
     assert fam.epsilon_audited == pytest.approx(0.625)  # (2r-1)/2^s
 
 
+def test_audit_of_u_10_and_12_families_within_budget():
+    for (r, s), want in {(2, 5): 0.09375, (3, 4): 0.3125,
+                         (4, 3): 0.875}.items():
+        fam = gen_purity_family(r, s, seed=0)  # audited on generation
+        assert fam.epsilon_audited == want, (r, s)
+        assert fam.epsilon_audited <= fam.epsilon_formula
+
+
+def _enumerated_counts(fam):
+    """Oracle: test every nonidentity pattern's syndrome against every key;
+    the count of keys missing each pattern, indexed by ``(x << u) | z``."""
+    u = fam.u
+    idx = np.arange(1, 4 ** u)
+    # base-4 digit q of the pattern index is (x_q, z_q) of qubit q
+    ex = np.zeros(len(idx), dtype=np.int64)
+    ez = np.zeros(len(idx), dtype=np.int64)
+    for q in range(u):
+        ex |= (idx >> 2 * q & 1) << (u - 1 - q)
+        ez |= (idx >> 2 * q + 1 & 1) << (u - 1 - q)
+    counts = np.zeros(len(idx), dtype=np.int64)
+    for code in fam.codes.values():
+        hit = np.zeros(len(idx), dtype=bool)
+        for g in code.generators:
+            hit |= parity((ex & g.z) ^ (ez & g.x)) == 1
+        trivial = ~hit
+        in_stab = gf2.in_row_space([g.x << u | g.z for g in code.generators],
+                                   ex[trivial] << u | ez[trivial])
+        counts[trivial] += ~in_stab
+    by_row = np.zeros(4 ** u, dtype=np.int64)
+    by_row[ex << u | ez] = counts
+    return by_row
+
+
+@pytest.mark.parametrize("rs", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                (4, 2)])
+def test_undetected_counts_match_enumeration(rs):
+    for seed in range(4):
+        fam = gen_purity_family(*rs, seed=seed, audit="skip")
+        assert np.array_equal(undetected_counts(fam), _enumerated_counts(fam))
+
+
 def test_audit_matches_per_error_oracle():
-    # a one-pattern sampled audit returns that pattern's undetected fraction
+    # the histogram at 40 drawn patterns per family against the syndrome and
+    # the stabilizer group of every key, built from the Pauli operators
     for fam in (gen_purity_family(2, s, seed=3) for s in (2, 3)):
         u = fam.u
+        counts = undetected_counts(fam)
         for seed in range(40):
-            eps = audit_family(fam, sample_errors=1,
-                               rng=np.random.default_rng(seed))
             pattern = int(np.random.default_rng(seed).integers(1, 4 ** u))
             digits = [pattern // 4 ** q % 4 for q in range(u)]  # qubit q
             e = PauliOperator.from_bits_hermitian([d & 1 for d in digits],
@@ -92,17 +138,14 @@ def test_audit_matches_per_error_oracle():
                 in_stab = any((h.x, h.z) == (e.x, e.z) for h in group)
                 if not syndrome(code, e).any() and not in_stab:
                     missed += 1
-            assert eps == missed / len(fam.codes)
+            assert counts[e.x << u | e.z] == missed
 
 
 def test_audit_capacity_guard():
+    fam = gen_purity_family(7, 2, seed=0, audit="skip")  # u = 14
     with pytest.raises(CapacityError):
-        audit_family(gen_purity_family(3, 4, seed=0, audit="skip"))  # u = 12
-    fam = gen_purity_family(3, 3, seed=0, audit="skip")
-    # sampled audit over the full key set stays within budget
-    rng = np.random.default_rng(0)
-    eps = audit_family(fam, sample_errors=2000, rng=rng)
-    assert 0.0 <= eps <= fam.epsilon_formula + 1e-12
+        audit_family(fam)
+    assert fam.epsilon_audited is None
 
 
 def test_encode_decode_round_trip(fam22):
@@ -221,3 +264,6 @@ def test_invalid_parameters_rejected():
         gen_purity_family(1, 2, seed=0)
     with pytest.raises(InvalidArgumentError):
         gen_purity_family(2, 1, seed=0)
+    for audit in ("yes", "Auto", "", None):
+        with pytest.raises(InvalidArgumentError):
+            gen_purity_family(2, 2, seed=0, audit=audit)
