@@ -137,9 +137,10 @@ def _output_fidelity(kraus, vecs, block: bool = False):
     """<v| sum_k K |v><v| K^dagger |v> = sum_k |<v|K|v>|^2 for each state
     v of ``vecs`` (..., dim).
 
-    With ``block``, ``vecs`` (rest, dim) is one state v = sum_r |r>|v_r>
-    of a larger system, row r holding v_r, and each K acts on the dim
-    factor alone: <v|K|v> = sum_r <v_r|K|v_r>.
+    With ``block``, each (rest, dim) matrix of ``vecs`` is one state
+    v = sum_r |r>|v_r> of a larger system, row r holding v_r, and each K
+    acts on the dim factor alone: <v|K|v> = sum_r <v_r|K|v_r>.  For a
+    stack of such states, give ``kraus`` the matching singleton axes.
     """
     kv = vecs @ np.swapaxes(kraus, -1, -2)  # (terms, ..., dim)
     amp = (vecs.conj() * kv).sum(axis=-1)
@@ -208,8 +209,8 @@ def depolarizing_equality_check(p: float, tol: float = DEFAULT_TOL) -> Inequalit
     probes = np.array([[1, 0], [1, 1], [1, 1j]]) / np.sqrt([1, 2, 2])[:, None]
     eps = float((1 - _output_fidelity(kraus, probes)).max())
     bound = 1 - (1 + 2 / 4) * eps
-    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    f = float(_output_fidelity([np.kron(k, np.eye(2)) for k in kraus], bell))
+    bell = np.array([[1, 0], [0, 1]], dtype=complex) / np.sqrt(2)
+    f = float(_output_fidelity(kraus, bell, block=True))
     gap = abs(f - bound)
     witness = {"p": p, "epsilon": eps, "entanglement_fidelity": f,
                "bound": bound}
@@ -230,11 +231,11 @@ def check_double_concavity(pairs):
             for w, (_, a, b) in zip(weights, pairs)]
     mix_a = sum(w * a for w, a, _ in mats)
     mix_b = sum(w * b for w, _, b in mats)
-    lhs = np.sqrt(fidelity(mix_a, mix_b))
-    f = fidelity(np.stack([a for _, a, _ in mats]),
-                 np.stack([b for _, _, b in mats]))
-    rhs = sum(w * np.sqrt(fj) for w, fj in zip(weights, f))
-    return rhs - lhs
+    # one stacked call: the mixtures' fidelity first, then each pair's
+    f = fidelity(np.stack([mix_a] + [a for _, a, _ in mats]),
+                 np.stack([mix_b] + [b for _, _, b in mats]))
+    rhs = sum(w * np.sqrt(fj) for w, fj in zip(weights, f[1:]))
+    return rhs - np.sqrt(f[0])
 
 
 def double_concavity_suite(trials: int, dims, rng,
@@ -266,8 +267,15 @@ def double_concavity_suite(trials: int, dims, rng,
 
 
 def check_bures_triangle(a, b, c):
-    """Margin of d_B(a,c) - d_B(a,b) - d_B(b,c); positive = violated."""
-    return bures_distance(a, c) - bures_distance(a, b) - bures_distance(b, c)
+    """Margin of d_B(a,c) - d_B(a,b) - d_B(b,c); positive = violated.
+
+    The three distances come from one stacked call.
+    """
+    a, b, c = (states._as_matrix(x) for x in (a, b, c))
+    states._check_same_dim(a, b)
+    states._check_same_dim(b, c)
+    d = bures_distance(np.stack([a, a, b]), np.stack([c, b, c]))
+    return states._value(d[0] - d[1] - d[2])
 
 
 def bures_triangle_suite(trials: int, dims, rng,
@@ -311,8 +319,11 @@ def check_entanglement_fidelity_bound(channel, num_qubits: int, rng,
     eps = measure_channel_epsilon(channel, num_qubits, rng,
                                   samples=epsilon_samples)
     bound = 1 - (1 + dim / 4) * eps
-    big = [np.kron(k, np.eye(dim)) for k in channel.kraus_terms(num_qubits)]
-    f = _output_fidelity(big, haar_states(purifications, dim * dim, rng))
+    # |psi> = sum_{s,r} psi[s, r] |s>|r> with the channel on s: row r of
+    # each transposed block is the system vector paired with reference r
+    psi = haar_states(purifications, dim * dim, rng).reshape(-1, dim, dim)
+    f = _output_fidelity(channel.kraus_terms(num_qubits)[:, None],
+                         psi.swapaxes(-1, -2), block=True)
     return InequalityReport(
         "entanglement-fidelity-bound", purifications,
         *_worst_trial(bound - f, lambda i: {

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -244,8 +245,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# main builds its parser on the first call and reuses it: parse_args keeps
+# no state between calls, and building takes longer than a small command
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.seed < 0:

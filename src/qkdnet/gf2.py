@@ -117,8 +117,12 @@ def kernel(rows, width: int) -> list:
 
 def in_row_space(rows, vecs) -> np.ndarray:
     """Boolean array: which integer bit rows in ``vecs`` lie in the F2 span
-    of the integer bit rows ``rows``."""
-    v = np.atleast_1d(np.array(vecs, dtype=np.int64))
+    of the integer bit rows ``rows``.
+
+    An integer array ``vecs`` is reduced in a copy of its own dtype, which
+    must hold every row of ``rows``; anything else is read as int64.
+    """
+    v = np.array(vecs, ndmin=1, dtype=getattr(vecs, "dtype", np.int64))
     for b in row_reduce(rows):
         v ^= (v >> (b.bit_length() - 1) & 1) * b
     return v == 0

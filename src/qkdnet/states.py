@@ -9,6 +9,7 @@ matrices serve the Kraus channels and the metrics.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,14 +78,33 @@ class PureStateVector:
             raise InvalidArgumentError(f"unknown label {label!r}") from exc
 
 
+# One complex work array per thread, grown to the largest matrix seen and
+# reused by every call: a fresh MB-sized temporary per channel would be
+# faulted in from the system again each time.  Each user overwrites what
+# it reads, so no data passes from one call to the next.
+_scratch = threading.local()
+
+
+def _work(shape) -> np.ndarray:
+    """The calling thread's work array, as a complex array of ``shape``."""
+    size = math.prod(shape)
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _scratch.buf = np.empty(size, dtype=complex)
+    return buf[:size].reshape(shape)
+
+
 def _hermitian_defect(m: np.ndarray) -> float:
-    """max |m - m^dagger| over the entries, from real temporaries only."""
-    re, im = m.real, m.imag
-    d_re, d_im = re - re.T, im + im.T
-    np.multiply(d_re, d_re, out=d_re)
-    np.multiply(d_im, d_im, out=d_im)
-    d_re += d_im
-    return math.sqrt(d_re.max())
+    """max |m - m^dagger| over the entries, computed in the work array."""
+    d = _work(m.shape)
+    np.copyto(d, m.T)  # cheaper than conjugating while transposing
+    np.conjugate(d, out=d)
+    np.subtract(m, d, out=d)
+    sq = d.view(float).reshape(m.shape + (2,))  # real, imaginary parts
+    np.square(sq, out=sq)
+    re2 = sq[..., 0]
+    np.add(re2, sq[..., 1], out=re2)
+    return math.sqrt(re2.max())  # a NaN entry gives NaN
 
 
 def _check_trace(matrix: np.ndarray, message: str) -> None:
@@ -304,15 +324,15 @@ def _contract(matrix: np.ndarray, steps) -> np.ndarray:
 
     ``sup`` is a k-qubit superoperator, rows (ket out, bra out) and columns
     (ket in, bra in); ``axes`` are its k ket axes, then its k bra axes, of
-    the ``(2,)*2q`` tensor.  Two work arrays serve every step: a step
-    gathers its axes to the front of the first and multiplies into the
-    second; the result is put back in axis order in the first.
+    the ``(2,)*2q`` tensor.  A step gathers its axes to the front of the
+    returned array and multiplies into the thread's work array; the result
+    is put back in axis order in the returned array.
     """
     shape = (2,) * (2 * (len(matrix).bit_length() - 1))
     cur, order = matrix.reshape(shape), list(range(len(shape)))
     # C order whatever the input's layout: the reshapes below must be views
     gathered = np.empty(matrix.shape, dtype=complex)
-    product = np.empty_like(gathered)
+    product = _work(matrix.shape)
     for sup, axes in steps:
         front = [order.index(a) for a in axes]
         rest = [i for i in range(len(shape)) if i not in front]

@@ -46,6 +46,53 @@ def test_double_concavity_requires_normalized_weights():
         analysis.check_double_concavity([(0.7, a, b), (0.7, a, b)])
 
 
+def _separate_call_margins(a, b, c, pairs):
+    """Both margins with one metric call per distance and per fidelity
+    term, as the checks once computed them."""
+    bures = (states.bures_distance(a, c) - states.bures_distance(a, b)
+             - states.bures_distance(b, c))
+    weights = np.array([w for w, _, _ in pairs])
+    mix_a = sum(w[..., None, None] * x for w, (_, x, _) in zip(weights, pairs))
+    mix_b = sum(w[..., None, None] * y for w, (_, _, y) in zip(weights, pairs))
+    f = states.fidelity(np.stack([x for _, x, _ in pairs]),
+                        np.stack([y for _, _, y in pairs]))
+    concavity = (sum(w * np.sqrt(fj) for w, fj in zip(weights, f))
+                 - np.sqrt(states.fidelity(mix_a, mix_b)))
+    return bures, concavity
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_stacked_checks_equal_per_trial_evaluation(dim):
+    # one stacked metric call per check gives the same bits as evaluating
+    # each trial alone, and as one call per distance or fidelity term
+    rng = np.random.default_rng(dim)
+    n, k = 5, 2 + dim % 3
+    rho = analysis._densities(rng.normal(size=(n, 3, 2, dim * dim)))
+    a, b, c = rho[:, 0], rho[:, 1], rho[:, 2]
+    w = rng.dirichlet(np.ones(k), size=n)
+    ab = analysis._densities(rng.normal(size=(n, k, 2, 2, dim * dim)))
+    stacked_bures = analysis.check_bures_triangle(a, b, c)
+    stacked_concavity = analysis.check_double_concavity(
+        [(w[:, j], ab[:, j, 0], ab[:, j, 1]) for j in range(k)])
+    assert stacked_bures.shape == stacked_concavity.shape == (n,)
+    for i in range(n):
+        pairs = [(w[i, j], ab[i, j, 0], ab[i, j, 1]) for j in range(k)]
+        bures = analysis.check_bures_triangle(a[i], b[i], c[i])
+        concavity = analysis.check_double_concavity(pairs)
+        assert isinstance(bures, float)
+        assert (bures, concavity) == (stacked_bures[i],
+                                      stacked_concavity[i])
+        assert (bures, concavity) == _separate_call_margins(a[i], b[i], c[i],
+                                                            pairs)
+
+
+def test_bures_triangle_rejects_mismatched_dimensions():
+    rng = np.random.default_rng(0)
+    a, b = analysis.random_density(2, rng), analysis.random_density(2, rng)
+    with pytest.raises(InvalidArgumentError):
+        analysis.check_bures_triangle(a, b, analysis.random_density(3, rng))
+
+
 def test_worst_trial_keeps_first_tie_and_nan():
     def witness_of(i):
         return {"trial": i}
@@ -133,6 +180,43 @@ def test_depolarizing_equality_closed_form():
     assert rep.max_violation <= 1e-9
     assert rep.witness["epsilon"] == pytest.approx(0.05)
     assert rep.witness["bound"] == pytest.approx(1 - 0.075)
+
+
+def _kron_entanglement_margins(channel, num_qubits, rng, purifications,
+                               epsilon_samples):
+    """The purification check with each Kraus term embedded on system and
+    reference as kron(K, I): its margins and fidelities."""
+    dim = 2 ** num_qubits
+    eps = analysis.measure_channel_epsilon(channel, num_qubits, rng,
+                                           samples=epsilon_samples)
+    big = [np.kron(k, np.eye(dim)) for k in channel.kraus_terms(num_qubits)]
+    f = analysis._output_fidelity(
+        big, analysis.haar_states(purifications, dim * dim, rng))
+    return 1 - (1 + dim / 4) * eps - f, f
+
+
+def test_entanglement_fidelity_matches_kron_embedding():
+    # the block form moves only round-off against the embedded Kraus terms
+    for seed in range(200):
+        num_qubits = 1 + seed % 2
+        channel = analysis._random_channel(np.random.default_rng(seed),
+                                           num_qubits)
+        rep = analysis.check_entanglement_fidelity_bound(
+            channel, num_qubits, np.random.default_rng(seed + 1000),
+            purifications=40, epsilon_samples=60)
+        margins, f = _kron_entanglement_margins(
+            channel, num_qubits, np.random.default_rng(seed + 1000), 40, 60)
+        i = rep.witness["trial"]
+        assert abs(rep.max_violation - margins.max()) <= 1e-12
+        assert abs(rep.witness["fidelity"] - f[i]) <= 1e-12
+    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    for p in np.linspace(0, 1, 11):
+        kraus = ChannelSpec(kind="depolarizing", p=p,
+                            targets=("a",)).kraus_terms(1)
+        want = analysis._output_fidelity(
+            [np.kron(k, np.eye(2)) for k in kraus], bell)
+        got = analysis.depolarizing_equality_check(p).witness
+        assert abs(got["entanglement_fidelity"] - want) <= 1e-12
 
 
 def test_composed_channel_bound_holds():

@@ -129,6 +129,53 @@ def test_config_file_overrides_flags(capsys, tmp_path):
     assert json.loads(stdout)["sift_rate"] == 1.0  # protocol 2 took effect
 
 
+def _interleaved_commands(tmp_path):
+    """(argv, file the command writes or None) for every command kind."""
+    cfg = tmp_path / "p2.cfg"
+    cfg.write_text("[network]\nn = 3\nm = 1\nrounds = 20\n"
+                   "\n[adversary]\nspec = depolarize:p=0.1@m2\n"
+                   f"\n[output]\npath = {tmp_path / 'p2.jsonl'}\n")
+    p1 = (["run", "--protocol", "1", "--no-auth", "--n", "3", "--m", "1",
+           "--t", "1", "--rounds", "30", "--seed", "4",
+           "--out", str(tmp_path / "p1.jsonl")], tmp_path / "p1.jsonl")
+    return [
+        p1,
+        (["run", "--protocol", "2", "--seed", "6", "--config", str(cfg)],
+         tmp_path / "p2.jsonl"),
+        (["run", "--n", "2", "--seed", "1", "--rounds", "x"], None),
+        (["audit-code", "--r", "2", "--s", "3", "--seed", "2"], None),
+        (["verify-inequalities", "--trials", "20", "--dims", "2,3",
+          "--seed", "1", "--out", str(tmp_path / "v.json")],
+         tmp_path / "v.json"),
+        p1,  # the config file's values stay with the command that read it
+    ]
+
+
+def test_main_reuses_one_parser(capsys, tmp_path, monkeypatch):
+    commands = _interleaved_commands(tmp_path)
+
+    def run_all():
+        results = []
+        for argv, path in commands:
+            result = run_cli(capsys, *argv)
+            written = path.read_bytes() if path and path.exists() else None
+            results.append(result + (written,))
+            if path:
+                path.unlink(missing_ok=True)
+        return results
+
+    cli._shared_parser.cache_clear()
+    shared = run_all()
+    info = cli._shared_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(commands) - 1)
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = run_all()  # a newly built parser for every command
+    assert shared == fresh
+    assert [r[0] for r in shared][2:5] == [1, 0, 0]
+    assert shared[2][2].startswith("error:") and shared[0] == shared[5]
+    assert b'"protocol": 2' in shared[1][3]
+
+
 @pytest.mark.parametrize("body", [
     "[network]\nauth = maybe\n",
     "[network]\nn = two\n",

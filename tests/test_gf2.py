@@ -1,3 +1,4 @@
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,19 @@ def test_in_row_space_matches_span_enumeration(case):
     assert 2 ** len(basis) == len(span)
     leads = [b.bit_length() for b in basis]
     assert leads == sorted(set(leads), reverse=True) and 0 not in leads
+
+
+@settings(deadline=None)
+@given(rows_and_vecs, st.sampled_from([np.uint8, np.uint16, np.uint32]))
+def test_in_row_space_of_an_unsigned_array(case, dtype):
+    # vectors held in a narrow unsigned type give the int64 answer, and the
+    # caller's array is left as it was
+    rows, vecs = (
+        [v % (np.iinfo(dtype).max + 1) for v in part] for part in case)
+    held = np.array(vecs, dtype=dtype)
+    got = gf2.in_row_space(rows, held)
+    assert got.tolist() == gf2.in_row_space(rows, vecs).tolist()
+    assert held.tolist() == vecs
 
 
 @settings(deadline=None)

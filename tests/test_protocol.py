@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdnet import protocol, states
 from qkdnet.adversary import AdversarySpec, parse_adversary
@@ -256,3 +259,84 @@ def test_transcript_jsonl_schema_and_redaction():
     assert '"key_a"' not in text  # redacted by default
     revealed = transcript_to_jsonl(tr, reveal_secrets=True)
     assert '"key_a"' in revealed
+
+
+@st.composite
+def _small_runs(draw):
+    """A small config with at most one attack of any kind: (config, spec,
+    seed)."""
+    protocol, auth = draw(st.sampled_from([1, 2])), draw(st.booleans())
+    n = draw(st.integers(2, 3))
+    t = 2 if auth else draw(st.integers(1, 2))
+    width = 4 if auth else t  # an attack on a block acts on (2, 2)'s u = 4
+    config = NetworkConfig(n=n, m=draw(st.integers(1, n - 1)), t=t,
+                           rounds=draw(st.integers(1, 20)),
+                           protocol=protocol, auth_enabled=auth)
+    member = f"m{draw(st.integers(1, n))}"
+    p = draw(st.floats(0.0, 1.0))
+    block = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=width,
+                                  max_size=width)))
+    table = (f"{block}=1" if block == "I" * width
+             else f"{'I' * width}={1 - p!r};{block}={p!r}")
+    kind = draw(st.sampled_from(
+        ["none", "identity", "depolarize", "pauli", "intercept",
+         "fixed-pauli", "lie-basis", "lie-outcome", "silent-drop"]))
+    spec = {
+        "none": "",
+        "identity": f"identity@{member}",
+        "depolarize": f"depolarize:p={p!r}@{member}",
+        "pauli": f"pauli:{table}@{member}",
+        "intercept": "intercept:bases="
+                     f"{draw(st.sampled_from(['X', 'Z', 'XY', 'XYZ']))}"
+                     f"@{member}",
+        "fixed-pauli": f"fixed-pauli:op="
+                       f"{draw(st.sampled_from(['X', 'Y', 'Z', block]))}"
+                       f"@{member}",
+        "lie-basis": f"lie-basis:p={p!r}@{member}",
+        "lie-outcome": f"lie-outcome:p={p!r}@{member}",
+        "silent-drop": "silent-drop@"
+                       + ("C" if protocol == 2 and draw(st.booleans())
+                          else member),
+    }[kind]
+    return config, spec, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _strict_json(line: str):
+    """json.loads that rejects NaN and Infinity, which JSON does not hold."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(line, parse_constant=reject)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_small_runs())
+def test_transcript_jsonl_property(run):
+    config, spec, seed = run
+    runner = run_protocol2 if config.protocol == 2 else run_protocol1
+    text = transcript_to_jsonl(runner(config, parse_adversary(spec), seed),
+                               reveal_secrets=True)
+    assert text.endswith("\n")
+    lines = [_strict_json(line) for line in text[:-1].split("\n")]
+    assert all(len(line) == 1 for line in lines)
+    framing = "".join(next(iter(line))[0] for line in lines)
+    assert re.fullmatch("hr*a*s", framing), framing
+    header, summary = lines[0]["header"], lines[-1]["summary"]
+    assert header["seed"] == seed
+    assert header["config"]["protocol"] == config.protocol
+    records = [line["record"] for line in lines if "record" in line]
+    aborts = [line["abort"] for line in lines if "abort" in line]
+    determined = [r for r in records
+                  if r["m_a"] is not None and r["m_b"] is not None]
+    assert summary["records"] == len(records)
+    assert summary["sifted"] == sum(r["sifted"] for r in determined)
+    assert summary["discarded"] == sum(not r["sifted"] for r in records)
+    assert summary["undetermined"] == len(records) - len(determined)
+    assert summary["aborted_rounds"] == sum(
+        a["cause"] == "syndrome-reject" for a in aborts)
+    assert summary["abort_causes"] == sorted({a["cause"] for a in aborts})
+    assert summary["test_bits"] == len(summary["test_indices"])
+    assert summary["key_length"] == len(summary["key_a"]) \
+        == len(summary["key_b"])
+    if summary["verdict"] == "Pass":
+        assert summary["key_length"] + summary["test_bits"] \
+            == summary["sifted"]

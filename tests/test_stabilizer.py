@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdnet import gf2, states
+from qkdnet import gf2, stabilizer, states
 from qkdnet.errors import CapacityError, InvalidArgumentError
 from qkdnet.paulis import PauliOperator, parity, pauli_mul
 from qkdnet.stabilizer import (PurityFamily, audit_family, decode_coset,
@@ -117,6 +118,29 @@ def test_undetected_counts_match_enumeration(rs):
     for seed in range(4):
         fam = gen_purity_family(*rs, seed=seed, audit="skip")
         assert np.array_equal(undetected_counts(fam), _enumerated_counts(fam))
+
+
+def test_undetected_counts_walk_the_normalizer_in_slices(monkeypatch):
+    # slices of 2^3 rows give the same histogram as one slice per key
+    fams = [gen_purity_family(r, s, seed=seed, audit="skip")
+            for r, s in ((2, 3), (3, 2), (2, 4)) for seed in range(2)]
+    whole = [undetected_counts(fam) for fam in fams]
+    monkeypatch.setattr(stabilizer, "_SLICE_BITS", 3)
+    for fam, want in zip(fams, whole):
+        assert np.array_equal(undetected_counts(fam), want)
+
+
+def test_u_12_audit_memory_does_not_grow_with_the_normalizer():
+    # (6, 2) has 2^22 normalizer rows per key: 32 MB as int64; the audit
+    # holds its 4^12 histogram and a slice at a time
+    fam = gen_purity_family(6, 2, seed=0, audit="skip")
+    tracemalloc.start()
+    try:
+        assert audit_family(fam) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 ** 12 + 4 * 2 ** 20
 
 
 def test_audit_matches_per_error_oracle():

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -396,6 +399,45 @@ def test_apply_channel_per_qubit_matches_explicit_sum(axes, name):
     out = states.apply_channel(rho, ch, [labels[a] for a in axes])
     assert out.labels == labels
     assert np.abs(out.matrix - want).max() <= 1e-12
+
+
+def test_channels_in_parallel_threads_give_the_serial_bits():
+    # each thread contracts and checks Hermiticity in its own work array
+    rng = np.random.default_rng(31)
+    n = 7
+    labels = tuple(states.default_labels(n))
+    inputs = [DensityMatrix(labels, _random_mixed(rng, n, 2 ** n))
+              for _ in range(4)]
+
+    def chain(rho):
+        for label in labels:
+            rho = states.apply_channel(rho, _CHANNELS["pauli-table"],
+                                       [label])
+        return rho.matrix
+
+    want = [chain(rho) for rho in inputs]
+    got = [[] for _ in inputs]
+
+    def worker(i):
+        for _ in range(5):
+            got[i].append(chain(inputs[i]))
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for results, serial in zip(got, want):
+        assert len(results) == 5
+        for m in results:
+            np.testing.assert_array_equal(m, serial)
 
 
 def test_apply_channel_validates_one_matrix(monkeypatch):
