@@ -78,11 +78,6 @@ def _densities(g: np.ndarray) -> np.ndarray:
     return psi @ states._dagger(psi)
 
 
-def random_density(dim: int, rng) -> np.ndarray:
-    """Partial trace of a Haar-random pure state of squared dimension."""
-    return _densities(rng.normal(size=(2, dim * dim)))
-
-
 def _serialize_matrix(m: np.ndarray) -> list:
     return [[float(c.real), float(c.imag)] for c in np.asarray(m).ravel()]
 

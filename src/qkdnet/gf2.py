@@ -1,6 +1,8 @@
-"""GF(2^s) arithmetic on integer bit representations plus F2 linear algebra
-on integer bit rows."""
+"""GF(2^s) tables plus F2 linear algebra on integer bit rows, batched over
+leading array axes."""
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -19,110 +21,98 @@ IRREDUCIBLE = {
 }
 
 
-class BinaryField:
-    """GF(2^s) with elements as ints 0 .. 2^s - 1 (polynomial basis)."""
+@functools.cache
+def field_tables(s: int) -> tuple:
+    """(product table, trace form, self-dual basis) of GF(2^s), elements as
+    ints 0 .. 2^s - 1 in the polynomial basis; read-only, built once per s.
 
-    def __init__(self, s: int):
-        if s not in IRREDUCIBLE:
-            raise InvalidArgumentError(f"unsupported field degree {s}")
-        self.s = s
-        self.size = 1 << s
-        self.modulus = IRREDUCIBLE[s]
+    ``form[a, b]`` is tr(a b); the basis b_1..b_s has tr(b_i b_j) = delta_ij
+    and is the first one a depth-first search over the elements finds.
+    """
+    if s not in IRREDUCIBLE:
+        raise InvalidArgumentError(f"unsupported field degree {s}")
+    size = 1 << s
+    elems = np.arange(size)
+    mul = np.zeros((size, size), dtype=np.int64)
+    a = elems  # a * x^k, reduced
+    for k in range(s):
+        mul ^= np.where(elems >> k & 1, a[:, None], 0)
+        a = a << 1
+        a ^= np.where(a & size, IRREDUCIBLE[s], 0)
+    trace, sq = elems.copy(), elems
+    for _ in range(s - 1):
+        sq = mul[sq, sq]
+        trace ^= sq  # lies in GF(2)
+    form = trace[mul]
+    # tr(c^2) = 1 rules out every c in the span of the chosen elements
+    odd = [c for c in range(1, size) if form[c, c]]
 
-    def mul(self, a: int, b: int) -> int:
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.size:
-                a ^= self.modulus
-        return r
+    def search(chosen: list):
+        if len(chosen) == s:
+            return chosen
+        for c in odd:
+            if not form[c, chosen].any():
+                found = search(chosen + [c])
+                if found:
+                    return found
+        return None
 
-    def pow(self, a: int, e: int) -> int:
-        r = 1
-        for _ in range(e):
-            r = self.mul(r, a)
-        return r
+    basis = np.array(search([]))
+    for table in (mul, form, basis):
+        table.flags.writeable = False
+    return mul, form, basis
 
-    def trace(self, a: int) -> int:
-        t = 0
-        x = a
-        for _ in range(self.s):
-            t ^= x
-            x = self.mul(x, x)
-        # t lies in GF(2)
-        return t & 1
 
-    def self_dual_basis(self) -> list:
-        """A basis b_1..b_s with tr(b_i b_j) = delta_ij (found by backtracking)."""
-        elems = list(range(1, self.size))
-        chosen: list[int] = []
-
-        def ok(c: int) -> bool:
-            if self.trace(self.mul(c, c)) != 1:
-                return False
-            return all(self.trace(self.mul(c, b)) == 0 for b in chosen)
-
-        def independent(c: int) -> bool:
-            span = {0}
-            for b in chosen:
-                span |= {v ^ b for v in span}
-            return c not in span
-
-        def search() -> bool:
-            if len(chosen) == self.s:
-                return True
-            for c in elems:
-                if ok(c) and independent(c):
-                    chosen.append(c)
-                    if search():
-                        return True
-                    chosen.pop()
-            return False
-
-        if not search():
-            raise RuntimeError(f"no self-dual basis found for GF(2^{self.s})")
-        return list(chosen)
+def _reduced(rows) -> np.ndarray:
+    """Reduced echelon form along the last axis, rows kept in place: a
+    nonzero row's leading bit is set in no other row; dependent rows
+    become 0."""
+    red = np.array(rows, ndmin=1)
+    for i in range(red.shape[-1]):
+        pivot = red[..., i:i + 1].copy()
+        # min(r, r ^ p) clears p's leading bit from each row r that has it
+        np.minimum(red, red ^ pivot, out=red)
+        red[..., i:i + 1] = pivot
+    return red
 
 
 def row_reduce(rows) -> list:
     """Echelon basis of the F2 span of integer bit rows: nonzero rows with
     distinct leading bits, in decreasing order."""
-    basis: list[int] = []
-    for v in rows:
-        v = int(v)
-        for b in basis:
-            v = min(v, v ^ b)  # clears b's leading bit when v has it
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
+    return sorted((int(v) for v in _reduced(rows) if v), reverse=True)
 
 
-def kernel(rows, width: int) -> list:
+def kernel(rows, width: int) -> np.ndarray:
     """Basis of the ``width``-bit rows v with an even ``v & row`` for every
-    row in ``rows``: the null space of ``rows`` as a matrix over F2."""
-    basis = row_reduce(rows)
-    # reduced echelon form: no row keeps another row's leading bit
-    for i in range(len(basis)):
-        basis = [a if j == i else min(a, a ^ basis[i])
-                 for j, a in enumerate(basis)]
-    pivots = {b.bit_length() - 1: b for b in basis}
-    # one vector per free bit f: f itself plus each pivot whose row has f
-    return [(1 << f) | sum(1 << p for p, b in pivots.items() if b >> f & 1)
-            for f in range(width) if f not in pivots]
+    row in ``rows``: the null space of ``rows`` as a matrix over F2.
+
+    Rows of shape (..., m) give bases of shape (..., width - rank); every
+    matrix of a batch must have the same rank.  ``width`` is at most 63.
+    """
+    red = _reduced(rows).astype(np.int64)
+    bit = np.left_shift(1, np.arange(width), dtype=np.int64)
+    has = red[..., None] & bit != 0  # [..., i, f]: row i has bit f
+    lead = np.where(red != 0, bit[width - 1 - has[..., ::-1].argmax(-1)], 0)
+    # one vector per free bit f: f itself plus each leading bit whose row
+    # has f
+    vecs = bit | (has * lead[..., None]).sum(-2)
+    free = (lead[..., None] & bit == 0).all(-2)
+    nullity = free.sum(-1)
+    if nullity.size and nullity.min() != nullity.max():
+        raise InvalidArgumentError("the matrices of a batch differ in rank")
+    return vecs[free].reshape(*free.shape[:-1], -1)
 
 
 def in_row_space(rows, vecs) -> np.ndarray:
     """Boolean array: which integer bit rows in ``vecs`` lie in the F2 span
     of the integer bit rows ``rows``.
 
+    Rows of shape (..., m) test vectors of shape (..., n), batch by batch.
     An integer array ``vecs`` is reduced in a copy of its own dtype, which
     must hold every row of ``rows``; anything else is read as int64.
     """
     v = np.array(vecs, ndmin=1, dtype=getattr(vecs, "dtype", np.int64))
-    for b in row_reduce(rows):
-        v ^= (v >> (b.bit_length() - 1) & 1) * b
+    basis = _reduced(rows).astype(v.dtype)
+    for i in range(basis.shape[-1]):
+        np.minimum(v, v ^ basis[..., i:i + 1], out=v)
     return v == 0

@@ -59,17 +59,6 @@ class PauliOperator:
         # letters denote the Hermitian matrices, so each Y carries an i
         return cls(len(s), x, z, phase + (x & z).bit_count())
 
-    @classmethod
-    def from_bits_hermitian(cls, x_bits, z_bits) -> "PauliOperator":
-        """Hermitian Pauli with per-qubit bits (phase ``i**(x.z)``)."""
-        if len(x_bits) != len(z_bits):
-            raise InvalidArgumentError(
-                "x and z bit vectors must have equal length")
-        x = z = 0
-        for a, b in zip(x_bits, z_bits):
-            x, z = x << 1 | int(a) & 1, z << 1 | int(b) & 1
-        return cls(len(x_bits), x, z, (x & z).bit_count())
-
     @property
     def phase_value(self) -> complex:
         return _PHASE_VALUES[self.phase]

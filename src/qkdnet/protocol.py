@@ -119,14 +119,15 @@ class Transcript:
 
     def summary(self) -> dict:
         recs = self.records
-        sifted = [r for r in recs if r.sifted and not r.undetermined]
-        discarded = [r for r in recs if not r.sifted]
-        undet = [r for r in recs if r.undetermined]
+        # protocol 2 reads no correlation without the center's outcome
+        withheld = self.config.protocol == 2
+        undet = [r.undetermined or withheld and r.center_outcome is None
+                 for r in recs]
         return {
             "records": len(recs),
-            "sifted": len(sifted),
-            "discarded": len(discarded),
-            "undetermined": len(undet),
+            "sifted": sum(r.sifted and not u for r, u in zip(recs, undet)),
+            "discarded": sum(not r.sifted for r in recs),
+            "undetermined": sum(undet),
             "aborted_rounds": len([a for a in self.aborts
                                    if a["cause"] == "syndrome-reject"]),
             "abort_causes": sorted({a["cause"] for a in self.aborts}),
@@ -360,6 +361,9 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
             continue
         bases, outcomes, state = _measure_members(config, state, rng)
         announced = _announced_bases(config, adversary, bases, rng)
+        if config.protocol == 2 and center_drop is not None:
+            transcript.aborts.append({"round": rnd,
+                                      "cause": "center-withheld"})
         for c in range(config.t):
             y_a = sum(1 for mu in party_a if announced[mu][c] == "Y") % 4
             y_b = sum(1 for mu in party_b if announced[mu][c] == "Y") % 4
@@ -382,8 +386,7 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
     usable = []
     for rec in kept:
         if config.protocol == 2 and rec.center_outcome is None:
-            rec.m_a = None  # undetermined correlation: center withheld
-            continue
+            continue  # undetermined: the center withheld its outcome
         derive_key_bits(rec, config.protocol)
         usable.append(rec)
     if not usable:

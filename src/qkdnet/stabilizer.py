@@ -9,6 +9,7 @@ it, which keeps the audited error below 2r / (2^s + 1).
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -66,60 +67,12 @@ def _rows(ops) -> list:
     return [p.x << p.n | p.z for p in ops]
 
 
-def _symplectic(v: int, w: int, u: int) -> int:
-    """Symplectic product of two code rows on u qubits."""
-    return (v >> u & w ^ v & w >> u).bit_count() & 1
-
-
 def syndrome(code: StabilizerCode, e: PauliOperator) -> np.ndarray:
     """Bit i = 1 iff e anticommutes with generator i."""
     if e.n != code.u:
         raise InvalidArgumentError("error width must equal u")
     return np.array([0 if g.commutes_with(e) else 1 for g in code.generators],
                     dtype=np.uint8)
-
-
-def symplectic_complete(gen_rows: list, u: int):
-    """Extend commuting generator rows to a full symplectic basis of F2^(2u).
-
-    Returns (logical_x_rows, logical_z_rows): t hyperbolic pairs commuting
-    with the generator span.
-    """
-    s = len(gen_rows)
-    # unit rows in (x | z) column order: x of qubit 0 first
-    remaining = list(gen_rows) + [1 << b for b in range(2 * u - 1, -1, -1)]
-    pairs = []
-    while remaining:
-        v = remaining.pop(0)
-        if not v:
-            continue
-        j = next((idx for idx, w in enumerate(remaining)
-                  if _symplectic(v, w, u)), None)
-        if j is None:
-            continue  # v lies in the span of completed pairs
-        w = remaining.pop(j)
-        for k, row in enumerate(remaining):
-            if _symplectic(row, w, u):
-                row ^= v
-            if _symplectic(row, v, u):
-                row ^= w
-            remaining[k] = row
-        pairs.append((v, w))
-    assert len(pairs) == u, "symplectic completion failed"
-    logical = pairs[s:]
-    return [p[0] for p in logical], [p[1] for p in logical]
-
-
-def code_from_generator_bits(gen_rows: list, u: int) -> StabilizerCode:
-    """Build a code (with Hermitian generators and logicals) from code rows."""
-    s = len(gen_rows)
-    if len(gf2.row_reduce(gen_rows)) != s:
-        raise InvalidArgumentError("generator rows are dependent")
-    lx_rows, lz_rows = symplectic_complete(gen_rows, u)
-    low = (1 << u) - 1
-    gens, lx, lz = ([PauliOperator(u, row >> u, row & low).hermitian()
-                     for row in rows] for rows in (gen_rows, lx_rows, lz_rows))
-    return StabilizerCode(u=u, t=u - s, generators=gens, logical_x=lx, logical_z=lz)
 
 
 # --------------------------------------------------------------------------
@@ -244,58 +197,96 @@ class PurityFamily:
         return sorted(self.codes)
 
 
-def _family_generator_bits(r: int, s: int) -> dict:
-    """Raw generator code rows per key, before seeded relabeling."""
-    fld = gf2.BinaryField(s)
-    basis = fld.self_dual_basis()
-    # coords[c]: s-bit coordinates of field element c, coefficient of
-    # basis[0] in the top bit
-    coords = [0] * fld.size
-    for m in range(fld.size):
-        c = 0
-        for k, b in enumerate(basis):
-            if m >> (s - 1 - k) & 1:
-                c ^= b
-        coords[c] = m
-
-    u = r * s
-    out = {}
-    for x in range(fld.size):
-        rows = []
-        for bj in basis:
-            xs = zs = 0
-            for i in range(r):
-                xs = xs << s | coords[fld.mul(bj, fld.pow(x, i))]
-                zs = zs << s | coords[fld.mul(bj, fld.pow(x, r + i))]
-            rows.append(xs << u | zs)
-        out[x] = rows
-    return out
+@functools.cache
+def _raw_generator_bits(r: int, s: int) -> np.ndarray:
+    """Generator rows of every key before the seeded relabeling, as bits:
+    ``[x, j]`` is the row of key x for basis element b_j in (x | z) column
+    order, qubit 0 first.  Built once per (r, s) and read-only."""
+    mul, form, basis = gf2.field_tables(s)
+    keys = np.arange(1 << s)
+    powers = np.ones((1 << s, 2 * r), dtype=np.int64)  # x^i of every key x
+    for i in range(1, 2 * r):
+        powers[:, i] = mul[powers[:, i - 1], keys]
+    # the coordinate of b_j x^i along b_k is tr(b_j x^i b_k): the basis is
+    # self-dual
+    elems = mul[basis[:, None], powers[:, None, :]]
+    bits = form[elems[..., None], basis].astype(np.uint8)
+    bits = bits.reshape(1 << s, s, 2 * r * s)
+    bits.flags.writeable = False
+    return bits
 
 
 def _seeded_relabeling(u: int, rng) -> tuple:
     """Random single-qubit symplectic relabeling: permutation + per-qubit
     X/Z swap and shear; preserves commutation and the audited error."""
-    perm = rng.permutation(u).tolist()
-    swap = rng.integers(0, 2, size=u).tolist()
-    shear = rng.integers(0, 2, size=u).tolist()
+    perm = rng.permutation(u)
+    swap = rng.integers(0, 2, size=u).astype(bool)
+    shear = rng.integers(0, 2, size=u).astype(np.uint8)
     return perm, swap, shear
 
 
-def _apply_relabeling(rows: list, u: int, relab) -> list:
+def _relabel(bits: np.ndarray, relab) -> np.ndarray:
     """New qubit q takes old qubit perm[q], then shears and swaps."""
     perm, swap, shear = relab
-    out = []
-    for row in rows:
-        x = z = 0
-        for q in range(u):
-            b = u - 1 - perm[q]
-            xb, zb = row >> (u + b) & 1, row >> b & 1
-            zb ^= xb & shear[q]  # z += x (phase-gate-like)
-            if swap[q]:  # exchange x and z (Hadamard-like)
-                xb, zb = zb, xb
-            x, z = x << 1 | xb, z << 1 | zb
-        out.append(x << u | z)
-    return out
+    u = len(perm)
+    x = bits[..., perm]
+    z = bits[..., u + perm] ^ x & shear  # z += x (phase-gate-like)
+    # exchange x and z (Hadamard-like)
+    return np.concatenate((np.where(swap, z, x), np.where(swap, x, z)), -1)
+
+
+def _symplectic_completion(gens: np.ndarray) -> tuple:
+    """Logical X and Z bits, shape (keys, t, 2u), completing every key's
+    commuting generator bits (keys, s, 2u) to a symplectic basis.
+
+    The rows are the generators, then the unit rows, x of qubit 0 first.
+    Each row in turn opens a pair (v, w) with the first later row w it
+    anticommutes with, and every later row is cleared against the pair; the
+    logicals are the pairs after the generators'.  Clearing adds earlier
+    pair members to a row, and v and w are orthogonal to those, so a row's
+    product with v or w is its original row's: for unit row c, bit c of v
+    or w with its x and z halves swapped, which is how v, w and the unit
+    rows are held; for a generator, 0 with v, as v then lies in the
+    generators' span.  So the partner is always a unit row.  The x unit
+    rows span a Lagrangian subspace, and the only symplectic subspace that
+    holds one is the whole space, so every pair is open after the first u
+    unit rows.
+    """
+    keys, s, width = gens.shape
+    swap = (np.arange(width) + width // 2) % width
+    on = np.arange(keys)
+    units = np.eye(width, dtype=np.uint8)[swap][None].repeat(keys, 0)
+    opened, partners = [], []
+    for i in range(s + width // 2):
+        # new arrays on each clearing, so v stays a view of its own step
+        if i < s:
+            row = gens[:, i]
+            v = row[:, swap]
+        else:
+            v = units[:, i - s]
+        w = units[on, v.argmax(1)]  # any row when v is 0: no change
+        if i < s:
+            gens = gens ^ (gens @ w[..., None] & 1) * row[:, None]
+        units = units ^ (w[..., None] * v[:, None] ^ v[..., None] * w[:, None])
+        opened.append(v)
+        partners.append(w)
+    opened, partners = (np.stack(half, 1)[..., swap]
+                        for half in (opened, partners))
+    paired = opened.any(-1)
+    assert paired[:, :s].all() and (paired.sum(1) == width // 2).all(), \
+        "symplectic completion failed"
+    logical = paired[:, s:]
+    return tuple(half[:, s:][logical].reshape(keys, -1, width)
+                 for half in (opened, partners))
+
+
+def _masks(bits: np.ndarray) -> list:
+    """Integer masks of bit rows (..., n), the first bit on top."""
+    n = bits.shape[-1]
+    # int64 weights while they fit, Python ints beyond
+    weights = np.array([1 << k for k in range(n - 1, -1, -1)],
+                       dtype=np.int64 if n < 64 else object)
+    return (bits @ weights).tolist()
 
 
 def gen_purity_family(r: int, s: int, seed,
@@ -312,10 +303,17 @@ def gen_purity_family(r: int, s: int, seed,
     if audit not in ("auto", "skip"):
         raise InvalidArgumentError(
             f"audit must be 'auto' or 'skip', not {audit!r}")
-    u = r * s
+    u, t = r * s, (r - 1) * s
     relab = _seeded_relabeling(u, np.random.default_rng(seed))
-    codes = {x: code_from_generator_bits(_apply_relabeling(rows, u, relab), u)
-             for x, rows in _family_generator_bits(r, s).items()}
+    gens = _relabel(_raw_generator_bits(r, s), relab)
+    rows = np.concatenate((gens, *_symplectic_completion(gens)), axis=1)
+    codes = {}
+    for key, masks in enumerate(zip(_masks(rows[..., :u]),
+                                    _masks(rows[..., u:]))):
+        ops = [PauliOperator(u, x, z, (x & z).bit_count())
+               for x, z in zip(*masks)]
+        codes[key] = StabilizerCode(u=u, t=t, generators=ops[:s],
+                                    logical_x=ops[s:u], logical_z=ops[u:])
     fam = PurityFamily(r=r, s=s, codes=codes)
     if audit == "auto" and u <= DENSE_AUDIT_CAP:
         eps = audit_family(fam)
@@ -326,19 +324,21 @@ def gen_purity_family(r: int, s: int, seed,
     return fam
 
 
-# The audit walks each normalizer 2^14 rows at a time: a slice and its
-# temporaries (64 KiB as uint32) are reused from the heap, where 2^16-row
-# slices were mapped and faulted in afresh, 98k faults on a first (3, 4)
-# audit against 57.
+# The audit walks the keys' normalizers together, 2^14 rows at a time: a
+# chunk and its temporaries (64 KiB as uint32) are reused from the heap,
+# where 2^16-row slices were mapped and faulted in afresh, 98k faults on a
+# first (3, 4) audit against 25.
 _SLICE_BITS = 14
 
 
-def _span(basis, dtype) -> np.ndarray:
-    """Every XOR combination of the ``basis`` rows; bit i of the index
-    selects row i."""
-    span = np.zeros(1 << len(basis), dtype=dtype)
-    for i, b in enumerate(basis):
-        np.bitwise_xor(span[:1 << i], b, out=span[1 << i:2 << i])
+def _span(basis: np.ndarray) -> np.ndarray:
+    """Every XOR combination of the rows along the last axis of ``basis``;
+    bit i of the index selects row i."""
+    n = basis.shape[-1]
+    span = np.zeros(basis.shape[:-1] + (1 << n,), dtype=basis.dtype)
+    for i in range(n):
+        np.bitwise_xor(span[..., :1 << i], basis[..., i:i + 1],
+                       out=span[..., 1 << i:2 << i])
     return span
 
 
@@ -355,21 +355,26 @@ def undetected_counts(fam: PurityFamily) -> np.ndarray:
         raise CapacityError(
             f"u={u} exceeds the exact audit cap {DENSE_AUDIT_CAP}")
     counts = np.zeros(4 ** u, dtype=np.min_scalar_type(len(fam.codes)))
+    one = np.ones(1, dtype=counts.dtype)
     # the narrowest unsigned type that holds a 2u-bit row: uint32 to u = 16
     row_type = np.min_scalar_type(4 ** u - 1)
-    for code in fam.codes.values():
-        # row v commutes with g iff v has even overlap with g's row with
-        # its x and z halves swapped
-        swapped = [g.z << u | g.x for g in code.generators]
-        basis, stab = gf2.kernel(swapped, 2 * u), _rows(code.generators)
-        # N(S) a slice at a time, so no array grows with it: the span of
-        # the first basis rows, shifted by each combination of the rest
-        head = _span(basis[:_SLICE_BITS], row_type)
-        for shift in _span(basis[_SLICE_BITS:], row_type):
-            rows = head ^ shift
-            in_stab = gf2.in_row_space(stab, rows)
-            # the rows of one key are distinct, so the fancy += is exact
-            counts[rows[~in_stab]] += 1
+    stab = np.array([_rows(code.generators) for code in fam.codes.values()])
+    # row v commutes with g iff v has even overlap with g's row with its x
+    # and z halves swapped; every key's kernel basis in one pass
+    basis = gf2.kernel(stab >> u | (stab & (1 << u) - 1) << u, 2 * u)
+    basis, stab = basis.astype(row_type), stab.astype(row_type)
+    # every key's N(S) in chunks of at most 2^_SLICE_BITS rows, so no array
+    # grows with it: the spans of each key's first basis rows, shifted by
+    # each combination of its other rows
+    head = min(max(_SLICE_BITS - (len(basis) - 1).bit_length(), 0),
+               basis.shape[1])
+    spans = _span(basis[:, :head])
+    for shift in _span(basis[:, head:]).T:
+        rows = spans ^ shift[:, None]
+        in_stab = gf2.in_row_space(stab, rows)
+        # unbuffered, so exact where keys share a row; a one of the counts'
+        # own dtype keeps it on numpy's fast path
+        np.add.at(counts, rows[~in_stab], one)
     return counts
 
 

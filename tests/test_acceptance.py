@@ -10,11 +10,12 @@ import pytest
 from qkdnet import analysis, cli, gf2, states
 from qkdnet.adversary import AdversarySpec, ChannelSpec, parse_adversary
 from qkdnet.auth import auth_receive, auth_send, keygen
-from qkdnet.paulis import PauliOperator
 from qkdnet.protocol import NetworkConfig, run_protocol1, run_protocol2
 from qkdnet.stabilizer import gen_purity_family, syndrome
 from qkdnet.states import (CAT_KINDS, PHI_MINUS, PHI_PLUS, PSI_MINUS,
                            PSI_PLUS, make_cat)
+
+from helpers import hermitian_pauli
 
 
 def _verdict(name, ok, detail):
@@ -140,7 +141,7 @@ def test_criterion_6_authentication_soundness():
         keys = keygen(fam, 2, rng)
         code = fam.codes[keys.k]
         pattern = int(rng.integers(1, 4 ** fam.u))
-        e = PauliOperator.from_bits_hermitian(
+        e = hermitian_pauli(
             [(pattern >> i) & 1 for i in range(fam.u)],
             [(pattern >> (fam.u + i)) & 1 for i in range(fam.u)])
         if gf2.in_row_space([g.x << fam.u | g.z for g in code.generators],
@@ -167,7 +168,7 @@ def test_criterion_6_authentication_soundness():
         code = fam.codes[keys.k]
         while True:
             pattern = int(rng.integers(1, 4 ** fam.u))
-            e = PauliOperator.from_bits_hermitian(
+            e = hermitian_pauli(
                 [(pattern >> i) & 1 for i in range(fam.u)],
                 [(pattern >> (fam.u + i)) & 1 for i in range(fam.u)])
             if syndrome(code, e).any():

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdnet import states
-from qkdnet.analysis import random_density
 from qkdnet.adversary import (AdversarySpec, ChannelSpec, DishonestSpec,
                               apply_attack, corrupt_announcement,
                               parse_adversary)
 from qkdnet.errors import InvalidArgumentError
+
+from helpers import random_density
 
 
 def _assert_cptp(kraus, dim):

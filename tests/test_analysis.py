@@ -10,11 +10,13 @@ from qkdnet.adversary import AdversarySpec, ChannelSpec
 from qkdnet.errors import InvalidArgumentError
 from qkdnet.protocol import NetworkConfig, run_protocol1
 
+from helpers import random_density
+
 
 def test_random_density_is_a_state():
     rng = np.random.default_rng(0)
     for dim in (2, 5):
-        rho = analysis.random_density(dim, rng)
+        rho = random_density(dim, rng)
         assert np.allclose(rho, rho.conj().T)
         assert np.trace(rho).real == pytest.approx(1.0)
         assert np.linalg.eigvalsh(rho).min() > -1e-12
@@ -41,7 +43,7 @@ def test_suites_pass_at_default_tolerance():
 
 def test_double_concavity_requires_normalized_weights():
     rng = np.random.default_rng(1)
-    a, b = analysis.random_density(2, rng), analysis.random_density(2, rng)
+    a, b = random_density(2, rng), random_density(2, rng)
     with pytest.raises(InvalidArgumentError):
         analysis.check_double_concavity([(0.7, a, b), (0.7, a, b)])
 
@@ -88,9 +90,9 @@ def test_stacked_checks_equal_per_trial_evaluation(dim):
 
 def test_bures_triangle_rejects_mismatched_dimensions():
     rng = np.random.default_rng(0)
-    a, b = analysis.random_density(2, rng), analysis.random_density(2, rng)
+    a, b = random_density(2, rng), random_density(2, rng)
     with pytest.raises(InvalidArgumentError):
-        analysis.check_bures_triangle(a, b, analysis.random_density(3, rng))
+        analysis.check_bures_triangle(a, b, random_density(3, rng))
 
 
 def test_worst_trial_keeps_first_tie_and_nan():

@@ -8,6 +8,8 @@ from qkdnet.errors import InvalidArgumentError
 from qkdnet.paulis import PauliOperator
 from qkdnet.stabilizer import gen_purity_family, syndrome
 
+from helpers import hermitian_pauli
+
 
 @pytest.fixture(scope="module")
 def fam():
@@ -58,8 +60,8 @@ def test_nonzero_syndrome_error_always_rejected(fam):
         keys = keygen(fam, 2, rng)
         code = fam.codes[keys.k]
         while True:
-            e = PauliOperator.from_bits_hermitian(rng.integers(0, 2, 4),
-                                                  rng.integers(0, 2, 4))
+            e = hermitian_pauli(rng.integers(0, 2, 4),
+                                rng.integers(0, 2, 4))
             if syndrome(code, e).any():
                 break
         st = random_logical(rng)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from qkdnet.errors import InvalidArgumentError
 from qkdnet.paulis import PauliOperator, parity, pauli_mul
 
+from helpers import hermitian_pauli
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -101,7 +103,7 @@ def test_hermitian_phase_convention():
     op = PauliOperator(1, 1, 1, phase=0)  # bare XZ
     assert np.allclose(op.to_matrix(), X @ Z)
     assert np.allclose(op.hermitian().to_matrix(), Y)
-    h = PauliOperator.from_bits_hermitian([1, 1, 0], [1, 0, 1])
+    h = hermitian_pauli([1, 1, 0], [1, 0, 1])
     m = h.to_matrix()
     assert np.allclose(m, m.conj().T)
 
@@ -117,7 +119,7 @@ def test_mismatched_lengths_rejected():
         with pytest.raises(InvalidArgumentError):
             PauliOperator(n, x, z)  # a mask wider than n
     with pytest.raises(InvalidArgumentError):
-        PauliOperator.from_bits_hermitian([1, 0], [1])
+        hermitian_pauli([1, 0], [1])
     a = PauliOperator.from_string("XX")
     b = PauliOperator.from_string("X")
     with pytest.raises(InvalidArgumentError):

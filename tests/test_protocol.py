@@ -163,6 +163,26 @@ def test_silent_drop_center_yields_undetermined_records():
     assert tr.summary()["undetermined"] == tr.summary()["records"]
 
 
+def test_silent_drop_center_keeps_parities_and_names_its_cause():
+    # the collected parities stay on the records; the withheld center
+    # outcome alone leaves them undetermined, one abort per round
+    cfg = NetworkConfig(n=3, m=1, t=2, rounds=40, protocol=2)
+    tr = run_protocol2(cfg, parse_adversary("silent-drop@C"), 29)
+    honest = run_protocol2(cfg, NO_ATTACK, 29)
+    assert [(r.m_a, r.m_b) for r in tr.records] \
+        == [(r.m_a, r.m_b) for r in honest.records]
+    assert all(r.m_a in (0, 1) and r.center_outcome is None
+               for r in tr.records)
+    summary = tr.summary()
+    assert summary["sifted"] == 0
+    assert summary["undetermined"] == summary["records"] == 80
+    assert "center-withheld" in summary["abort_causes"]
+    withheld = [a["round"] for a in tr.aborts
+                if a["cause"] == "center-withheld"]
+    assert withheld == list(range(40))
+    assert tr.verdict == "Fail"
+
+
 def test_lie_outcome_always_detected():
     cfg = NetworkConfig(n=3, m=1, t=1, rounds=250, auth_enabled=False)
     tr = run_protocol1(cfg, parse_adversary("lie-outcome:p=1.0@m3"), 31)
@@ -325,8 +345,11 @@ def test_transcript_jsonl_property(run):
     assert header["config"]["protocol"] == config.protocol
     records = [line["record"] for line in lines if "record" in line]
     aborts = [line["abort"] for line in lines if "abort" in line]
+    # protocol 2 reads no correlation without the center's outcome
     determined = [r for r in records
-                  if r["m_a"] is not None and r["m_b"] is not None]
+                  if r["m_a"] is not None and r["m_b"] is not None
+                  and (config.protocol == 1
+                       or r["center_outcome"] is not None)]
     assert summary["records"] == len(records)
     assert summary["sifted"] == sum(r["sifted"] for r in determined)
     assert summary["discarded"] == sum(not r["sifted"] for r in records)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -12,6 +13,8 @@ from qkdnet.paulis import PauliOperator, parity, pauli_mul
 from qkdnet.stabilizer import (PurityFamily, audit_family, decode_coset,
                                encode_coset, family_from_json, family_to_json,
                                gen_purity_family, syndrome, undetected_counts)
+
+from helpers import hermitian_pauli
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +57,52 @@ def test_audited_error_within_budget(fam22, fam23):
     # these: (2r-1)/2^s undetected polynomial fraction)
     assert fam22.epsilon_audited == pytest.approx(0.75)
     assert fam23.epsilon_audited == pytest.approx(0.375)
+
+
+# SHA-256 of family_to_json before the whole-family array passes; the
+# logicals fix the coset isometries behind the pinned protocol-2 transcripts
+_FAMILY_SHA256 = {
+    (2, 2, 0):
+        "5bbf7ab278e26c0c54a39871e11c5f6cce05149aaf58142468285e24d2606898",
+    (2, 2, 1693489682):
+        "7939d5169d1ade4c4c4d655273b78199de7f5cc28bf2ce525b4ed78c6913b7cc",
+    (2, 3, 0):
+        "f9152e9ec635e789b6d0041b01728a4d327bce7436b06ffdd11ca8b4646f31f6",
+    (2, 3, 1693489682):
+        "ca7b0fc86382f928205a5bdbee2b88ba44b01a9b15110abb903c517657366f8b",
+    (2, 4, 0):
+        "7dbd77e980a3cd0e51e9a71eb785e7c77080e0bbd96253536faa9c2a4d09053c",
+    (2, 4, 1693489682):
+        "f268c04d6a02ffd1dcfcff04e21792b0223825151858323ae08b2ec0b010894f",
+    (3, 2, 0):
+        "3b652fd4a89c77cddcaff83809e0113132d1bebaf977d5d4815749921fea1ade",
+    (3, 2, 1693489682):
+        "bc976d62f7d19e917434f510d45c590cf475c0e312649c55d38f9370cb358550",
+    (3, 3, 0):
+        "e918832905654d1f76b8fb2fcae1a0311b89d1378b08886011887839c910e0fd",
+    (3, 3, 1693489682):
+        "feb8219509e2cb22d3530633e9790a5aaad7de4d18e6b1fc59e737034a4e55a1",
+    (2, 5, 0):
+        "daa743833417345abb37677a0ff9844f21e2053366b2cee90ec23c1dc6e34502",
+    (2, 5, 1693489682):
+        "b55853b3abff201bc1a78912704c006c0c4422da95e575be9cc1ba05c82cafce",
+}
+
+
+def test_family_construction_pinned_bit_for_bit():
+    def digest(r, s, seed):
+        text = family_to_json(gen_purity_family(r, s, seed=seed))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    for (r, s, seed), want in _FAMILY_SHA256.items():
+        assert digest(r, s, seed) == want, (r, s, seed)
+    # the raw rows are built once per (r, s) and carry nothing from one
+    # family into the next: either seed first gives the same two families
+    for order in ((0, 1693489682), (1693489682, 0)):
+        stabilizer._raw_generator_bits.cache_clear()
+        for seed in order:
+            assert digest(2, 3, seed) == _FAMILY_SHA256[2, 3, seed]
+    assert not stabilizer._raw_generator_bits(2, 3).flags.writeable
 
 
 def test_seed_variation_preserves_audited_error():
@@ -152,8 +201,8 @@ def test_audit_matches_per_error_oracle():
         for seed in range(40):
             pattern = int(np.random.default_rng(seed).integers(1, 4 ** u))
             digits = [pattern // 4 ** q % 4 for q in range(u)]  # qubit q
-            e = PauliOperator.from_bits_hermitian([d & 1 for d in digits],
-                                                  [d >> 1 for d in digits])
+            e = hermitian_pauli([d & 1 for d in digits],
+                                [d >> 1 for d in digits])
             missed = 0
             for code in fam.codes.values():
                 group = [PauliOperator.from_string("I" * u)]
@@ -193,8 +242,7 @@ def test_error_shifts_syndrome(fam22):
     code = fam22.codes[fam22.keys[1]]
     for _ in range(20):
         y = rng.integers(0, 2, size=2).astype(np.uint8)
-        e = PauliOperator.from_bits_hermitian(rng.integers(0, 2, 4),
-                                              rng.integers(0, 2, 4))
+        e = hermitian_pauli(rng.integers(0, 2, 4), rng.integers(0, 2, 4))
         logical = states.basis_state([0, 0], [("l", 0), ("l", 1)])
         physical = encode_coset(code, y, logical)
         attacked = states.apply_pauli(physical, e, physical.labels)
