@@ -27,18 +27,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# the Hermitian one-qubit Pauli matrices that Pauli strings are built from
-_LETTER_MATRICES = {c: _read_only(PauliOperator.from_string(c).to_matrix())
-                    for c in "IXYZ"}
-
-
-def _pauli_matrix(pstr: str) -> np.ndarray:
-    m = _LETTER_MATRICES[pstr[0]]
-    for c in pstr[1:]:
-        m = np.kron(m, _LETTER_MATRICES[c])
-    return m
-
-
 @dataclass(frozen=True)
 class ChannelSpec:
     """A CPTP attack on the qubits of the targeted members.
@@ -143,8 +131,9 @@ class ChannelSpec:
         self.check_arity(num_qubits)
         terms = self._kraus_by_width.get(num_qubits)
         if terms is None:
-            terms = np.array([np.sqrt(prob) * _pauli_matrix(pstr)
-                              for pstr, prob in self.pauli_mixture()])
+            terms = np.array([
+                np.sqrt(prob) * PauliOperator.from_string(pstr).to_matrix()
+                for pstr, prob in self.pauli_mixture()])
             if self.is_per_qubit():
                 # every kron(t, s), t major, one qubit at a time
                 singles, terms = terms, np.ones((1, 1, 1), dtype=complex)

@@ -505,8 +505,8 @@ def protocol_statistics(transcript) -> dict:
     test_bits = s["test_bits"]
     err = transcript.observed_error_rate
     mism = int(round((err or 0.0) * test_bits)) if test_bits else 0
-    usable = [r for r in transcript.records
-              if r.sifted and not r.undetermined and r.b_a is not None]
+    # the run derives key bits on exactly the usable records
+    usable = [r for r in transcript.records if r.b_a is not None]
     agree = (sum(1 for r in usable if r.b_a == r.b_b) / len(usable)
              if usable else None)
     return {

@@ -35,8 +35,6 @@ class NetworkConfig:
     protocol: int = 1
     auth_enabled: bool = True
     family_params: tuple = (2, 2)
-    collector_a: int = 0        # ring position of the collector in each party
-    collector_b: int = 0
 
     def __post_init__(self):
         if not 1 <= self.m < self.n:
@@ -92,17 +90,14 @@ class RoundRecord:
     b_a: int | None = None
     b_b: int | None = None
 
-    @property
-    def ybar_a(self) -> int:
-        return self.y_a // 2
 
-    @property
-    def ybar_b(self) -> int:
-        return self.y_b // 2
-
-    @property
-    def undetermined(self) -> bool:
-        return self.m_a is None or self.m_b is None
+def _carries_key_bit(record: RoundRecord, protocol: int) -> bool:
+    """Whether a record holds what its key bit is read from: both collected
+    parities and, on protocol 2, the center's announced basis and outcome.
+    A record without them is undetermined."""
+    return (record.m_a is not None and record.m_b is not None
+            and (protocol == 1 or record.center_basis is not None
+                 and record.center_outcome is not None))
 
 
 @dataclass
@@ -119,15 +114,12 @@ class Transcript:
 
     def summary(self) -> dict:
         recs = self.records
-        # protocol 2 reads no correlation without the center's outcome
-        withheld = self.config.protocol == 2
-        undet = [r.undetermined or withheld and r.center_outcome is None
-                 for r in recs]
+        usable = [_carries_key_bit(r, self.config.protocol) for r in recs]
         return {
             "records": len(recs),
-            "sifted": sum(r.sifted and not u for r, u in zip(recs, undet)),
+            "sifted": sum(r.sifted and u for r, u in zip(recs, usable)),
             "discarded": sum(not r.sifted for r in recs),
-            "undetermined": sum(undet),
+            "undetermined": len(recs) - sum(usable),
             "aborted_rounds": len([a for a in self.aborts
                                    if a["cause"] == "syndrome-reject"]),
             "abort_causes": sorted({a["cause"] for a in self.aborts}),
@@ -162,45 +154,46 @@ def ring_collect(outcomes, rng):
     return parity, messages
 
 
-def sift(records, protocol: int = 1):
-    """Mark and return the records kept by the direction-parity rule."""
+def sift(records, protocol: int):
+    """Mark the records kept by the direction-parity rule; return those of
+    them that carry a key bit."""
     kept = []
     for rec in records:
         if protocol == 2:
             rec.sifted = True
         else:
             rec.sifted = (rec.y_a + rec.y_b) % 2 == 0
-        if rec.sifted and not rec.undetermined:
+        if rec.sifted and _carries_key_bit(rec, protocol):
             kept.append(rec)
     return kept
 
 
-def derive_key_bits(record: RoundRecord, protocol: int = 1):
+def derive_key_bits(record: RoundRecord, protocol: int):
     """Per-record key bits; party B applies the reconciliation correction
     so that b_a == b_b on noiseless runs."""
-    if record.undetermined:
+    if not _carries_key_bit(record, protocol):
         raise StateError("cannot derive bits from an undetermined record")
     if protocol == 2:
-        if record.center_outcome is None or record.center_basis is None:
-            raise StateError("protocol 2 needs the center outcome")
+        # the center's one qubit adds a Y count of 0 or 1, so its ybar is 0
         y_c = 1 if record.center_basis == "Y" else 0
-        b_c = record.center_outcome  # ybar of a single qubit is 0
+        b_c = record.center_outcome
     else:
         y_c, b_c = 0, 0
-    b_a = record.ybar_a ^ record.m_a
-    b_b_raw = record.ybar_b ^ record.m_b
+    ybar_a, ybar_b = record.y_a // 2, record.y_b // 2
+    b_a = ybar_a ^ record.m_a
+    b_b_raw = ybar_b ^ record.m_b
     total = (record.y_a + record.y_b + y_c) % 4
     if (record.y_a + record.y_b + y_c) % 2 == 1:
         raise StateError("determinate correlation needs even joint Y parity")
-    h = record.ybar_a ^ record.ybar_b ^ (y_c // 2) ^ (total // 2)
+    h = ybar_a ^ ybar_b ^ (total // 2)
     b_b = b_b_raw ^ b_c ^ h
     record.b_a, record.b_b = b_a, b_b
     return b_a, b_b
 
 
-def test_and_finalize(records, test_fraction: float, rng):
-    """Public comparison on a random test subset of the sifted bits."""
-    usable = [r for r in records if r.sifted and not r.undetermined]
+def test_and_finalize(usable, test_fraction: float, rng):
+    """Public comparison on a random test subset of the usable records,
+    those whose key bits are derived."""
     if not usable:
         raise InvalidArgumentError("no sifted bits to test")
     k = int(test_fraction * len(usable))
@@ -292,13 +285,13 @@ def _announced_bases(config, adversary, bases, rng):
     return announced
 
 
-def _collect_party_parity(party, collector_pos, adversary, outcomes, copy,
-                          rng):
-    k = collector_pos % len(party)
+def _collect_party_parity(party, adversary, outcomes, copy, rng):
+    """The party's announced outcome parity, collected around the ring from
+    its first member."""
     contributions = [
         attacks.corrupt_announcement(outcomes[mu][copy],
                                      adversary.dishonest_for(mu), rng)
-        for mu in party[k:] + party[:k]]
+        for mu in party]
     parity, _ = ring_collect(contributions, rng)
     return parity
 
@@ -377,18 +370,14 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
                 bit, state = states.measure_qubit(state, (CENTER, c), cb, rng)
                 if center_drop is None:  # silent-drop withholds both
                     rec.center_basis, rec.center_outcome = cb, bit
-            rec.m_a = _collect_party_parity(party_a, config.collector_a,
-                                            adversary, outcomes, c, rng)
-            rec.m_b = _collect_party_parity(party_b, config.collector_b,
-                                            adversary, outcomes, c, rng)
+            rec.m_a = _collect_party_parity(party_a, adversary, outcomes, c,
+                                            rng)
+            rec.m_b = _collect_party_parity(party_b, adversary, outcomes, c,
+                                            rng)
             transcript.records.append(rec)
-    kept = sift(transcript.records, config.protocol)
-    usable = []
-    for rec in kept:
-        if config.protocol == 2 and rec.center_outcome is None:
-            continue  # undetermined: the center withheld its outcome
+    usable = sift(transcript.records, config.protocol)
+    for rec in usable:
         derive_key_bits(rec, config.protocol)
-        usable.append(rec)
     if not usable:
         transcript.verdict = "Fail"
         transcript.aborts.append({"round": None, "cause": "no-usable-bits"})

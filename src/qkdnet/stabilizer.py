@@ -31,7 +31,8 @@ class StabilizerCode:
     generators: list
     logical_x: list
     logical_z: list
-    _iso_cache: dict = field(default_factory=dict, repr=False)
+    _iso_cache: dict = field(default_factory=dict, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         s = self.u - self.t
@@ -139,7 +140,7 @@ def encode_coset(code: StabilizerCode, y, logical, out_labels=None):
     return states.apply_isometry(logical, iso, logical.labels, out_labels)
 
 
-def decode_coset(code: StabilizerCode, y, physical, rng, out_labels=None):
+def decode_coset(code: StabilizerCode, physical, rng, out_labels=None):
     """Measure the syndrome, then extract the logical content.
 
     Returns (measured_syndrome, logical_state).  The logical state lives on

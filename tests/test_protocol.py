@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from qkdnet import protocol, states
 from qkdnet.adversary import AdversarySpec, parse_adversary
+from qkdnet.analysis import protocol_statistics
 from qkdnet.errors import InvalidArgumentError, StateError
-from qkdnet.protocol import (NetworkConfig, RoundRecord, derive_key_bits,
-                             ring_collect, run_protocol1, run_protocol2, sift,
-                             transcript_to_jsonl)
+from qkdnet.protocol import (NetworkConfig, RoundRecord, Transcript,
+                             derive_key_bits, ring_collect, run_protocol1,
+                             run_protocol2, sift, transcript_to_jsonl)
 from qkdnet.protocol import test_and_finalize as finalize_with_test_bits
 
 NO_ATTACK = AdversarySpec()
@@ -65,6 +66,55 @@ def test_sift_protocol2_keeps_everything():
     recs = [_record(1, 0, 0, 0, center_basis="Y", center_outcome=0),
             _record(0, 0, 0, 0, center_basis="X", center_outcome=1)]
     assert len(sift(recs, protocol=2)) == 2
+
+
+def test_sift_protocol2_returns_no_center_withheld_record():
+    recs = [_record(1, 0, 0, 0, center_basis="Y", center_outcome=0),
+            _record(0, 0, 0, 0)]  # the center withheld its announcement
+    assert sift(recs, protocol=2) == recs[:1]
+    assert all(r.sifted for r in recs)
+
+
+def _hand_built_records(protocol):
+    """Records of one protocol covering each way a copy can fail to carry
+    a key bit, plus usable ones of both announced outcome parities."""
+    recs = []
+    for y_a, y_b in ((0, 0), (1, 0), (1, 1), (2, 1), (3, 3)):
+        for m_a, m_b in ((0, 0), (1, 0), (1, 1), (None, 1), (0, None)):
+            # protocol 2's center evens the joint Y parity, or withholds
+            for basis in (["YX"[(y_a + y_b) % 2 == 0], None]
+                          if protocol == 2 else [None]):
+                recs.append(_record(
+                    y_a, y_b, m_a, m_b, center_basis=basis,
+                    center_outcome=None if basis is None else 1))
+    return recs
+
+
+@pytest.mark.parametrize("protocol", [1, 2])
+def test_usable_records_agree_across_the_classical_stage(protocol):
+    recs = _hand_built_records(protocol)
+    kept = sift(recs, protocol)
+    accepted = []
+    for rec in recs:
+        try:
+            derive_key_bits(rec, protocol)
+        except StateError:
+            continue
+        accepted.append(rec)
+    assert kept == accepted and 0 < len(kept) < len(recs)
+    config = NetworkConfig(n=2, m=1, t=1, rounds=1, protocol=protocol,
+                           auth_enabled=False)
+    tr = Transcript(config=config, seed=0, records=recs)
+    summary = tr.summary()
+    assert summary["sifted"] == len(kept)
+    assert summary["undetermined"] == sum(
+        r.m_a is None or r.m_b is None
+        or protocol == 2 and r.center_outcome is None for r in recs)
+    # the agreement rate is over the usable records and reveals their count
+    agree = sum(r.b_a == r.b_b for r in kept)
+    assert 0 < agree < len(kept)
+    stats = protocol_statistics(tr)
+    assert stats["key_agreement_rate"] == agree / len(kept)
 
 
 def test_derive_key_bits_correlation_table():
@@ -125,8 +175,7 @@ def test_protocol1_noiseless_run_agrees():
 
 
 def test_protocol1_multiparty_collectors():
-    cfg = NetworkConfig(n=5, m=2, t=1, rounds=400, auth_enabled=False,
-                        collector_a=1, collector_b=2)
+    cfg = NetworkConfig(n=5, m=2, t=1, rounds=400, auth_enabled=False)
     tr = run_protocol1(cfg, NO_ATTACK, 3)
     assert tr.verdict == "Pass"
     assert tr.key_a == tr.key_b and tr.key_a

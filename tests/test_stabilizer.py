@@ -230,7 +230,7 @@ def test_encode_decode_round_trip(fam22):
         amps /= np.linalg.norm(amps)
         logical = states.PureStateVector((("l", 0), ("l", 1)), amps)
         physical = encode_coset(code, y, logical)
-        measured, back = decode_coset(code, y, physical, rng,
+        measured, back = decode_coset(code, physical, rng,
                                       out_labels=logical.labels)
         assert np.array_equal(measured, y)
         assert states.fidelity(states.to_density(back),
@@ -246,7 +246,7 @@ def test_error_shifts_syndrome(fam22):
         logical = states.basis_state([0, 0], [("l", 0), ("l", 1)])
         physical = encode_coset(code, y, logical)
         attacked = states.apply_pauli(physical, e, physical.labels)
-        measured, _ = decode_coset(code, y, attacked, rng)
+        measured, _ = decode_coset(code, attacked, rng)
         assert np.array_equal(measured, y ^ syndrome(code, e))
 
 
@@ -271,8 +271,8 @@ def test_stabilizer_element_acts_trivially(fam22):
     logical = states.basis_state([1, 0], [("l", 0), ("l", 1)])
     physical = encode_coset(code, np.zeros(2, dtype=np.uint8), logical)
     attacked = states.apply_pauli(physical, g.hermitian(), physical.labels)
-    measured, back = decode_coset(code, np.zeros(2, dtype=np.uint8),
-                                  attacked, rng, out_labels=logical.labels)
+    measured, back = decode_coset(code, attacked, rng,
+                                  out_labels=logical.labels)
     assert not measured.any()
     assert states.fidelity(states.to_density(back),
                            states.to_density(logical)) == pytest.approx(1.0)
@@ -291,6 +291,18 @@ def test_family_json_round_trip(rs, seed):
         a, b = fam.codes[k], back.codes[k]
         assert a.generators == b.generators
         assert a.logical_x == b.logical_x and a.logical_z == b.logical_z
+
+
+def test_code_equality_ignores_the_isometry_cache():
+    a, b = (gen_purity_family(2, 2, seed=0) for _ in range(2))
+    key = a.keys[0]
+    y = np.zeros(2, dtype=np.uint8)
+    assert a.codes[key] == b.codes[key]
+    stabilizer.encoding_isometry(a.codes[key], y)
+    assert a.codes[key] == b.codes[key]  # only one has cached it
+    stabilizer.encoding_isometry(b.codes[key], y)
+    assert a.codes[key] == b.codes[key]  # both have
+    assert a.codes[key] != a.codes[a.keys[1]]
 
 
 def _tampered(fam, edit):
