@@ -25,7 +25,7 @@ def main():
     print()
 
     rng = np.random.default_rng(SEED)
-    keys = keygen(fam, 2, rng)
+    keys = keygen(fam, rng)
     logical = states.basis_state([1, 0], [("l", 0), ("l", 1)])
     print(f"secrets: code key k={keys.k}, pad x={keys.x.tolist()}, "
           f"coset syndrome y={keys.y.tolist()}")
@@ -47,7 +47,7 @@ def main():
 
     # a logical operator of this key's code: trivial syndrome, real damage --
     # but only because the attacker was handed the secret key
-    e = code.logical_x[0].hermitian()
+    e = code.logical_x[0]
     attacked = states.apply_pauli(auth_send(keys, fam, logical), e)
     out = auth_receive(keys, fam, attacked, rng, out_labels=logical.labels)
     f = states.fidelity(states.to_density(out.logical_state),
@@ -59,7 +59,7 @@ def main():
     caught = 0
     trials = 400
     for _ in range(trials):
-        k2 = keygen(fam, 2, rng)
+        k2 = keygen(fam, rng)
         attacked = states.apply_pauli(auth_send(k2, fam, logical), e)
         out2 = auth_receive(k2, fam, attacked, rng,
                             out_labels=logical.labels)

@@ -327,7 +327,7 @@ def check_entanglement_fidelity_bound(channel, num_qubits: int, rng,
         tol)
 
 
-def check_composed_channel_bound(per_member_channels, n: int, t: int, rng,
+def check_composed_channel_bound(per_member_channels, t: int, rng,
                                  epsilon_samples: int = 100,
                                  tol: float = DEFAULT_TOL) -> InequalityReport:
     """Composed-transit bound on the shared entangled resource.
@@ -342,8 +342,7 @@ def check_composed_channel_bound(per_member_channels, n: int, t: int, rng,
     composed stage runs the dense density-matrix chain, which applies each
     member's channel once.
     """
-    if len(per_member_channels) != n:
-        raise InvalidArgumentError("need one channel per member")
+    n = len(per_member_channels)
     total_qubits = (n + 1) * t
     if total_qubits > states.MAX_QUBITS:
         raise InvalidArgumentError("configuration exceeds the qubit cap")
@@ -393,12 +392,12 @@ def _random_channel(rng, num_qubits: int):
                        targets=("a",))
 
 
-def entanglement_fidelity_suite(draws: int, rng, num_qubits: int = 1,
+def entanglement_fidelity_suite(draws: int, rng,
                                 tol: float = DEFAULT_TOL) -> InequalityReport:
-    """Purification bound over random channels, plus the closed-form
-    equality case for the one-qubit depolarizing channel at p = 0.1."""
+    """Purification bound over random one-qubit channels, plus the
+    closed-form equality case for the depolarizing channel at p = 0.1."""
     reports = [check_entanglement_fidelity_bound(
-        _random_channel(rng, num_qubits), num_qubits, rng,
+        _random_channel(rng, 1), 1, rng,
         purifications=40, epsilon_samples=60) for _ in range(draws)]
     reports.append(depolarizing_equality_check(0.1))
     return InequalityReport(
@@ -407,19 +406,20 @@ def entanglement_fidelity_suite(draws: int, rng, num_qubits: int = 1,
                       lambda i: reports[i].witness), tol)
 
 
-def composed_bound_suite(draws: int, rng, tol: float = DEFAULT_TOL,
-                         max_n: int = 3, t: int = 2) -> InequalityReport:
-    """Composed-transit bound over random per-member depolarizing strengths."""
+def composed_bound_suite(draws: int, rng,
+                         tol: float = DEFAULT_TOL) -> InequalityReport:
+    """Composed-transit bound over random per-member depolarizing strengths,
+    on 2 or 3 members with t = 2 copies each."""
     from .adversary import ChannelSpec, DEPOLARIZING
 
     ns, reports = [], []
     for _ in range(draws):
-        n = int(rng.integers(2, max_n + 1))
+        n = int(rng.integers(2, 4))
         channels = [ChannelSpec(kind=DEPOLARIZING,
                                 p=float(rng.uniform(0, 0.2)),
                                 targets=(f"m{j}",)) for j in range(n)]
         ns.append(n)
-        reports.append(check_composed_channel_bound(channels, n, t, rng,
+        reports.append(check_composed_channel_bound(channels, 2, rng,
                                                     epsilon_samples=20))
     return InequalityReport(
         "composed-channel-bound", draws,

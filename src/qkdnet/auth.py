@@ -48,14 +48,12 @@ class AuthOutcome:
         return self.verdict == ACCEPT
 
 
-def keygen(family: PurityFamily, t: int, rng) -> AuthKeys:
-    """Uniform secrets for one authenticated block of t logical qubits."""
-    if t != family.t:
-        raise InvalidArgumentError(
-            f"block size {t} does not match family t={family.t}")
+def keygen(family: PurityFamily, rng) -> AuthKeys:
+    """Uniform secrets for one authenticated block of the family's t
+    logical qubits."""
     keys = family.keys
     k = int(keys[rng.integers(0, len(keys))])
-    x = rng.integers(0, 2, size=2 * t).astype(np.uint8)
+    x = rng.integers(0, 2, size=2 * family.t).astype(np.uint8)
     y = rng.integers(0, 2, size=family.u - family.t).astype(np.uint8)
     return AuthKeys(k=k, x=x, y=y)
 

@@ -41,8 +41,8 @@ from .adversary import parse_adversary
 from .errors import CapacityError, InvalidArgumentError
 from .protocol import NetworkConfig, run_protocol1, run_protocol2, \
     transcript_to_jsonl
-from .stabilizer import DENSE_AUDIT_CAP, PurityFamily, audit_family, \
-    family_to_json, gen_purity_family
+from .stabilizer import DENSE_AUDIT_CAP, audit_family, family_to_json, \
+    gen_purity_family
 
 EXIT_OK, EXIT_ERROR, EXIT_FAIL = 0, 1, 2
 
@@ -115,9 +115,6 @@ def cmd_audit_code(args) -> int:
         raise CapacityError(f"u = r*s = {args.r * args.s} exceeds the exact "
                             f"audit cap {DENSE_AUDIT_CAP}")
     fam = gen_purity_family(args.r, args.s, args.seed, audit="skip")
-    if args.degenerate_single_code:
-        first = fam.keys[0]
-        fam = PurityFamily(r=fam.r, s=fam.s, codes={first: fam.codes[first]})
     audit_family(fam)
     print(f"epsilon_formula {fam.epsilon_formula!r}")
     print(f"epsilon_audited {fam.epsilon_audited!r}")
@@ -223,8 +220,6 @@ def build_parser() -> _Parser:
     p_audit.add_argument("--s", type=int, required=True)
     p_audit.add_argument("--seed", type=int, required=True)
     p_audit.add_argument("--out", default="")
-    p_audit.add_argument("--degenerate-single-code", action="store_true",
-                         help="debug: audit a one-key family (must fail)")
     p_audit.set_defaults(func=cmd_audit_code)
 
     p_ver = sub.add_parser("verify-inequalities",

@@ -82,11 +82,6 @@ class PauliOperator:
             m = np.kron(m, _FACTORS[c])
         return self.phase_value * m
 
-    def hermitian(self) -> "PauliOperator":
-        """Same bit pattern, phase reset so the operator is Hermitian."""
-        return PauliOperator(self.n, self.x, self.z,
-                             (self.x & self.z).bit_count())
-
     def __repr__(self) -> str:
         # letters denote Hermitian matrices, so factor their i's out of the prefix
         herm = (self.x & self.z).bit_count()

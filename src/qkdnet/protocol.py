@@ -12,7 +12,7 @@ parity is always even), and reveals its outcome; no round is discarded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -242,7 +242,7 @@ def _transit(config, families, adversary, state, rng, aborts, round_index):
         block = phys = [(mu, c) for c in range(config.t)]
         if families is not None:
             fam = families[mu]
-            keys = auth.keygen(fam, config.t, rng)
+            keys = auth.keygen(fam, rng)
             phys = [(mu, i) for i in range(fam.u)]
             state = auth.auth_send_in_place(keys, fam, state, block,
                                             out_labels=phys)
@@ -413,26 +413,27 @@ def run_protocol2(config: NetworkConfig, adversary: AdversarySpec,
 # serialization
 # --------------------------------------------------------------------------
 
+# A record's true outcomes give its collected parities, and those give its
+# key bits: the untested records' bits are the final key, bit for bit.
+_SECRET_RECORD_FIELDS = ("outcomes", "m_a", "m_b", "b_a", "b_b")
+
+
 def transcript_to_jsonl(transcript: Transcript,
                         reveal_secrets: bool = False) -> str:
     """JSON lines: one object per record, then a summary block.
 
-    Final key material counts as secret and is redacted unless requested.
+    Key material (the final keys and each record's secret fields) is
+    redacted unless requested.
     """
-    cfg = transcript.config
     lines = []
-    header = {
-        "config": {
-            "n": cfg.n, "m": cfg.m, "t": cfg.t, "rounds": cfg.rounds,
-            "test_fraction": cfg.test_fraction, "protocol": cfg.protocol,
-            "auth_enabled": cfg.auth_enabled,
-            "family_params": list(cfg.family_params),
-        },
-        "seed": transcript.seed,
-    }
+    header = {"config": asdict(transcript.config), "seed": transcript.seed}
     lines.append(json.dumps({"header": header}, sort_keys=True))
     for rec in transcript.records:
-        lines.append(json.dumps({"record": vars(rec)}, sort_keys=True))
+        fields = vars(rec)
+        if not reveal_secrets:
+            fields = {k: v for k, v in fields.items()
+                      if k not in _SECRET_RECORD_FIELDS}
+        lines.append(json.dumps({"record": fields}, sort_keys=True))
     for ab in transcript.aborts:
         lines.append(json.dumps({"abort": ab}, sort_keys=True))
     summary = transcript.summary()

@@ -4,7 +4,7 @@ States carry an ordered tuple of qubit labels ``(owner, slot)``; the first
 label is the most significant bit of the amplitude index.  Everything is
 plain complex128 numpy; joint systems are capped at ``MAX_QUBITS`` qubits.
 Pauli actions, measurements and isometries act on pure states; density
-matrices serve the Kraus channels and the metrics.
+matrices serve the Pauli channels and the metrics.
 """
 from __future__ import annotations
 
@@ -140,8 +140,8 @@ class DensityMatrix:
             raise InvalidArgumentError(f"unknown label {label!r}") from exc
 
 
-def default_labels(j: int, owner: str = "q") -> list:
-    return [(owner, i) for i in range(j)]
+def default_labels(j: int) -> list:
+    return [("q", i) for i in range(j)]
 
 
 def make_cat(j: int, kind: str, labels=None) -> PureStateVector:
@@ -343,19 +343,6 @@ def _contract(matrix: np.ndarray, steps) -> np.ndarray:
         order = list(axes) + [order[i] for i in rest]
     np.copyto(gathered.reshape(shape), cur.transpose(np.argsort(order)))
     return gathered
-
-
-def apply_kraus(state, kraus_ops, labels) -> DensityMatrix:
-    """Apply a CPTP map given by Kraus matrices on the label subset.
-
-    The superoperator sum_k K (x) conj(K) is contracted once with the ket
-    and bra target axes, so the labels keep their order.
-    """
-    dm = to_density(state)
-    kets = [dm.axis(l) for l in labels]
-    sup = sum(np.kron(kmat, kmat.conj()) for kmat in kraus_ops)
-    return DensityMatrix(dm.labels, _contract(
-        dm.matrix, [(sup, kets + [dm.num_qubits + a for a in kets])]))
 
 
 def apply_channel(state: DensityMatrix, channel, targets) -> DensityMatrix:

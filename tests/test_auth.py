@@ -43,7 +43,7 @@ def test_pad_bits_select_x_then_z():
 def test_clean_channel_round_trip(fam):
     rng = np.random.default_rng(2)
     for _ in range(10):
-        keys = keygen(fam, 2, rng)
+        keys = keygen(fam, rng)
         st = random_logical(rng)
         physical = auth_send(keys, fam, st)
         assert physical.num_qubits == fam.u
@@ -57,7 +57,7 @@ def test_clean_channel_round_trip(fam):
 def test_nonzero_syndrome_error_always_rejected(fam):
     rng = np.random.default_rng(3)
     for _ in range(30):
-        keys = keygen(fam, 2, rng)
+        keys = keygen(fam, rng)
         code = fam.codes[keys.k]
         while True:
             e = hermitian_pauli(rng.integers(0, 2, 4),
@@ -74,13 +74,14 @@ def test_nonzero_syndrome_error_always_rejected(fam):
 
 def test_syndrome_trivial_logical_error_accepted_but_corrupts(fam):
     rng = np.random.default_rng(4)
-    keys = keygen(fam, 2, rng)
+    keys = keygen(fam, rng)
     code = fam.codes[keys.k]
     # logical X of the chosen code: trivial syndrome, not in the stabilizer
     e = code.logical_x[0]
     st = states.basis_state([0, 0], [("l", 0), ("l", 1)])
     physical = auth_send(keys, fam, st)
-    attacked = states.apply_pauli(physical, e.hermitian(), physical.labels)
+    attacked = states.apply_pauli(
+        physical, PauliOperator.from_string(e.to_string()), physical.labels)
     outcome = auth_receive(keys, fam, attacked, rng, out_labels=st.labels)
     assert outcome.verdict == ACCEPT
     f = states.fidelity(states.to_density(outcome.logical_state),
@@ -91,7 +92,7 @@ def test_syndrome_trivial_logical_error_accepted_but_corrupts(fam):
 def test_pad_hides_plaintext_from_channel(fam):
     """Averaged over the pad, the transmitted block is plaintext-independent."""
     rng = np.random.default_rng(6)
-    keys = keygen(fam, 2, rng)
+    keys = keygen(fam, rng)
     avgs = []
     for bits in ([0, 0], [1, 1]):
         st = states.basis_state(bits, [("l", 0), ("l", 1)])
@@ -107,9 +108,7 @@ def test_pad_hides_plaintext_from_channel(fam):
 
 def test_keygen_validation(fam):
     rng = np.random.default_rng(0)
-    with pytest.raises(InvalidArgumentError):
-        keygen(fam, 1, rng)
-    keys = keygen(fam, 2, rng)
+    keys = keygen(fam, rng)
     with pytest.raises(InvalidArgumentError):
         AuthKeys(k=99, x=keys.x, y=keys.y).validate(fam)
     with pytest.raises(InvalidArgumentError):

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from qkdnet import cli
+from qkdnet.stabilizer import PurityFamily
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +203,37 @@ def test_reveal_secrets_flag(capsys, tmp_path):
     assert '"key_a"' in path.read_text()
 
 
+def _records(path):
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    return [line["record"] for line in lines if "record" in line]
+
+
+def test_unrevealed_records_hold_no_key_material(capsys, tmp_path):
+    # no record holds an outcome, a collected parity or a key bit, and no
+    # field left in the records lines up with the final key
+    argv = ["run", "--n", "2", "--m", "1", "--t", "1", "--no-auth",
+            "--rounds", "60", "--seed", "3", "--out"]
+    hidden, shown = tmp_path / "hidden.jsonl", tmp_path / "shown.jsonl"
+    run_cli(capsys, *argv, str(hidden))
+    run_cli(capsys, *argv, str(shown), "--reveal-secrets")
+    secret = {"outcomes", "m_a", "m_b", "b_a", "b_b"}
+    revealed = _records(shown)
+    assert _records(hidden) == [{k: v for k, v in r.items() if k not in secret}
+                                for r in revealed]
+    summary = json.loads(shown.read_text().splitlines()[-1])["summary"]
+    usable = [i for i, r in enumerate(revealed) if r["b_a"] is not None]
+    tested = {usable[i] for i in summary["test_indices"]}
+    key_records = [r for i, r in enumerate(_records(hidden))
+                   if i in set(usable) - tested]
+    key = summary["key_a"]
+    assert len(key) == len(key_records) >= 20
+    for name in key_records[0]:
+        values = [r[name] for r in key_records]
+        views = ([[v[mu] for v in values] for mu in values[0]]
+                 if isinstance(values[0], dict) else [values])
+        assert all(view != key for view in views), name
+
+
 def test_audit_code_formula_values(capsys):
     code, stdout, _ = run_cli(capsys, "audit-code", "--r", "2", "--s", "2",
                               "--seed", "1")
@@ -214,11 +246,24 @@ def test_audit_code_formula_values(capsys):
     assert f"epsilon_formula {4 / 9!r}" in stdout
 
 
-def test_audit_code_degenerate_family_fails(capsys):
+def test_audit_code_degenerate_family_fails(capsys, monkeypatch):
+    # one key's code misses its own logical operators: epsilon 1, exit 2
+    generate = cli.gen_purity_family
+
+    def one_key_family(*args, **kwargs):
+        fam = generate(*args, **kwargs)
+        first = fam.keys[0]
+        return PurityFamily(r=fam.r, s=fam.s, codes={first: fam.codes[first]})
+
+    monkeypatch.setattr(cli, "gen_purity_family", one_key_family)
     code, stdout, _ = run_cli(capsys, "audit-code", "--r", "2", "--s", "2",
-                              "--seed", "1", "--degenerate-single-code")
-    assert code != 0
-    assert "Fail" in stdout
+                              "--seed", "1")
+    assert code == 2
+    assert stdout.splitlines()[-1] == "verdict Fail"
+    code, stdout, err = run_cli(capsys, "audit-code", "--r", "2", "--s", "2",
+                                "--seed", "1", "--degenerate-single-code")
+    assert (code, stdout) == (1, "")
+    assert "unrecognized arguments" in err
 
 
 def test_audit_code_capacity_exit(capsys, monkeypatch):

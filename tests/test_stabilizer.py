@@ -270,7 +270,8 @@ def test_stabilizer_element_acts_trivially(fam22):
     g = pauli_mul(code.generators[0], code.generators[1])
     logical = states.basis_state([1, 0], [("l", 0), ("l", 1)])
     physical = encode_coset(code, np.zeros(2, dtype=np.uint8), logical)
-    attacked = states.apply_pauli(physical, g.hermitian(), physical.labels)
+    attacked = states.apply_pauli(
+        physical, PauliOperator.from_string(g.to_string()), physical.labels)
     measured, back = decode_coset(code, attacked, rng,
                                   out_labels=logical.labels)
     assert not measured.any()

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -145,12 +146,10 @@ def test_fidelity_symmetry_random():
 
 
 def test_apply_kraus_is_trace_preserving():
-    rng = np.random.default_rng(4)
+    # the bit flip's Kraus terms sqrt(0.7) I and sqrt(0.3) X, via apply_channel
     dm = to_density(make_cat(2, PSI_PLUS))
-    p = 0.3
-    kraus = [np.sqrt(1 - p) * np.eye(2),
-             np.sqrt(p) * np.array([[0, 1], [1, 0]], dtype=complex)]
-    out = states.apply_kraus(dm, kraus, [dm.labels[0]])
+    bit_flip = ChannelSpec(kind="pauli", pauli_probs={"I": 0.7, "X": 0.3})
+    out = states.apply_channel(dm, bit_flip, [dm.labels[0]])
     assert np.trace(out.matrix).real == pytest.approx(1.0)
 
 
@@ -336,12 +335,12 @@ def test_mixed_fidelity_eigenvalue_trace_matches_uhlmann():
                                                        abs=1e-12)
 
 
-def _random_kraus(rng, k, terms):
-    """``terms`` Kraus matrices of a random CPTP map on k qubits."""
-    d = 2 ** k
-    g = rng.normal(size=(terms * d, d)) + 1j * rng.normal(size=(terms * d, d))
-    iso, _ = np.linalg.qr(g)
-    return list(iso.reshape(terms, d, d))
+def _random_pauli_table(rng, k):
+    """A channel of random weights over every k-letter Pauli string."""
+    strings = ["".join(p) for p in itertools.product("IXYZ", repeat=k)]
+    w = rng.dirichlet(np.full(len(strings), 0.3))
+    return ChannelSpec(kind="pauli", pauli_probs={
+        s: float(p) for s, p in zip(strings, w / w.sum())})
 
 
 def _embedded_operator(kmat, axes, n):
@@ -354,14 +353,19 @@ def _embedded_operator(kmat, axes, n):
 
 @pytest.mark.parametrize("axes", [[3], [4, 1], [0, 2], [3, 0, 2], [4, 2, 0]])
 def test_apply_kraus_matches_explicit_sum(axes):
+    # apply_channel with a block-wide table on targets out of label order,
+    # against the explicit sum over its Kraus terms, sum p P rho P^dagger
     rng = np.random.default_rng(26)
     n = 5
     labels = tuple(states.default_labels(n))
     rho = DensityMatrix(labels, _random_mixed(rng, n, 2 ** n))
-    kraus = _random_kraus(rng, len(axes), 3)
-    out = states.apply_kraus(rho, kraus, [labels[a] for a in axes])
-    embedded = [_embedded_operator(k, axes, n) for k in kraus]
-    want = sum(e @ rho.matrix @ e.conj().T for e in embedded)
+    ch = _random_pauli_table(rng, len(axes))
+    out = states.apply_channel(rho, ch, [labels[a] for a in axes])
+    want = np.zeros_like(rho.matrix)
+    for s, p in ch.pauli_mixture():
+        e = _embedded_operator(PauliOperator.from_string(s).to_matrix(),
+                               axes, n)
+        want += p * e @ rho.matrix @ e.conj().T
     assert out.labels == labels
     assert np.allclose(out.matrix, want, atol=1e-12)
 
