@@ -20,6 +20,7 @@ DEPOLARIZING = "depolarizing"
 PAULI_CHANNEL = "pauli"
 INTERCEPT_RESEND = "intercept_resend"
 FIXED_PAULI = "fixed_pauli"
+_DISHONEST_MODES = ("lie_basis", "lie_outcome", "silent_drop")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -27,82 +28,78 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def depolarizing(p: float) -> tuple:
+    """The mixture of rho -> (1 - p) rho + p I/2, for p in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise InvalidArgumentError("depolarizing p must be in [0, 1]")
+    return tuple(zip("IXYZ", [1 - 3 * p / 4] + [p / 4] * 3))
+
+
+def _intercept(bases) -> tuple:
+    """Measuring in a random basis of B and resending the eigenstate
+    dephases the qubit in that basis: rho/2 + sum_b b rho b / (2|B|)."""
+    if not bases or not set(bases) <= {"X", "Y", "Z"}:
+        raise InvalidArgumentError("intercept bases must be X/Y/Z")
+    w = 1 / (2 * len(bases))
+    return (("I", 0.5),) + tuple((b, w) for b in bases)
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
-    """A CPTP attack on the qubits of the targeted members.
+    """A CPTP attack on the qubits of the targeted members, stored as its
+    mixture of Pauli errors: ``(Pauli string, probability)`` pairs.
 
-    Every kind is a mixture of Pauli errors (``pauli_mixture``).  Identity,
-    depolarizing, intercept-resend and a one-letter fixed Pauli act on each
-    target qubit alone; ``pauli`` tables and multi-letter fixed Paulis act
-    jointly on the whole target block.  A spec is frozen, so what is derived
-    from its mixture is built once.
+    One-letter strings act on each target qubit alone, longer ones jointly
+    on the whole target block.  ``kind`` names the attack; intercept-resend
+    alone reads it, to draw its trajectories by measuring.  A spec is
+    frozen, so what is derived from its mixture is built once.
     """
 
     kind: str
-    p: float = 0.0
-    pauli_probs: dict = field(default_factory=dict)
-    bases: tuple = ("X", "Y")
-    operator: str = ""
+    mixture: tuple
     targets: tuple = ()
 
     def __post_init__(self):
         if self.kind not in (IDENTITY, DEPOLARIZING, PAULI_CHANNEL,
                              INTERCEPT_RESEND, FIXED_PAULI):
             raise InvalidArgumentError(f"unknown channel kind {self.kind!r}")
-        if self.kind == DEPOLARIZING and not 0.0 <= self.p <= 1.0:
-            raise InvalidArgumentError("depolarizing p must be in [0, 1]")
-        if self.kind == PAULI_CHANNEL:
-            # written so that a NaN probability fails both checks
-            total = sum(self.pauli_probs.values())
-            if not abs(total - 1.0) <= 1e-12:
-                raise InvalidArgumentError("Pauli probabilities must sum to 1")
-            if not all(p >= 0 for p in self.pauli_probs.values()):
-                raise InvalidArgumentError("Pauli probabilities must be >= 0")
+        mixture = tuple((pstr, float(prob)) for pstr, prob in self.mixture)
+        probs = [prob for _, prob in mixture]
+        # written so that a NaN probability fails both checks
+        if not abs(sum(probs) - 1.0) <= 1e-12:
+            raise InvalidArgumentError("Pauli probabilities must sum to 1")
+        if not all(prob >= 0 for prob in probs):
+            raise InvalidArgumentError("Pauli probabilities must be >= 0")
+        for pstr, _ in mixture:
+            if not pstr or pstr.strip("IXYZ"):
+                raise InvalidArgumentError(
+                    f"{pstr!r} is not a string of Pauli letters IXYZ")
         if self.kind == INTERCEPT_RESEND:
-            if not self.bases or not set(self.bases) <= {"X", "Y", "Z"}:
-                raise InvalidArgumentError("intercept bases must be X/Y/Z")
-        if self.kind == FIXED_PAULI and not self.operator:
-            raise InvalidArgumentError("fixed_pauli needs an operator string")
-        if self.kind in (PAULI_CHANNEL, FIXED_PAULI):
-            for pstr in list(self.pauli_probs) + [self.operator]:
-                if pstr.strip("IXYZ"):
-                    raise InvalidArgumentError(
-                        f"unknown Pauli letter in {pstr!r}")
+            # its trajectories measure in the bases after the identity
+            want = _intercept([pstr for pstr, _ in mixture[1:]])
+            if mixture[0][0] != "I" or not np.allclose(
+                    probs, [w for _, w in want], rtol=0, atol=1e-12):
+                raise InvalidArgumentError(
+                    "an intercept mixture is rho/2 + sum_b b rho b / (2|B|)")
+        object.__setattr__(self, "mixture", mixture)
         object.__setattr__(self, "targets", tuple(self.targets))
 
-    # ---- the channel as a mixture of Pauli errors -------------------------
-
-    def pauli_mixture(self) -> list:
-        """``(Pauli string, probability)`` pairs whose mixture is the channel.
-
-        One-letter strings act on each target qubit alone, longer ones on
-        the whole target block.  Intercept-resend over bases B dephases
-        the qubit in a random basis of B: rho/2 + sum_b b rho b / (2|B|).
-        """
-        if self.kind == IDENTITY:
-            return [("I", 1.0)]
-        if self.kind == DEPOLARIZING:
-            return list(zip("IXYZ", [1 - 3 * self.p / 4] + [self.p / 4] * 3))
-        if self.kind == INTERCEPT_RESEND:
-            w = 1 / (2 * len(self.bases))
-            return [("I", 0.5)] + [(b, w) for b in self.bases]
-        if self.kind == FIXED_PAULI:
-            return [(self.operator, 1.0)]
-        return sorted(self.pauli_probs.items())
+    def pauli_mixture(self) -> tuple:
+        """The stored ``(Pauli string, probability)`` pairs."""
+        return self.mixture
 
     @cached_property
     def _widths(self) -> set:
-        return {len(pstr) for pstr, _ in self.pauli_mixture()}
+        return {len(pstr) for pstr, _ in self.mixture}
 
     @cached_property
     def _draws(self) -> tuple:
         """The mixture as trajectories draw it: each entry's operator (None
         for an identity) and the normalized probabilities (None for a
         single entry, which needs no draw)."""
-        mixture = self.pauli_mixture()
         ops = [PauliOperator.from_string(pstr) if pstr.strip("I") else None
-               for pstr, _ in mixture]
-        probs = np.array([prob for _, prob in mixture])
+               for pstr, _ in self.mixture]
+        probs = np.array([prob for _, prob in self.mixture])
         return ops, (probs / probs.sum()).tolist() if len(ops) > 1 else None
 
     def is_per_qubit(self) -> bool:
@@ -133,7 +130,7 @@ class ChannelSpec:
         if terms is None:
             terms = np.array([
                 np.sqrt(prob) * PauliOperator.from_string(pstr).to_matrix()
-                for pstr, prob in self.pauli_mixture()])
+                for pstr, prob in self.mixture])
             if self.is_per_qubit():
                 # every kron(t, s), t major, one qubit at a time
                 singles, terms = terms, np.ones((1, 1, 1), dtype=complex)
@@ -166,8 +163,9 @@ class ChannelSpec:
         if self.kind == INTERCEPT_RESEND:
             # measure in a random basis and resend the eigenstate: the
             # channel of its mixture, drawing a basis and an outcome per qubit
+            bases = [pstr for pstr, _ in self.mixture[1:]]
             for lab in labels:
-                basis = self.bases[rng.integers(0, len(self.bases))]
+                basis = bases[rng.integers(0, len(bases))]
                 bit, rest = states.measure_qubit(state, lab, basis, rng)
                 state = states.permute_labels(states.tensor(
                     rest, states.eigenstate(basis, bit, lab)), state.labels)
@@ -190,7 +188,7 @@ class DishonestSpec:
     p: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in ("lie_basis", "lie_outcome", "silent_drop"):
+        if self.mode not in _DISHONEST_MODES:
             raise InvalidArgumentError(f"unknown dishonest mode {self.mode!r}")
         if not 0.0 <= self.p <= 1.0:
             raise InvalidArgumentError("flip probability must be in [0, 1]")
@@ -242,27 +240,6 @@ def corrupt_announcement(truth, spec: DishonestSpec | None, rng):
 # spec-string grammar
 # --------------------------------------------------------------------------
 
-_KIND_ALIASES = {
-    "identity": (IDENTITY, False),
-    "depolarize": (DEPOLARIZING, False),
-    "depolarizing": (DEPOLARIZING, False),
-    "pauli": (PAULI_CHANNEL, False),
-    "intercept": (INTERCEPT_RESEND, False),
-    "intercept-resend": (INTERCEPT_RESEND, False),
-    "fixed-pauli": (FIXED_PAULI, False),
-    "lie-basis": ("lie_basis", True),
-    "lie-outcome": ("lie_outcome", True),
-    "silent-drop": ("silent_drop", True),
-}
-
-# the parameters each kind reads; a pauli table reads its Pauli strings
-_KIND_PARAMS = {
-    IDENTITY: (), DEPOLARIZING: ("p",), INTERCEPT_RESEND: ("bases",),
-    FIXED_PAULI: ("op",), "lie_basis": ("p",), "lie_outcome": ("p",),
-    "silent_drop": (),
-}
-
-
 def _normalize_member(name: str) -> str:
     """Accept ``m3``, ``member3``, or ``center``/``c`` spellings, any case."""
     low = name.lower()
@@ -279,6 +256,38 @@ def _number(key: str, text: str) -> float:
     except ValueError:
         raise InvalidArgumentError(
             f"parameter {key!r} is not a number: {text!r}") from None
+
+
+def _pauli_table(params: dict) -> tuple:
+    table = {k.upper(): _number(k, v) for k, v in params.items()}
+    if len(table) != len(params):
+        raise InvalidArgumentError(
+            f"a Pauli string is given twice in {sorted(params)}")
+    return tuple(sorted(table.items()))
+
+
+def _flip_p(params: dict) -> float:
+    return _number("p", params.get("p", "1.0"))
+
+
+# each grammar kind: the kind it parses to, the parameters it reads (a
+# pauli table reads its Pauli strings) and what it builds from their text,
+# a channel's Pauli mixture or a dishonest member's probability p
+_KINDS = {
+    "identity": (IDENTITY, (), lambda a: (("I", 1.0),)),
+    "depolarize": (DEPOLARIZING, ("p",),
+                   lambda a: depolarizing(_number("p", a.get("p", "0.0")))),
+    "pauli": (PAULI_CHANNEL, None, _pauli_table),
+    "intercept": (INTERCEPT_RESEND, ("bases",),
+                  lambda a: _intercept(tuple(a.get("bases", "XY").upper()))),
+    "fixed-pauli": (FIXED_PAULI, ("op",),
+                    lambda a: ((a.get("op", "").upper(), 1.0),)),
+    "lie-basis": ("lie_basis", ("p",), _flip_p),
+    "lie-outcome": ("lie_outcome", ("p",), _flip_p),
+    "silent-drop": ("silent_drop", (), _flip_p),
+}
+_KINDS["depolarizing"] = _KINDS["depolarize"]
+_KINDS["intercept-resend"] = _KINDS["intercept"]
 
 
 def parse_adversary(text: str | None) -> AdversarySpec:
@@ -299,9 +308,9 @@ def parse_adversary(text: str | None) -> AdversarySpec:
         name, colon, paramstr = head.partition(":")
         if colon and not paramstr:
             raise InvalidArgumentError(f"empty parameter list in {chunk!r}")
-        if name not in _KIND_ALIASES:
+        if name not in _KINDS:
             raise InvalidArgumentError(f"unknown attack kind {name!r}")
-        kind, is_dishonest = _KIND_ALIASES[name]
+        kind, reads, build = _KINDS[name]
         params = {}
         if paramstr:
             for pair in paramstr.split(";"):
@@ -312,30 +321,14 @@ def parse_adversary(text: str | None) -> AdversarySpec:
                     raise InvalidArgumentError(
                         f"parameter {k!r} given twice in {chunk!r}")
                 params[k] = v
-        if kind == PAULI_CHANNEL:
-            read = {k for k in params if k and not k.upper().strip("IXYZ")}
-        else:
-            read = set(_KIND_PARAMS[kind])
-        unread = sorted(set(params) - read)
+        if reads is None:
+            reads = [k for k in params if k and not k.upper().strip("IXYZ")]
+        unread = sorted(set(params) - set(reads))
         if unread:
             raise InvalidArgumentError(
                 f"{name} does not take parameters {unread}")
-        if is_dishonest:
-            p = _number("p", params.get("p", "1.0"))
-            spec.dishonest.append(DishonestSpec(member=member, mode=kind, p=p))
-            continue
-        kwargs = {"kind": kind, "targets": (member,)}
-        if kind == PAULI_CHANNEL:
-            table = {k.upper(): _number(k, v) for k, v in params.items()}
-            if len(table) != len(params):
-                raise InvalidArgumentError(
-                    f"a Pauli string is given twice in {chunk!r}")
-            kwargs["pauli_probs"] = table
-        if "p" in params:
-            kwargs["p"] = _number("p", params["p"])
-        if "bases" in params:
-            kwargs["bases"] = tuple(params["bases"].upper())
-        if "op" in params:
-            kwargs["operator"] = params["op"].upper()
-        spec.channels.append(ChannelSpec(**kwargs))
+        if kind in _DISHONEST_MODES:
+            spec.dishonest.append(DishonestSpec(member, kind, build(params)))
+        else:
+            spec.channels.append(ChannelSpec(kind, build(params), (member,)))
     return spec

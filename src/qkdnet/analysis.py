@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import states
+from .adversary import DEPOLARIZING, PAULI_CHANNEL, ChannelSpec, depolarizing
 from .errors import InvalidArgumentError
 from .paulis import parity
 from .states import bures_distance, fidelity, trace_distance
@@ -128,19 +129,17 @@ def _draw_trials(trials: int, dims, rng, draw) -> tuple:
     return dim_of, drawn, by_dim
 
 
-def _output_fidelity(kraus, vecs, block: bool = False):
+def _output_fidelity(kraus, vecs):
     """<v| sum_k K |v><v| K^dagger |v> = sum_k |<v|K|v>|^2 for each state
-    v of ``vecs`` (..., dim).
+    v of ``vecs`` (..., rest, dim).
 
-    With ``block``, each (rest, dim) matrix of ``vecs`` is one state
-    v = sum_r |r>|v_r> of a larger system, row r holding v_r, and each K
-    acts on the dim factor alone: <v|K|v> = sum_r <v_r|K|v_r>.  For a
-    stack of such states, give ``kraus`` the matching singleton axes.
+    Each (rest, dim) matrix is one state v = sum_r |r>|v_r>, row r holding
+    v_r, and each K acts on the dim factor alone: <v|K|v> =
+    sum_r <v_r|K|v_r>.  A state on the dim factor alone has one row.
     """
-    kv = vecs @ np.swapaxes(kraus, -1, -2)  # (terms, ..., dim)
-    amp = (vecs.conj() * kv).sum(axis=-1)
-    if block:
-        amp = amp.sum(axis=-1)
+    kv = (vecs.reshape(-1, vecs.shape[-1]) @ np.swapaxes(kraus, -1, -2)
+          ).reshape((len(kraus),) + vecs.shape)  # (terms, ..., rest, dim)
+    amp = (vecs.conj() * kv).sum(axis=-1).sum(axis=-1)
     return (amp.real ** 2 + amp.imag ** 2).sum(axis=0)
 
 
@@ -151,7 +150,7 @@ def _block_fidelity(state, channel, targets) -> float:
     amps = np.moveaxis(state.amplitudes.reshape((2,) * q),
                        [state.axis(l) for l in targets], range(q - t, q))
     return float(_output_fidelity(channel.kraus_terms(t),
-                                  amps.reshape(-1, 2 ** t), block=True))
+                                  amps.reshape(-1, 2 ** t)))
 
 
 def fuchs_van_de_graaf_suite(trials: int, dims, rng,
@@ -197,15 +196,13 @@ def depolarizing_equality_check(p: float, tol: float = DEFAULT_TOL) -> Inequalit
     bound reads 1 - (1 + 2/4) eps = 1 - 3p/4, which the maximally
     entangled input attains exactly.
     """
-    from .adversary import ChannelSpec, DEPOLARIZING
-    ch = ChannelSpec(kind=DEPOLARIZING, p=p, targets=("a",))
-    kraus = ch.kraus_terms(1)
+    kraus = ChannelSpec(DEPOLARIZING, depolarizing(p), ("a",)).kraus_terms(1)
     # eps over pure inputs (covariant channel: any state suffices, check a few)
     probes = np.array([[1, 0], [1, 1], [1, 1j]]) / np.sqrt([1, 2, 2])[:, None]
-    eps = float((1 - _output_fidelity(kraus, probes)).max())
+    eps = float((1 - _output_fidelity(kraus, probes[:, None])).max())
     bound = 1 - (1 + 2 / 4) * eps
     bell = np.array([[1, 0], [0, 1]], dtype=complex) / np.sqrt(2)
-    f = float(_output_fidelity(kraus, bell, block=True))
+    f = float(_output_fidelity(kraus, bell))
     gap = abs(f - bound)
     witness = {"p": p, "epsilon": eps, "entanglement_fidelity": f,
                "bound": bound}
@@ -300,8 +297,8 @@ def measure_channel_epsilon(channel, num_qubits: int, rng,
     vecs = np.concatenate([np.eye(dim), np.full((1, dim), 1 / np.sqrt(dim)),
                            haar_states(samples, dim, rng)])
     # np.maximum, unlike max(), keeps a NaN infidelity
-    return float(np.maximum((1.0 - _output_fidelity(kraus, vecs)).max(),
-                            0.0))
+    infidelity = 1.0 - _output_fidelity(kraus, vecs[:, None])
+    return float(np.maximum(infidelity.max(), 0.0))
 
 
 def check_entanglement_fidelity_bound(channel, num_qubits: int, rng,
@@ -317,8 +314,8 @@ def check_entanglement_fidelity_bound(channel, num_qubits: int, rng,
     # |psi> = sum_{s,r} psi[s, r] |s>|r> with the channel on s: row r of
     # each transposed block is the system vector paired with reference r
     psi = haar_states(purifications, dim * dim, rng).reshape(-1, dim, dim)
-    f = _output_fidelity(channel.kraus_terms(num_qubits)[:, None],
-                         psi.swapaxes(-1, -2), block=True)
+    f = _output_fidelity(channel.kraus_terms(num_qubits),
+                         psi.swapaxes(-1, -2))
     return InequalityReport(
         "entanglement-fidelity-bound", purifications,
         *_worst_trial(bound - f, lambda i: {
@@ -343,6 +340,9 @@ def check_composed_channel_bound(per_member_channels, t: int, rng,
     member's channel once.
     """
     n = len(per_member_channels)
+    if n < 1 or t < 1:
+        raise InvalidArgumentError(
+            "the composed bound needs at least one member and one copy")
     total_qubits = (n + 1) * t
     if total_qubits > states.MAX_QUBITS:
         raise InvalidArgumentError("configuration exceeds the qubit cap")
@@ -379,17 +379,14 @@ def check_composed_channel_bound(per_member_channels, t: int, rng,
 
 
 def _random_channel(rng, num_qubits: int):
-    from .adversary import ChannelSpec, DEPOLARIZING, PAULI_CHANNEL
     if rng.random() < 0.5:
-        return ChannelSpec(kind=DEPOLARIZING, p=float(rng.uniform(0, 0.3)),
-                           targets=("a",))
+        return ChannelSpec(DEPOLARIZING,
+                           depolarizing(float(rng.uniform(0, 0.3))), ("a",))
     letters = "IXYZ"
     strings = ["".join(c) for c in itertools.product(letters, repeat=num_qubits)]
     w = rng.dirichlet(np.ones(len(strings)) * 0.2)
     w = w / w.sum()
-    return ChannelSpec(kind=PAULI_CHANNEL,
-                       pauli_probs={s: float(p) for s, p in zip(strings, w)},
-                       targets=("a",))
+    return ChannelSpec(PAULI_CHANNEL, zip(strings, w.tolist()), ("a",))
 
 
 def entanglement_fidelity_suite(draws: int, rng,
@@ -410,14 +407,12 @@ def composed_bound_suite(draws: int, rng,
                          tol: float = DEFAULT_TOL) -> InequalityReport:
     """Composed-transit bound over random per-member depolarizing strengths,
     on 2 or 3 members with t = 2 copies each."""
-    from .adversary import ChannelSpec, DEPOLARIZING
-
     ns, reports = [], []
     for _ in range(draws):
         n = int(rng.integers(2, 4))
-        channels = [ChannelSpec(kind=DEPOLARIZING,
-                                p=float(rng.uniform(0, 0.2)),
-                                targets=(f"m{j}",)) for j in range(n)]
+        channels = [ChannelSpec(DEPOLARIZING,
+                                depolarizing(float(rng.uniform(0, 0.2))),
+                                (f"m{j}",)) for j in range(n)]
         ns.append(n)
         reports.append(check_composed_channel_bound(channels, 2, rng,
                                                     epsilon_samples=20))

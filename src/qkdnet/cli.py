@@ -121,7 +121,7 @@ def cmd_audit_code(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(family_to_json(fam))
-    ok = fam.epsilon_audited <= fam.epsilon_formula + 1e-12
+    ok = fam.within_budget
     print(f"verdict {'Pass' if ok else 'Fail'}")
     return EXIT_OK if ok else EXIT_FAIL
 

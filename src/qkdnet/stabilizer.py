@@ -194,6 +194,11 @@ class PurityFamily:
         return 2 * self.r / (2 ** self.s + 1)
 
     @property
+    def within_budget(self) -> bool:
+        """Whether the audited epsilon meets the 2r/(2^s + 1) budget."""
+        return self.epsilon_audited <= self.epsilon_formula + 1e-12
+
+    @property
     def keys(self) -> list:
         return sorted(self.codes)
 
@@ -318,7 +323,7 @@ def gen_purity_family(r: int, s: int, seed,
     fam = PurityFamily(r=r, s=s, codes=codes)
     if audit == "auto" and u <= DENSE_AUDIT_CAP:
         eps = audit_family(fam)
-        if eps > fam.epsilon_formula + 1e-12:
+        if not fam.within_budget:
             raise RuntimeError(
                 f"generated family audited at {eps}, above budget "
                 f"{fam.epsilon_formula}; construction invariant violated")
@@ -437,7 +442,7 @@ def family_from_json(text: str) -> PurityFamily:
     fam = PurityFamily(r=r, s=s, codes=codes, epsilon_audited=stored)
     if u <= DENSE_AUDIT_CAP:
         eps = audit_family(fam)
-        if eps > fam.epsilon_formula + 1e-12 or (
+        if not fam.within_budget or (
                 stored is not None and abs(eps - stored) > 1e-12):
             raise InvalidArgumentError(
                 f"family audits at epsilon {eps}, against stored {stored} "

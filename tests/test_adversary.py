@@ -6,10 +6,14 @@ from hypothesis import strategies as st
 from qkdnet import states
 from qkdnet.adversary import (AdversarySpec, ChannelSpec, DishonestSpec,
                               apply_attack, corrupt_announcement,
-                              parse_adversary)
+                              depolarizing, parse_adversary)
 from qkdnet.errors import InvalidArgumentError
 
 from helpers import random_density
+
+IDENTITY = (("I", 1.0),)
+INTERCEPT_XY = (("I", 0.5), ("X", 0.25), ("Y", 0.25))
+INTERCEPT_XYZ = (("I", 0.5), ("X", 1 / 6), ("Y", 1 / 6), ("Z", 1 / 6))
 
 
 def _assert_cptp(kraus, dim):
@@ -20,11 +24,11 @@ def _assert_cptp(kraus, dim):
 
 
 @pytest.mark.parametrize("spec", [
-    ChannelSpec(kind="identity"),
-    ChannelSpec(kind="depolarizing", p=0.3),
-    ChannelSpec(kind="intercept_resend"),
-    ChannelSpec(kind="intercept_resend", bases=("X", "Y", "Z")),
-    ChannelSpec(kind="pauli", pauli_probs={"II": 0.5, "XY": 0.25, "ZZ": 0.25}),
+    ChannelSpec("identity", IDENTITY),
+    ChannelSpec("depolarizing", depolarizing(0.3)),
+    ChannelSpec("intercept_resend", INTERCEPT_XY),
+    ChannelSpec("intercept_resend", INTERCEPT_XYZ),
+    ChannelSpec("pauli", (("II", 0.5), ("XY", 0.25), ("ZZ", 0.25))),
 ])
 def test_kraus_completeness(spec):
     n = 2
@@ -32,7 +36,7 @@ def test_kraus_completeness(spec):
 
 
 def test_channel_terms_are_built_once_per_width():
-    ch = ChannelSpec(kind="depolarizing", p=0.2, targets=("a",))
+    ch = ChannelSpec("depolarizing", depolarizing(0.2), ("a",))
     for width in (1, 2):
         kraus, sup = ch.kraus_terms(width), ch.superoperator(width)
         assert ch.kraus_terms(width) is kraus
@@ -45,7 +49,7 @@ def test_channel_terms_are_built_once_per_width():
 def test_depolarizing_output_fidelity():
     # rho -> (1-p) rho + p I/2, so F(|0><0|) = 1 - p/2
     p = 0.1
-    spec = ChannelSpec(kind="depolarizing", p=p, targets=("a",))
+    spec = ChannelSpec("depolarizing", depolarizing(p), ("a",))
     dm = states.to_density(states.basis_state([0], [("a", 0)]))
     out = apply_attack(dm, spec)
     assert out.matrix[0, 0].real == pytest.approx(1 - p / 2)
@@ -55,7 +59,7 @@ def test_depolarizing_output_fidelity():
 def test_intercept_resend_channel_on_bell_pair():
     # measuring one half dephases the pair: the surviving Bell fidelity is
     # 1/2 for each basis guess, and matched-basis test bits err with rate 1/4
-    spec = ChannelSpec(kind="intercept_resend", targets=("a",))
+    spec = ChannelSpec("intercept_resend", INTERCEPT_XY, ("a",))
     bell = states.make_cat(2, states.PHI_PLUS, [("a", 0), ("b", 0)])
     labels = bell.labels
     out = apply_attack(states.to_density(bell), spec)
@@ -83,8 +87,9 @@ def test_intercept_pauli_form_matches_measure_and_resend(bases):
     oracle = sum(on_target(np.outer(e, e.conj())) @ rho
                  @ on_target(np.outer(e, e.conj()))
                  for b in bases for e in states.eigenvectors(b)) / len(bases)
-    spec = ChannelSpec(kind="intercept_resend", bases=tuple(bases),
-                       targets=("a",))
+    w = 1 / (2 * len(bases))
+    spec = ChannelSpec("intercept_resend",
+                       [("I", 0.5)] + [(b, w) for b in bases], ("a",))
     kraus = [on_target(k) for k in spec.kraus_terms(1)]
     pauli_form = sum(k @ rho @ k.conj().T for k in kraus)
     assert np.max(np.abs(pauli_form - oracle)) < 1e-12
@@ -93,15 +98,14 @@ def test_intercept_pauli_form_matches_measure_and_resend(bases):
 
 
 @pytest.mark.parametrize("spec, width", [
-    (ChannelSpec(kind="identity", targets=("a",)), 1),
-    (ChannelSpec(kind="depolarizing", p=0.5, targets=("a",)), 1),
-    (ChannelSpec(kind="fixed_pauli", operator="X", targets=("a",)), 1),
-    (ChannelSpec(kind="intercept_resend", targets=("a",)), 1),
-    (ChannelSpec(kind="intercept_resend", bases=("X", "Y", "Z"),
-                 targets=("a",)), 1),
-    (ChannelSpec(kind="pauli", targets=("a",),
-                 pauli_probs={"XI": 0.5, "IZ": 0.3, "YY": 0.2}), 2),
-    (ChannelSpec(kind="fixed_pauli", operator="XZ", targets=("a",)), 2),
+    (ChannelSpec("identity", IDENTITY, ("a",)), 1),
+    (ChannelSpec("depolarizing", depolarizing(0.5), ("a",)), 1),
+    (ChannelSpec("fixed_pauli", (("X", 1.0),), ("a",)), 1),
+    (ChannelSpec("intercept_resend", INTERCEPT_XY, ("a",)), 1),
+    (ChannelSpec("intercept_resend", INTERCEPT_XYZ, ("a",)), 1),
+    (ChannelSpec("pauli", (("IZ", 0.3), ("XI", 0.5), ("YY", 0.2)),
+                 ("a",)), 2),
+    (ChannelSpec("fixed_pauli", (("XZ", 1.0),), ("a",)), 2),
 ], ids=["identity", "depolarizing", "fixed-pauli-X", "intercept-XY",
         "intercept-XYZ", "pauli-table", "fixed-pauli-XZ"])
 def test_sample_apply_trajectories_average_to_channel(spec, width):
@@ -119,19 +123,16 @@ def test_sample_apply_trajectories_average_to_channel(spec, width):
 
 
 _PER_QUBIT = {
-    "identity": ChannelSpec(kind="identity", targets=("a",)),
-    "depolarizing": ChannelSpec(kind="depolarizing", p=0.3, targets=("a",)),
-    "intercept-XY": ChannelSpec(kind="intercept_resend", targets=("a",)),
-    "intercept-XYZ": ChannelSpec(kind="intercept_resend",
-                                 bases=("X", "Y", "Z"), targets=("a",)),
-    "fixed-pauli-X": ChannelSpec(kind="fixed_pauli", operator="X",
-                                 targets=("a",)),
+    "identity": ChannelSpec("identity", IDENTITY, ("a",)),
+    "depolarizing": ChannelSpec("depolarizing", depolarizing(0.3), ("a",)),
+    "intercept-XY": ChannelSpec("intercept_resend", INTERCEPT_XY, ("a",)),
+    "intercept-XYZ": ChannelSpec("intercept_resend", INTERCEPT_XYZ, ("a",)),
+    "fixed-pauli-X": ChannelSpec("fixed_pauli", (("X", 1.0),), ("a",)),
 }
 _JOINT = {
-    "pauli-table": ChannelSpec(kind="pauli", targets=("a",),
-                               pauli_probs={"XI": 0.5, "IZ": 0.3, "YY": 0.2}),
-    "fixed-pauli-XZ": ChannelSpec(kind="fixed_pauli", operator="XZ",
-                                  targets=("a",)),
+    "pauli-table": ChannelSpec(
+        "pauli", (("IZ", 0.3), ("XI", 0.5), ("YY", 0.2)), ("a",)),
+    "fixed-pauli-XZ": ChannelSpec("fixed_pauli", (("XZ", 1.0),), ("a",)),
 }
 
 
@@ -152,9 +153,9 @@ def test_apply_attack_matches_joint_kraus(spec):
 
 def test_one_letter_pauli_table_acts_on_each_qubit():
     # like a one-letter fixed Pauli; a wider table must span the block
-    single = ChannelSpec(kind="pauli", pauli_probs={"I": 0.8, "X": 0.2})
-    joint = ChannelSpec(kind="pauli", pauli_probs={
-        "II": 0.64, "IX": 0.16, "XI": 0.16, "XX": 0.04})
+    single = ChannelSpec("pauli", (("I", 0.8), ("X", 0.2)))
+    joint = ChannelSpec("pauli", (
+        ("II", 0.64), ("IX", 0.16), ("XI", 0.16), ("XX", 0.04)))
     rho = random_density(4, np.random.default_rng(8))
     out = [sum(k @ rho @ k.conj().T for k in spec.kraus_terms(2))
            for spec in (single, joint)]
@@ -166,7 +167,7 @@ def test_one_letter_pauli_table_acts_on_each_qubit():
 
 def test_fixed_pauli_deterministic():
     rng = np.random.default_rng(0)
-    spec = ChannelSpec(kind="fixed_pauli", operator="X", targets=("a",))
+    spec = ChannelSpec("fixed_pauli", (("X", 1.0),), ("a",))
     st = states.basis_state([0], [("a", 0)])
     out = spec.sample_apply(st, [("a", 0)], rng)
     assert np.allclose(np.abs(out.amplitudes) ** 2, [0, 1])
@@ -193,11 +194,11 @@ def test_parse_grammar_round_trip():
     assert len(spec.channels) == 4
     assert len(spec.dishonest) == 1
     dep = spec.channels_for("m2")[0]
-    assert dep.kind == "depolarizing" and dep.p == pytest.approx(0.1)
+    assert dep.kind == "depolarizing" and dep.mixture == depolarizing(0.1)
     assert spec.channels_for("m1")[0].kind == "intercept_resend"
     assert spec.dishonest_for("m3").mode == "lie_outcome"
-    assert spec.channels_for("m4")[0].operator == "XZ"
-    assert spec.channels_for("m5")[0].pauli_probs == {"II": 0.9, "XX": 0.1}
+    assert spec.channels_for("m4")[0].mixture == (("XZ", 1.0),)
+    assert spec.channels_for("m5")[0].mixture == (("II", 0.9), ("XX", 0.1))
     assert parse_adversary("").channels == []
     assert parse_adversary(None).dishonest == []
 
@@ -298,19 +299,25 @@ def _attack(draw):
         want = DishonestSpec(member=target, mode=name.replace("-", "_"),
                              p=1.0 if p is None else float(p))
         return [name, params, "@" + spelled], want
-    fields = {"kind": _CHANNEL_KINDS[name]}
-    if fields["kind"] == "depolarizing" and draw(st.booleans()):
-        params.append(["p", draw(_probability)])
-        fields["p"] = float(params[-1][1])
-    elif fields["kind"] == "intercept_resend" and draw(st.booleans()):
-        bases, upper = draw(_mixed_case("XYZ", 1, 3))
-        params.append(["bases", bases])
-        fields["bases"] = tuple(upper)
-    elif fields["kind"] == "fixed_pauli":
+    kind, mixture = _CHANNEL_KINDS[name], IDENTITY
+    if kind == "depolarizing":
+        p = 0.0
+        if draw(st.booleans()):
+            params.append(["p", draw(_probability)])
+            p = float(params[-1][1])
+        mixture = depolarizing(p)
+    elif kind == "intercept_resend":
+        mixture = INTERCEPT_XY
+        if draw(st.booleans()):
+            bases, upper = draw(_mixed_case("XYZ", 1, 3))
+            params.append(["bases", bases])
+            w = 1 / (2 * len(upper))
+            mixture = (("I", 0.5),) + tuple((b, w) for b in upper)
+    elif kind == "fixed_pauli":
         op, upper = draw(_mixed_case("IXYZ", 1, 3))
         params.append(["op", op])
-        fields["operator"] = upper
-    elif fields["kind"] == "pauli":
+        mixture = ((upper, 1.0),)
+    elif kind == "pauli":
         width = draw(st.integers(1, 3))
         keys = draw(st.lists(_mixed_case("IXYZ", width, width), min_size=1,
                              max_size=4, unique_by=lambda k: k[1]))
@@ -318,10 +325,9 @@ def _attack(draw):
                                 max_size=len(keys)))
         probs = [w / sum(weights) for w in weights]
         params += [[cased, repr(p)] for (cased, _), p in zip(keys, probs)]
-        fields["pauli_probs"] = {upper: p
-                                 for (_, upper), p in zip(keys, probs)}
-    return [name, params, "@" + spelled], ChannelSpec(targets=(target,),
-                                                      **fields)
+        mixture = sorted((upper, p) for (_, upper), p in zip(keys, probs))
+    return [name, params, "@" + spelled], ChannelSpec(kind, mixture,
+                                                      (target,))
 
 
 def _render(attacks) -> str:
@@ -421,15 +427,55 @@ def test_parse_property_one_corrupted_token_is_rejected(attacks, data):
         parse_adversary(_render(texts))
 
 
-def test_invalid_channel_specs_rejected():
+@pytest.mark.parametrize("kind, mixture", [
+    ("pauli", (("I", 1.5), ("X", -0.5))),
+    ("pauli", (("I", 0.5), ("X", float("nan")))),
+    ("pauli", (("II", 0.5),)),
+    ("pauli", ()),
+    ("fixed_pauli", (("", 1.0),)),
+    ("fixed_pauli", (("XQ", 1.0),)),
+    ("warp", IDENTITY),
+    ("intercept_resend", (("I", 0.5), ("Q", 0.5))),
+    ("intercept_resend", (("I", 0.5), ("XY", 0.5))),  # a basis is one letter
+    ("intercept_resend", (("I", 0.5), ("I", 0.5))),
+    ("intercept_resend", IDENTITY),
+    ("intercept_resend", (("X", 0.5), ("I", 0.5))),
+    ("intercept_resend", (("I", 0.6), ("X", 0.2), ("Y", 0.2))),
+], ids=["negative", "nan", "sum-not-1", "empty-mixture", "empty-string",
+        "non-pauli-letter", "unknown-kind", "intercept-basis-q",
+        "intercept-two-letter-basis", "intercept-basis-i",
+        "intercept-no-basis", "intercept-identity-not-first",
+        "intercept-wrong-weights"])
+def test_invalid_channel_specs_rejected(kind, mixture):
     with pytest.raises(InvalidArgumentError):
-        ChannelSpec(kind="depolarizing", p=1.5)
-    with pytest.raises(InvalidArgumentError):
-        ChannelSpec(kind="pauli", pauli_probs={"II": 0.5})
-    with pytest.raises(InvalidArgumentError):
-        ChannelSpec(kind="fixed_pauli")
-    with pytest.raises(InvalidArgumentError):
-        ChannelSpec(kind="intercept_resend", bases=("Q",))
-    for bases in (("XY",), ("",)):  # a basis is one letter
+        ChannelSpec(kind, mixture)
+
+
+def test_depolarizing_rejects_p_outside_unit_interval():
+    # p = 1.2 still gives nonnegative weights, but is no depolarizing p
+    for p in (1.2, -0.1, float("nan")):
         with pytest.raises(InvalidArgumentError):
-            ChannelSpec(kind="intercept_resend", bases=bases)
+            depolarizing(p)
+
+
+@pytest.mark.parametrize("text, kind, mixture", [
+    ("identity@m1", "identity", IDENTITY),
+    ("depolarize:p=0.5@m1", "depolarizing",
+     (("I", 0.625), ("X", 0.125), ("Y", 0.125), ("Z", 0.125))),
+    ("depolarize@m1", "depolarizing",
+     (("I", 1.0), ("X", 0.0), ("Y", 0.0), ("Z", 0.0))),
+    ("intercept@m1", "intercept_resend", INTERCEPT_XY),
+    ("intercept:bases=xyz@m1", "intercept_resend", INTERCEPT_XYZ),
+    ("intercept-resend:bases=Z@m1", "intercept_resend",
+     (("I", 0.5), ("Z", 0.5))),
+    ("fixed-pauli:op=y@m1", "fixed_pauli", (("Y", 1.0),)),
+    ("fixed-pauli:op=XzI@m1", "fixed_pauli", (("XZI", 1.0),)),
+    ("pauli:zz=0.25;II=0.5;xY=0.25@m1", "pauli",
+     (("II", 0.5), ("XY", 0.25), ("ZZ", 0.25))),
+], ids=["identity", "depolarize", "depolarize-default", "intercept-XY",
+        "intercept-XYZ", "intercept-Z", "fixed-pauli-one-letter",
+        "fixed-pauli-block", "pauli-table"])
+def test_parse_builds_each_kinds_mixture(text, kind, mixture):
+    (channel,) = parse_adversary(text).channels
+    assert channel == ChannelSpec(kind, mixture, ("m1",))
+    assert channel.pauli_mixture() == mixture

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qkdnet import analysis, states
-from qkdnet.adversary import AdversarySpec, ChannelSpec
+from qkdnet.adversary import AdversarySpec, ChannelSpec, depolarizing
 from qkdnet.errors import InvalidArgumentError
 from qkdnet.protocol import NetworkConfig, run_protocol1
 
@@ -152,26 +152,26 @@ def test_output_fidelity_matches_explicit_channel_output():
              + 1j * rng.normal(size=(terms * dim, dim)))
         kraus = list(np.linalg.qr(g)[0].reshape(terms, dim, dim))
         vecs = analysis.haar_states(6, dim, rng)
-        got = analysis._output_fidelity(kraus, vecs)
+        got = analysis._output_fidelity(kraus, vecs[:, None])
         assert got.shape == (6,)
         for v, f in zip(vecs, got):
             rho = np.outer(v, v.conj())
             out = sum(k @ rho @ k.conj().T for k in kraus)
             assert f == pytest.approx((v.conj() @ out @ v).real, abs=1e-14)
-            assert analysis._output_fidelity(kraus, v) \
+            assert analysis._output_fidelity(kraus, v[None]) \
                 == pytest.approx(f, abs=1e-15)
 
 
 def test_measured_epsilon_of_depolarizing_channel():
     rng = np.random.default_rng(2)
-    ch = ChannelSpec(kind="depolarizing", p=0.2, targets=("a",))
+    ch = ChannelSpec("depolarizing", depolarizing(0.2), ("a",))
     eps = analysis.measure_channel_epsilon(ch, 1, rng, samples=50)
     assert eps == pytest.approx(0.1, abs=1e-9)  # unitarily covariant: p/2
 
 
 def test_entanglement_fidelity_bound_holds():
     rng = np.random.default_rng(3)
-    ch = ChannelSpec(kind="depolarizing", p=0.15, targets=("a",))
+    ch = ChannelSpec("depolarizing", depolarizing(0.15), ("a",))
     rep = analysis.check_entanglement_fidelity_bound(
         ch, 1, rng, purifications=50, epsilon_samples=50)
     assert rep.passed
@@ -193,7 +193,7 @@ def _kron_entanglement_margins(channel, num_qubits, rng, purifications,
                                            samples=epsilon_samples)
     big = [np.kron(k, np.eye(dim)) for k in channel.kraus_terms(num_qubits)]
     f = analysis._output_fidelity(
-        big, analysis.haar_states(purifications, dim * dim, rng))
+        big, analysis.haar_states(purifications, dim * dim, rng)[:, None])
     return 1 - (1 + dim / 4) * eps - f, f
 
 
@@ -213,21 +213,32 @@ def test_entanglement_fidelity_matches_kron_embedding():
         assert abs(rep.witness["fidelity"] - f[i]) <= 1e-12
     bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
     for p in np.linspace(0, 1, 11):
-        kraus = ChannelSpec(kind="depolarizing", p=p,
-                            targets=("a",)).kraus_terms(1)
+        kraus = ChannelSpec("depolarizing", depolarizing(p),
+                            ("a",)).kraus_terms(1)
         want = analysis._output_fidelity(
-            [np.kron(k, np.eye(2)) for k in kraus], bell)
+            [np.kron(k, np.eye(2)) for k in kraus], bell[None])
         got = analysis.depolarizing_equality_check(p).witness
         assert abs(got["entanglement_fidelity"] - want) <= 1e-12
 
 
 def test_composed_channel_bound_holds():
     rng = np.random.default_rng(4)
-    chans = [ChannelSpec(kind="depolarizing", p=0.1, targets=("m0",)),
-             ChannelSpec(kind="depolarizing", p=0.05, targets=("m1",))]
+    chans = [ChannelSpec("depolarizing", depolarizing(0.1), ("m0",)),
+             ChannelSpec("depolarizing", depolarizing(0.05), ("m1",))]
     rep = analysis.check_composed_channel_bound(chans, 2, rng,
                                                 epsilon_samples=30)
     assert rep.passed
+
+
+def test_composed_channel_bound_rejects_no_member_or_no_copy():
+    # with no member it used to PASS on the center's own cat copies alone
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    ch = ChannelSpec("depolarizing", depolarizing(0.1), ("m0",))
+    for chans, t in (([], 2), ([ch], 0), ([], 0)):
+        with pytest.raises(InvalidArgumentError):
+            analysis.check_composed_channel_bound(chans, t, rng)
+    assert rng.bit_generator.state == state  # rejected before any draw
 
 
 def _cat_copies(n, t):
@@ -243,8 +254,7 @@ def _cat_copies(n, t):
 def _random_pauli_table(rng, t, member):
     strings = ["".join(p) for p in itertools.product("IXYZ", repeat=t)]
     w = rng.dirichlet(np.full(len(strings), 0.3))
-    return ChannelSpec(kind="pauli", targets=(member,), pauli_probs={
-        s: float(p) for s, p in zip(strings, w / w.sum())})
+    return ChannelSpec("pauli", zip(strings, w / w.sum()), (member,))
 
 
 @pytest.mark.parametrize("n,t", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -258,9 +268,9 @@ def test_single_stage_fidelity_matches_dense_channel_output(n, t, kind):
     chans = []
     for i in range(n):
         mu = f"m{i}"
-        ch = (ChannelSpec(kind="depolarizing", p=float(rng.uniform(0, 0.3)),
-                          targets=(mu,)) if kind == "depolarizing"
-              else _random_pauli_table(rng, t, mu))
+        ch = (ChannelSpec("depolarizing",
+                          depolarizing(float(rng.uniform(0, 0.3))), (mu,))
+              if kind == "depolarizing" else _random_pauli_table(rng, t, mu))
         chans.append(ch)
         targets = [(mu, c) for c in range(t)]
         dense = states.fidelity(state, states.apply_channel(phi, ch, targets))

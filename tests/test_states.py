@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qkdnet import states
-from qkdnet.adversary import ChannelSpec
+from qkdnet.adversary import ChannelSpec, depolarizing
 from qkdnet.errors import CapacityError, InvalidArgumentError
 from qkdnet.paulis import PauliOperator
 from qkdnet.states import (CAT_KINDS, PHI_MINUS, PHI_PLUS, PSI_MINUS,
@@ -148,7 +148,7 @@ def test_fidelity_symmetry_random():
 def test_apply_kraus_is_trace_preserving():
     # the bit flip's Kraus terms sqrt(0.7) I and sqrt(0.3) X, via apply_channel
     dm = to_density(make_cat(2, PSI_PLUS))
-    bit_flip = ChannelSpec(kind="pauli", pauli_probs={"I": 0.7, "X": 0.3})
+    bit_flip = ChannelSpec("pauli", (("I", 0.7), ("X", 0.3)))
     out = states.apply_channel(dm, bit_flip, [dm.labels[0]])
     assert np.trace(out.matrix).real == pytest.approx(1.0)
 
@@ -339,8 +339,7 @@ def _random_pauli_table(rng, k):
     """A channel of random weights over every k-letter Pauli string."""
     strings = ["".join(p) for p in itertools.product("IXYZ", repeat=k)]
     w = rng.dirichlet(np.full(len(strings), 0.3))
-    return ChannelSpec(kind="pauli", pauli_probs={
-        s: float(p) for s, p in zip(strings, w / w.sum())})
+    return ChannelSpec("pauli", zip(strings, w / w.sum()))
 
 
 def _embedded_operator(kmat, axes, n):
@@ -371,11 +370,11 @@ def test_apply_kraus_matches_explicit_sum(axes):
 
 
 _CHANNELS = {
-    "depolarizing": ChannelSpec(kind="depolarizing", p=0.3),
-    "intercept-XYZ": ChannelSpec(kind="intercept_resend",
-                                 bases=("X", "Y", "Z")),
-    "pauli-table": ChannelSpec(kind="pauli", pauli_probs={
-        "I": 0.5, "X": 0.1, "Y": 0.15, "Z": 0.25}),
+    "depolarizing": ChannelSpec("depolarizing", depolarizing(0.3)),
+    "intercept-XYZ": ChannelSpec("intercept_resend", (
+        ("I", 0.5), ("X", 1 / 6), ("Y", 1 / 6), ("Z", 1 / 6))),
+    "pauli-table": ChannelSpec("pauli", (
+        ("I", 0.5), ("X", 0.1), ("Y", 0.15), ("Z", 0.25))),
 }
 
 
