@@ -84,10 +84,6 @@ class ChannelSpec:
         object.__setattr__(self, "mixture", mixture)
         object.__setattr__(self, "targets", tuple(self.targets))
 
-    def pauli_mixture(self) -> tuple:
-        """The stored ``(Pauli string, probability)`` pairs."""
-        return self.mixture
-
     @cached_property
     def _widths(self) -> set:
         return {len(pstr) for pstr, _ in self.mixture}
@@ -258,6 +254,12 @@ def _number(key: str, text: str) -> float:
             f"parameter {key!r} is not a number: {text!r}") from None
 
 
+def _required(params: dict, key: str) -> str:
+    if key not in params:
+        raise InvalidArgumentError(f"missing parameter {key!r}")
+    return params[key]
+
+
 def _pauli_table(params: dict) -> tuple:
     table = {k.upper(): _number(k, v) for k, v in params.items()}
     if len(table) != len(params):
@@ -276,12 +278,12 @@ def _flip_p(params: dict) -> float:
 _KINDS = {
     "identity": (IDENTITY, (), lambda a: (("I", 1.0),)),
     "depolarize": (DEPOLARIZING, ("p",),
-                   lambda a: depolarizing(_number("p", a.get("p", "0.0")))),
+                   lambda a: depolarizing(_number("p", _required(a, "p")))),
     "pauli": (PAULI_CHANNEL, None, _pauli_table),
     "intercept": (INTERCEPT_RESEND, ("bases",),
                   lambda a: _intercept(tuple(a.get("bases", "XY").upper()))),
     "fixed-pauli": (FIXED_PAULI, ("op",),
-                    lambda a: ((a.get("op", "").upper(), 1.0),)),
+                    lambda a: ((_required(a, "op").upper(), 1.0),)),
     "lie-basis": ("lie_basis", ("p",), _flip_p),
     "lie-outcome": ("lie_outcome", ("p",), _flip_p),
     "silent-drop": ("silent_drop", (), _flip_p),

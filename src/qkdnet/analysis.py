@@ -114,11 +114,14 @@ def _worst_trial(violations, witness_of, empty=None) -> tuple:
     return float(v[i]), witness_of(i)
 
 
-def _draw_trials(trials: int, dims, rng, draw) -> tuple:
-    """Draw every trial first: its dimension from ``dims``, then
-    ``draw(dim)``, in trial order, so the RNG stream is that of evaluating
-    each trial as it is drawn.  Returns each trial's dimension and draw,
-    and ``{dim: trial indices}`` for evaluating one stack per dimension."""
+def _pair_suite(inequality_id: str, trials: int, dims, rng, tol: float,
+                draw, evaluate, witness=None) -> InequalityReport:
+    """Run a random-pair suite: draw every trial first, its dimension from
+    ``dims`` and then ``draw(dim)``, in trial order, so the RNG stream is
+    that of evaluating each trial as it is drawn; evaluate one stack per
+    drawn dimension through ``evaluate(dim, draws)``, one violation per
+    draw; report the worst trial.  Its witness is ``{"trial", "dim"}`` plus
+    the fields ``witness(draw)`` gives."""
     dims = list(dims)
     dim_of, drawn, by_dim = [], [], {}
     for i in range(trials):
@@ -126,7 +129,15 @@ def _draw_trials(trials: int, dims, rng, draw) -> tuple:
         dim_of.append(dim)
         drawn.append(draw(dim))
         by_dim.setdefault(dim, []).append(i)
-    return dim_of, drawn, by_dim
+    violations = np.empty(trials)
+    for dim, idx in by_dim.items():
+        violations[idx] = evaluate(dim, [drawn[i] for i in idx])
+
+    def witness_of(i):
+        return {"trial": i, "dim": dim_of[i],
+                **(witness(drawn[i]) if witness else {})}
+    return InequalityReport(inequality_id, trials,
+                            *_worst_trial(violations, witness_of), tol)
 
 
 def _output_fidelity(kraus, vecs):
@@ -155,38 +166,29 @@ def _block_fidelity(state, channel, targets) -> float:
 
 def fuchs_van_de_graaf_suite(trials: int, dims, rng,
                              tol: float = DEFAULT_TOL) -> InequalityReport:
-    dim_of, drawn, by_dim = _draw_trials(
-        trials, dims, rng, lambda dim: rng.normal(size=(2, 2, dim * dim)))
-    violations = np.empty(trials)
-    for idx in by_dim.values():
-        rho = _densities(np.stack([drawn[i] for i in idx]))
-        violations[idx] = np.maximum(
-            *check_fuchs_van_de_graaf(rho[:, 0], rho[:, 1]))
+    def evaluate(dim, draws):
+        rho = _densities(np.stack(draws))
+        return np.maximum(*check_fuchs_van_de_graaf(rho[:, 0], rho[:, 1]))
 
-    def witness_of(i):
-        a, b = _densities(drawn[i])
-        return {"trial": i, "dim": dim_of[i],
-                "rho": _serialize_matrix(a), "sigma": _serialize_matrix(b)}
-    return InequalityReport("fuchs-van-de-graaf", trials,
-                            *_worst_trial(violations, witness_of), tol)
+    def witness(g):
+        a, b = _densities(g)
+        return {"rho": _serialize_matrix(a), "sigma": _serialize_matrix(b)}
+    return _pair_suite("fuchs-van-de-graaf", trials, dims, rng, tol,
+                       lambda dim: rng.normal(size=(2, 2, dim * dim)),
+                       evaluate, witness)
 
 
 def pure_saturation_suite(trials: int, dims, rng,
                           tol: float = DEFAULT_TOL) -> InequalityReport:
     """On pure-pure pairs the upper bound is tight: D = sqrt(1 - F)."""
-    dim_of, drawn, by_dim = _draw_trials(
-        trials, dims, rng, lambda dim: rng.normal(size=(2, 2, dim)))
-    violations = np.empty(trials)
-    for idx in by_dim.values():
-        v = _unit_vectors(np.stack([drawn[i] for i in idx]))
+    def evaluate(dim, draws):
+        v = _unit_vectors(np.stack(draws))
         rho = v[..., :, None] * v.conj()[..., None, :]
         ra, rb = rho[:, 0], rho[:, 1]
-        violations[idx] = np.abs(trace_distance(ra, rb) - np.sqrt(
+        return np.abs(trace_distance(ra, rb) - np.sqrt(
             np.maximum(1 - fidelity(ra, rb), 0.0)))
-    return InequalityReport(
-        "pure-pair-saturation", trials,
-        *_worst_trial(violations,
-                      lambda i: {"trial": i, "dim": dim_of[i]}), tol)
+    return _pair_suite("pure-pair-saturation", trials, dims, rng, tol,
+                       lambda dim: rng.normal(size=(2, 2, dim)), evaluate)
 
 
 def depolarizing_equality_check(p: float, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -236,26 +238,22 @@ def double_concavity_suite(trials: int, dims, rng,
         k = int(rng.integers(2, 5))
         w = rng.dirichlet(np.ones(k))
         return w, rng.normal(size=(k, 2, 2, dim * dim))  # (a_j, b_j) pairs
-    dim_of, drawn, by_dim = _draw_trials(trials, dims, rng, draw)
-    violations = np.empty(trials)
-    for dim, idx in by_dim.items():
+
+    def evaluate(dim, draws):
         # trials with fewer pairs are padded with zero-weight zero matrices,
         # which add exact zeros to both sides
-        ks = [len(drawn[i][0]) for i in idx]
-        rows = np.repeat(np.arange(len(idx)), ks)
+        ks = [len(wj) for wj, _ in draws]
+        rows = np.repeat(np.arange(len(draws)), ks)
         cols = np.concatenate([np.arange(k) for k in ks])
-        w = np.zeros((len(idx), max(ks)))
-        w[rows, cols] = np.concatenate([drawn[i][0] for i in idx])
-        ab = np.zeros((len(idx), max(ks), 2, dim, dim), dtype=complex)
-        ab[rows, cols] = _densities(np.concatenate([drawn[i][1]
-                                                    for i in idx]))
-        violations[idx] = check_double_concavity(
+        w = np.zeros((len(draws), max(ks)))
+        w[rows, cols] = np.concatenate([wj for wj, _ in draws])
+        ab = np.zeros((len(draws), max(ks), 2, dim, dim), dtype=complex)
+        ab[rows, cols] = _densities(np.concatenate([g for _, g in draws]))
+        return check_double_concavity(
             [(w[:, j], ab[:, j, 0], ab[:, j, 1]) for j in range(max(ks))])
-    return InequalityReport(
-        "double-concavity", trials,
-        *_worst_trial(violations, lambda i: {
-            "trial": i, "dim": dim_of[i],
-            "weights": [float(x) for x in drawn[i][0]]}), tol)
+    return _pair_suite("double-concavity", trials, dims, rng, tol, draw,
+                       evaluate,
+                       lambda d: {"weights": [float(x) for x in d[0]]})
 
 
 def check_bures_triangle(a, b, c):
@@ -273,17 +271,12 @@ def check_bures_triangle(a, b, c):
 def bures_triangle_suite(trials: int, dims, rng,
                          tol: float = DEFAULT_TOL) -> InequalityReport:
     """Triangle inequality of the Bures metric over random triples."""
-    dim_of, drawn, by_dim = _draw_trials(
-        trials, dims, rng, lambda dim: rng.normal(size=(3, 2, dim * dim)))
-    violations = np.empty(trials)
-    for idx in by_dim.values():
-        rho = _densities(np.stack([drawn[i] for i in idx]))
-        violations[idx] = check_bures_triangle(rho[:, 0], rho[:, 1],
-                                               rho[:, 2])
-    return InequalityReport(
-        "bures-triangle", trials,
-        *_worst_trial(violations,
-                      lambda i: {"trial": i, "dim": dim_of[i]}), tol)
+    def evaluate(dim, draws):
+        rho = _densities(np.stack(draws))
+        return check_bures_triangle(rho[:, 0], rho[:, 1], rho[:, 2])
+    return _pair_suite("bures-triangle", trials, dims, rng, tol,
+                       lambda dim: rng.normal(size=(3, 2, dim * dim)),
+                       evaluate)
 
 
 def measure_channel_epsilon(channel, num_qubits: int, rng,

@@ -15,7 +15,8 @@ Adversary mini-grammar (comma-separated attacks)::
 
 Each kind takes only the keys it reads: ``p`` (depolarize, lie-basis,
 lie-outcome), ``bases`` (intercept), ``op`` (fixed-pauli) and Pauli
-strings (pauli); another key, or a key given twice, is an error.
+strings (pauli); another key, or a key given twice, is an error, and so
+is depolarize without ``p`` or fixed-pauli without ``op``.
 Only silent-drop may name the center ``C``, and only on protocol 2; a
 member takes at most one of lie-basis, lie-outcome and silent-drop.  Pauli
 strings of more than one letter (pauli, fixed-pauli) need one letter per

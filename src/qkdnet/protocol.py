@@ -191,25 +191,38 @@ def derive_key_bits(record: RoundRecord, protocol: int):
     return b_a, b_b
 
 
-def test_and_finalize(usable, test_fraction: float, rng):
-    """Public comparison on a random test subset of the usable records,
-    those whose key bits are derived."""
+def test_and_finalize(transcript: Transcript, usable, rng) -> None:
+    """Close a run: compare a random test subset of the usable records,
+    those whose key bits are derived, in public, and keep the untested bits
+    as the key if every tested pair agrees.
+
+    Fails the run with abort cause ``no-usable-bits`` or
+    ``too-few-test-bits`` before any test draw, so every other run keeps its
+    RNG stream, and with ``test-bit-mismatch`` if a tested pair disagrees.
+    Sets the verdict, test indices, observed error rate and keys.
+    """
+    k = int(transcript.config.test_fraction * len(usable))
     if not usable:
-        raise InvalidArgumentError("no sifted bits to test")
-    k = int(test_fraction * len(usable))
-    if k < 1:
-        raise InvalidArgumentError("test_fraction yields an empty test set")
-    order = rng.permutation(len(usable))
-    test_idx = sorted(int(i) for i in order[:k])
-    mismatches = sum(1 for i in test_idx if usable[i].b_a != usable[i].b_b)
-    observed = mismatches / k
-    if mismatches:
-        return "Fail", [], [], observed, test_idx
+        cause = "no-usable-bits"
+    elif k < 1:
+        cause = "too-few-test-bits"
+    else:
+        order = rng.permutation(len(usable))
+        test_idx = sorted(int(i) for i in order[:k])
+        mismatches = sum(1 for i in test_idx
+                         if usable[i].b_a != usable[i].b_b)
+        transcript.test_indices = test_idx
+        transcript.observed_error_rate = mismatches / k
+        cause = "test-bit-mismatch" if mismatches else None
+    if cause is not None:
+        transcript.verdict = "Fail"
+        transcript.aborts.append({"round": None, "cause": cause})
+        return
     tested = set(test_idx)
     keep = [r for i, r in enumerate(usable) if i not in tested]
-    key_a = [r.b_a for r in keep]
-    key_b = [r.b_b for r in keep]
-    return "Pass", key_a, key_b, observed, test_idx
+    transcript.verdict = "Pass"
+    transcript.key_a = [r.b_a for r in keep]
+    transcript.key_b = [r.b_b for r in keep]
 
 
 def _build_families(config: NetworkConfig, rng):
@@ -378,24 +391,7 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
     usable = sift(transcript.records, config.protocol)
     for rec in usable:
         derive_key_bits(rec, config.protocol)
-    if not usable:
-        transcript.verdict = "Fail"
-        transcript.aborts.append({"round": None, "cause": "no-usable-bits"})
-    elif int(config.test_fraction * len(usable)) < 1:
-        # decided before the test draw, so other runs keep their stream
-        transcript.verdict = "Fail"
-        transcript.aborts.append({"round": None,
-                                  "cause": "too-few-test-bits"})
-    else:
-        verdict, key_a, key_b, observed, test_idx = test_and_finalize(
-            usable, config.test_fraction, rng)
-        transcript.verdict = verdict
-        transcript.key_a, transcript.key_b = key_a, key_b
-        transcript.observed_error_rate = observed
-        transcript.test_indices = test_idx
-        if verdict == "Fail":
-            transcript.aborts.append({"round": None,
-                                      "cause": "test-bit-mismatch"})
+    test_and_finalize(transcript, usable, rng)
     return transcript
 
 

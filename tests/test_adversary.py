@@ -247,6 +247,10 @@ def test_parse_member_aliases():
     "silent-drop:p=0.5@C",
     "depolarize:p=0.1;p=0.2@m1",  # the first value used to be dropped
     "pauli:x=0.5;X=0.5@m1",
+    # a channel without its parameter used to parse to the identity
+    "depolarize@m1",
+    "depolarizing@m1",
+    "fixed-pauli@m1",
 ])
 def test_parse_rejects_invalid_specs(bad):
     with pytest.raises(InvalidArgumentError):
@@ -301,11 +305,8 @@ def _attack(draw):
         return [name, params, "@" + spelled], want
     kind, mixture = _CHANNEL_KINDS[name], IDENTITY
     if kind == "depolarizing":
-        p = 0.0
-        if draw(st.booleans()):
-            params.append(["p", draw(_probability)])
-            p = float(params[-1][1])
-        mixture = depolarizing(p)
+        params.append(["p", draw(_probability)])
+        mixture = depolarizing(float(params[-1][1]))
     elif kind == "intercept_resend":
         mixture = INTERCEPT_XY
         if draw(st.booleans()):
@@ -462,8 +463,6 @@ def test_depolarizing_rejects_p_outside_unit_interval():
     ("identity@m1", "identity", IDENTITY),
     ("depolarize:p=0.5@m1", "depolarizing",
      (("I", 0.625), ("X", 0.125), ("Y", 0.125), ("Z", 0.125))),
-    ("depolarize@m1", "depolarizing",
-     (("I", 1.0), ("X", 0.0), ("Y", 0.0), ("Z", 0.0))),
     ("intercept@m1", "intercept_resend", INTERCEPT_XY),
     ("intercept:bases=xyz@m1", "intercept_resend", INTERCEPT_XYZ),
     ("intercept-resend:bases=Z@m1", "intercept_resend",
@@ -472,10 +471,10 @@ def test_depolarizing_rejects_p_outside_unit_interval():
     ("fixed-pauli:op=XzI@m1", "fixed_pauli", (("XZI", 1.0),)),
     ("pauli:zz=0.25;II=0.5;xY=0.25@m1", "pauli",
      (("II", 0.5), ("XY", 0.25), ("ZZ", 0.25))),
-], ids=["identity", "depolarize", "depolarize-default", "intercept-XY",
+], ids=["identity", "depolarize", "intercept-XY",
         "intercept-XYZ", "intercept-Z", "fixed-pauli-one-letter",
         "fixed-pauli-block", "pauli-table"])
 def test_parse_builds_each_kinds_mixture(text, kind, mixture):
     (channel,) = parse_adversary(text).channels
     assert channel == ChannelSpec(kind, mixture, ("m1",))
-    assert channel.pauli_mixture() == mixture
+    assert channel.mixture == mixture

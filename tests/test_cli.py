@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from qkdnet import cli
-from qkdnet.stabilizer import PurityFamily
+from qkdnet import cli, states
+from qkdnet.stabilizer import PurityFamily, family_from_json, family_to_json
 
 
 def run_cli(capsys, *argv):
@@ -74,8 +74,12 @@ def test_run_requires_seed(capsys):
     ("silent-drop@C", "protocol 1"),
     ("lie-outcome:p=1.0@C", "protocol 1"),
     ("lie-basis@m1,lie-outcome@m1", "m1"),  # only the first was carried out
+    # without its parameter a channel used to act as the identity
+    ("depolarize@m1", "missing parameter 'p'"),
+    ("fixed-pauli@m1", "missing parameter 'op'"),
 ], ids=["warp@m1", "intercept@m9", "intercept@M9", "lie-outcome@m3",
-        "silent-drop@C", "lie-outcome@C", "two-dishonest-m1"])
+        "silent-drop@C", "lie-outcome@C", "two-dishonest-m1",
+        "depolarize-no-p", "fixed-pauli-no-op"])
 def test_invalid_adversary_fails_before_simulation(capsys, spec, named):
     code, out, err = run_cli(capsys, "run", "--n", "2", "--m", "1",
                              "--seed", "1", "--adversary", spec)
@@ -105,6 +109,22 @@ def test_protocol2_rejects_attack_before_first_round(capsys, tmp_path, spec,
     assert named in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--no-auth", "--n", "8", "--m", "1", "--t", "2"],   # 8 * 2
+    ["--n", "7", "--m", "1", "--t", "2"],   # 7 * 2, one block widened to 4
+], ids=["no-auth", "auth"])
+def test_run_above_the_qubit_cap_fails_before_first_round(capsys,
+                                                          monkeypatch, argv):
+    def no_rounds(*args, **kwargs):
+        raise AssertionError("a round was prepared")
+
+    monkeypatch.setattr(states, "make_cat", no_rounds)
+    code, out, err = run_cli(capsys, "run", *argv, "--seed", "0")
+    assert code == 1
+    assert out == ""
+    assert "needs 16 qubits" in err
+
+
 def test_run_determinism_byte_identical(capsys, tmp_path):
     outs = []
     files = []
@@ -128,6 +148,26 @@ def test_config_file_overrides_flags(capsys, tmp_path):
                               "--seed", "5", "--config", str(cfg))
     assert code == 0
     assert json.loads(stdout)["sift_rate"] == 1.0  # protocol 2 took effect
+
+
+def test_config_file_test_fraction_overrides_flag(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[network]\ntest_fraction = 0.5\n")
+    argv = ["run", "--n", "2", "--m", "1", "--rounds", "40", "--seed", "5"]
+    _, from_config, _ = run_cli(capsys, *argv, "--test-fraction", "0.1",
+                                "--config", str(cfg))
+    _, from_flag, _ = run_cli(capsys, *argv, "--test-fraction", "0.5")
+    _, flag_kept, _ = run_cli(capsys, *argv, "--test-fraction", "0.1")
+    assert from_config == from_flag != flag_kept
+
+
+def test_config_file_missing_is_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", "--n", "2", "--m", "1",
+                             "--seed", "5", "--config",
+                             str(tmp_path / "absent.cfg"))
+    assert code == 1
+    assert out == ""
+    assert "cannot read config file" in err
 
 
 def _interleaved_commands(tmp_path):
@@ -244,6 +284,17 @@ def test_audit_code_formula_values(capsys):
                               "--seed", "1")
     assert code == 0
     assert f"epsilon_formula {4 / 9!r}" in stdout
+
+
+def test_audit_code_out_reloads(capsys, tmp_path):
+    out = tmp_path / "family.json"
+    code, stdout, _ = run_cli(capsys, "audit-code", "--r", "2", "--s", "2",
+                              "--seed", "1", "--out", str(out))
+    assert code == 0
+    text = out.read_text()
+    fam = family_from_json(text)  # audits the reloaded codes again
+    assert f"epsilon_audited {fam.epsilon_audited!r}" in stdout.splitlines()
+    assert family_to_json(fam) == text
 
 
 def test_audit_code_degenerate_family_fails(capsys, monkeypatch):

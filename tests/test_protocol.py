@@ -141,25 +141,53 @@ def test_derive_key_bits_protocol2_requires_center():
         derive_key_bits(rec, protocol=1)
 
 
-def test_finalize_splits_and_verdicts():
-    rng = np.random.default_rng(5)
+def _finalized(usable, rng):
+    cfg = NetworkConfig(n=2, m=1, t=1, test_fraction=0.2, auth_enabled=False)
+    transcript = Transcript(config=cfg, seed=0)
+    finalize_with_test_bits(transcript, usable, rng)
+    return transcript
+
+
+def _agreeing_records(count):
     recs = []
-    for i in range(50):
+    for i in range(count):
         r = _record(0, 0, 0, 0)
         r.sifted = True
         r.b_a = r.b_b = i % 2
         recs.append(r)
-    verdict, key_a, key_b, observed, idx = finalize_with_test_bits(recs, 0.2, rng)
-    assert verdict == "Pass" and observed == 0.0
-    assert len(idx) == 10 and len(key_a) == 40 and key_a == key_b
-    recs[0].b_b ^= 1  # one corrupted bit may or may not be drawn; force all
+    return recs
+
+
+def test_finalize_splits_and_verdicts():
+    rng = np.random.default_rng(5)
+    recs = _agreeing_records(50)
+    tr = _finalized(recs, rng)
+    assert tr.verdict == "Pass" and tr.observed_error_rate == 0.0
+    assert tr.aborts == []
+    assert len(tr.test_indices) == 10 and len(tr.key_a) == 40
+    assert tr.key_a == tr.key_b == [r.b_a for i, r in enumerate(recs)
+                                    if i not in tr.test_indices]
     for r in recs:
         r.b_b = r.b_a ^ 1
-    verdict, key_a, key_b, observed, idx = finalize_with_test_bits(recs, 0.2, rng)
-    assert verdict == "Fail" and key_a == [] and key_b == []
-    assert observed == 1.0
-    with pytest.raises(InvalidArgumentError):
-        finalize_with_test_bits(recs, 0.001, rng)
+    tr = _finalized(recs, rng)
+    assert tr.verdict == "Fail" and tr.key_a == [] and tr.key_b == []
+    assert tr.observed_error_rate == 1.0 and len(tr.test_indices) == 10
+    assert tr.aborts == [{"round": None, "cause": "test-bit-mismatch"}]
+
+
+@pytest.mark.parametrize("count, cause", [(0, "no-usable-bits"),
+                                          (4, "too-few-test-bits")])
+def test_finalize_fails_before_the_test_draw(count, cause):
+    # 4 usable bits give no test bit at fraction 0.2; drawing no test subset
+    # leaves the stream as it was
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    tr = _finalized(_agreeing_records(count), rng)
+    assert rng.bit_generator.state == before
+    assert tr.verdict == "Fail"
+    assert tr.aborts == [{"round": None, "cause": cause}]
+    assert tr.test_indices == [] and tr.observed_error_rate is None
+    assert tr.key_a == [] and tr.key_b == []
 
 
 def test_protocol1_noiseless_run_agrees():

@@ -361,7 +361,7 @@ def test_apply_kraus_matches_explicit_sum(axes):
     ch = _random_pauli_table(rng, len(axes))
     out = states.apply_channel(rho, ch, [labels[a] for a in axes])
     want = np.zeros_like(rho.matrix)
-    for s, p in ch.pauli_mixture():
+    for s, p in ch.mixture:
         e = _embedded_operator(PauliOperator.from_string(s).to_matrix(),
                                axes, n)
         want += p * e @ rho.matrix @ e.conj().T
@@ -391,7 +391,7 @@ def test_apply_channel_per_qubit_matches_explicit_sum(axes, name):
     rho = DensityMatrix(labels,
                         np.asfortranarray(_random_mixed(rng, n, 2 ** n)))
     singles = [np.sqrt(p) * PauliOperator.from_string(s).to_matrix()
-               for s, p in ch.pauli_mixture()]
+               for s, p in ch.mixture]
     want = np.zeros_like(rho.matrix)
     for combo in np.ndindex(*(len(singles),) * len(axes)):
         k = np.eye(1)
