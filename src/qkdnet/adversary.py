@@ -91,12 +91,19 @@ class ChannelSpec:
     @cached_property
     def _draws(self) -> tuple:
         """The mixture as trajectories draw it: each entry's operator (None
-        for an identity) and the normalized probabilities (None for a
-        single entry, which needs no draw)."""
+        for an identity) and the cumulative probabilities (None for a single
+        entry, which needs no draw)."""
         ops = [PauliOperator.from_string(pstr) if pstr.strip("I") else None
                for pstr, _ in self.mixture]
         probs = np.array([prob for _, prob in self.mixture])
-        return ops, (probs / probs.sum()).tolist() if len(ops) > 1 else None
+        cdf = (probs / probs.sum()).cumsum()
+        return ops, cdf / cdf[-1] if len(ops) > 1 else None
+
+    def _draw(self, rng):
+        """Index of a mixture entry drawn as ``rng.choice`` draws it: the
+        first whose cumulative probability exceeds one ``rng.random()``."""
+        cdf = self._draws[1]
+        return 0 if cdf is None else cdf.searchsorted(rng.random(), "right")
 
     def is_per_qubit(self) -> bool:
         return self._widths == {1}
@@ -166,10 +173,10 @@ class ChannelSpec:
                 state = states.permute_labels(states.tensor(
                     rest, states.eigenstate(basis, bit, lab)), state.labels)
             return state
-        ops, probs = self._draws
+        ops = self._draws[0]
         blocks = [[lab] for lab in labels] if self.is_per_qubit() else [labels]
         for block in blocks:
-            op = ops[0] if probs is None else ops[rng.choice(len(ops), p=probs)]
+            op = ops[self._draw(rng)]
             if op is not None:
                 state = states.apply_pauli(state, op, block)
         return state

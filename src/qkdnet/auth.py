@@ -58,21 +58,28 @@ def keygen(family: PurityFamily, rng) -> AuthKeys:
     return AuthKeys(k=k, x=x, y=y)
 
 
-def _pad_operator(x_bits, t: int) -> PauliOperator:
-    """X^a Z^b on qubit j for pad bits (a, b) = (x_bits[2j], x_bits[2j+1])."""
+def _pad_operators(x_bits, t: int) -> tuple:
+    """X^a Z^b on qubit j for pad bits (a, b) = (x_bits[2j], x_bits[2j+1]),
+    and its inverse Z^b X^a = (-1)^(a.b) X^a Z^b."""
     xs = zs = 0
     for a, b in zip(x_bits[0:2 * t:2], x_bits[1:2 * t:2]):
         xs, zs = xs << 1 | int(a) & 1, zs << 1 | int(b) & 1
-    return PauliOperator(t, xs, zs)  # phase untracked
+    return (PauliOperator(t, xs, zs),  # phase untracked
+            PauliOperator(t, xs, zs, 2 * (xs & zs).bit_count()))
+
+
+def _family_pads(family: PurityFamily, x_bits) -> tuple:
+    """``_pad_operators`` of a block of the family, built once per family."""
+    key = np.asarray(x_bits, dtype=np.uint8).tobytes()
+    if key not in family._pads:
+        family._pads[key] = _pad_operators(x_bits, family.t)
+    return family._pads[key]
 
 
 def apply_pad(state, x_bits, labels, inverse: bool = False):
     """Quantum one-time pad X^x1 Z^x2 per qubit on the given labels."""
-    p = _pad_operator(x_bits, len(labels))
-    if inverse:
-        # (X^a Z^b)^-1 = Z^b X^a = (-1)^(a.b) X^a Z^b
-        p = PauliOperator(p.n, p.x, p.z, 2 * (p.x & p.z).bit_count())
-    return states.apply_pauli(state, p, labels)
+    pad, unpad = _pad_operators(x_bits, len(labels))
+    return states.apply_pauli(state, unpad if inverse else pad, labels)
 
 
 def auth_send(keys: AuthKeys, family: PurityFamily, logical,
@@ -92,7 +99,8 @@ def auth_send_in_place(keys: AuthKeys, family: PurityFamily, state,
     if len(block_labels) != family.t:
         raise InvalidArgumentError("block must have t labels")
     code = family.codes[keys.k]
-    padded = apply_pad(state, keys.x, block_labels)
+    padded = states.apply_pauli(state, _family_pads(family, keys.x)[0],
+                                block_labels)
     iso = encoding_isometry(code, keys.y)
     if out_labels is None:
         out_labels = [("phys", i) for i in range(family.u)]
@@ -119,6 +127,7 @@ def auth_receive_in_place(keys: AuthKeys, family: PurityFamily, state,
     if not np.array_equal(measured, keys.y):
         return AuthOutcome(verdict=REJECT, logical_state=None,
                            measured_syndrome=measured)
-    decrypted = apply_pad(logical, keys.x, out_labels, inverse=True)
+    decrypted = states.apply_pauli(logical, _family_pads(family, keys.x)[1],
+                                   out_labels)
     return AuthOutcome(verdict=ACCEPT, logical_state=decrypted,
                        measured_syndrome=measured)

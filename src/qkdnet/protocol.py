@@ -248,10 +248,10 @@ def _initial_state(config: NetworkConfig):
     return state
 
 
-def _transit(config, families, adversary, state, rng, aborts, round_index):
+def _transit(config, families, channels, state, rng, aborts, round_index):
     """Send each member's block through its channels, authenticated unless
     ``families`` is None; returns the state, or None on a syndrome reject."""
-    for mu in config.members:
+    for mu, member_channels in channels.items():
         block = phys = [(mu, c) for c in range(config.t)]
         if families is not None:
             fam = families[mu]
@@ -259,7 +259,7 @@ def _transit(config, families, adversary, state, rng, aborts, round_index):
             phys = [(mu, i) for i in range(fam.u)]
             state = auth.auth_send_in_place(keys, fam, state, block,
                                             out_labels=phys)
-        for ch in adversary.channels_for(mu):
+        for ch in member_channels:
             state = ch.sample_apply(state, phys, rng)
         if families is not None:
             outcome = auth.auth_receive_in_place(keys, fam, state, phys, rng,
@@ -272,13 +272,13 @@ def _transit(config, families, adversary, state, rng, aborts, round_index):
     return state
 
 
-def _measure_members(config, state, rng):
+def _measure_members(members, t, state, rng):
     bases = {}
     outcomes = {}
-    for mu in config.members:
+    for mu in members:
         bases[mu] = []
         outcomes[mu] = []
-        for c in range(config.t):
+        for c in range(t):
             b = "X" if rng.integers(0, 2) == 0 else "Y"
             bit, state = states.measure_qubit(state, (mu, c), b, rng)
             bases[mu].append(b)
@@ -286,10 +286,9 @@ def _measure_members(config, state, rng):
     return bases, outcomes, state
 
 
-def _announced_bases(config, adversary, bases, rng):
+def _announced_bases(dishonest, bases, rng):
     announced = {}
-    for mu in config.members:
-        spec = adversary.dishonest_for(mu)
+    for mu, spec in dishonest.items():
         if spec is not None and spec.mode == "lie_basis":
             announced[mu] = [attacks.corrupt_announcement(b, spec, rng)
                              for b in bases[mu]]
@@ -298,12 +297,11 @@ def _announced_bases(config, adversary, bases, rng):
     return announced
 
 
-def _collect_party_parity(party, adversary, outcomes, copy, rng):
+def _collect_party_parity(party, dishonest, outcomes, copy, rng):
     """The party's announced outcome parity, collected around the ring from
     its first member."""
     contributions = [
-        attacks.corrupt_announcement(outcomes[mu][copy],
-                                     adversary.dishonest_for(mu), rng)
+        attacks.corrupt_announcement(outcomes[mu][copy], dishonest[mu], rng)
         for mu in party]
     parity, _ = ring_collect(contributions, rng)
     return parity
@@ -360,13 +358,16 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
     center_drop = adversary.dishonest_for(CENTER)
     initial = _initial_state(config)
     members, party_a, party_b = config.members, config.party_a, config.party_b
+    channels = {mu: adversary.channels_for(mu) for mu in members}
+    dishonest = {mu: adversary.dishonest_for(mu) for mu in members}
     for rnd in range(config.rounds):
-        state = _transit(config, families, adversary, initial, rng,
+        state = _transit(config, families, channels, initial, rng,
                          transcript.aborts, rnd)
         if state is None:
             continue
-        bases, outcomes, state = _measure_members(config, state, rng)
-        announced = _announced_bases(config, adversary, bases, rng)
+        bases, outcomes, state = _measure_members(members, config.t, state,
+                                                  rng)
+        announced = _announced_bases(dishonest, bases, rng)
         if config.protocol == 2 and center_drop is not None:
             transcript.aborts.append({"round": rnd,
                                       "cause": "center-withheld"})
@@ -383,9 +384,9 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
                 bit, state = states.measure_qubit(state, (CENTER, c), cb, rng)
                 if center_drop is None:  # silent-drop withholds both
                     rec.center_basis, rec.center_outcome = cb, bit
-            rec.m_a = _collect_party_parity(party_a, adversary, outcomes, c,
+            rec.m_a = _collect_party_parity(party_a, dishonest, outcomes, c,
                                             rng)
-            rec.m_b = _collect_party_parity(party_b, adversary, outcomes, c,
+            rec.m_b = _collect_party_parity(party_b, dishonest, outcomes, c,
                                             rng)
             transcript.records.append(rec)
     usable = sift(transcript.records, config.protocol)

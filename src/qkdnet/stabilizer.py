@@ -31,6 +31,7 @@ class StabilizerCode:
     generators: list
     logical_x: list
     logical_z: list
+    # syndrome bytes -> (isometry, adjoint), every syndrome at first use
     _iso_cache: dict = field(default_factory=dict, repr=False,
                              compare=False)
 
@@ -84,50 +85,59 @@ def encoding_isometry(code: StabilizerCode, y) -> np.ndarray:
     """(2^u, 2^t) isometry onto the syndrome-y coset of the code space.
 
     Column a is the encoding of logical basis state |a>, built by projecting
-    a reference vector onto the joint (+1 logical-Z, syndrome-y) eigenspace
-    and applying logical X representatives.
+    the first basis vector that survives onto the joint (+1 logical-Z,
+    syndrome-y) eigenspace and applying logical X representatives.  The
+    first lookup builds every syndrome's isometry of the code, read-only.
     """
     y = np.asarray(y, dtype=np.uint8) % 2
     if len(y) != code.num_generators:
         raise InvalidArgumentError("syndrome length must be u - t")
-    key = y.tobytes()
-    cached = code._iso_cache.get(key)
-    if cached is not None:
-        return cached
-    dim = 2 ** code.u
-    positions = range(code.u - 1, -1, -1)  # qubit 0 is the top index bit
+    if not code._iso_cache:
+        code._iso_cache.update(_coset_isometries(code))
+    return code._iso_cache[y.tobytes()][0]
 
-    def act(vec, p):
-        return states.pauli_on_vector(vec, p, positions)
 
-    def project(vec):
-        for i, g in enumerate(code.generators):
-            sign = -1.0 if y[i] else 1.0
-            vec = (vec + sign * act(vec, g)) / 2
+def _coset_isometries(code: StabilizerCode) -> dict:
+    """Syndrome bytes -> (isometry, adjoint) for every syndrome of ``code``.
+
+    Chunks of basis vectors, no larger together than the largest state, are
+    projected for every syndrome still without a survivor.  Each amplitude
+    stays a dyadic fraction, so the isometries are bit for bit those of
+    projecting one basis vector at a time."""
+    u, s = code.u, code.num_generators
+    act = functools.partial(states.pauli_on_vector,  # qubit 0 on top
+                            positions=range(u - 1, -1, -1))
+    syndromes = (np.arange(2 ** s)[:, None] >> np.arange(s)[::-1]) & 1
+    first, start = {}, 0  # syndrome -> its normalized first projection
+    while len(first) < 2 ** s:
+        if start == 2 ** u:
+            raise InvalidArgumentError("a coset projector annihilates every "
+                                       "basis vector")
+        todo = [i for i in range(2 ** s) if i not in first]
+        width = min(2 ** u - start,
+                    max(1, (2 ** states.MAX_QUBITS >> u) // len(todo)))
+        cols = np.arange(width)
+        block = np.zeros((2 ** u, len(todo), width), dtype=complex)
+        block[start + cols, :, cols] = 1.0  # (row, syndrome, candidate)
+        for g, sign in zip(code.generators, 1.0 - 2 * syndromes[todo].T):
+            block = (block + sign[:, None] * act(block, g)) / 2
         for lz in code.logical_z:
-            vec = (vec + act(vec, lz)) / 2
-        return vec
-
-    v0 = None
-    for b in range(dim):
-        cand = np.zeros(dim, dtype=complex)
-        cand[b] = 1.0
-        cand = project(cand)
-        n = np.linalg.norm(cand)
-        if n > 1e-6:
-            v0 = cand / n
-            break
-    assert v0 is not None, "coset projector annihilated every basis vector"
-    cols = []
-    for a in range(2 ** code.t):
-        w = v0
-        for j in range(code.t):
-            if (a >> (code.t - 1 - j)) & 1:
-                w = act(w, code.logical_x[j])
-        cols.append(w)
-    iso = np.column_stack(cols)
-    code._iso_cache[key] = iso
-    return iso
+            block = (block + act(block, lz)) / 2
+        norms = np.linalg.norm(block, axis=0)
+        for j, i in enumerate(todo):
+            hit = np.flatnonzero(norms[j] > 1e-6)
+            if hit.size:
+                first[i] = block[:, j, hit[0]] / norms[j, hit[0]]
+        start += width
+    # column a applies the logical X of each set bit of a, top bit first
+    iso = np.stack([first[i] for i in range(2 ** s)], axis=1)[..., None]
+    for lx in code.logical_x:
+        iso = np.stack((iso, act(iso, lx)), -1).reshape(2 ** u, 2 ** s, -1)
+    iso = iso.transpose(1, 0, 2).copy()
+    adjoint = iso.conj()
+    iso.flags.writeable = adjoint.flags.writeable = False
+    return {y.astype(np.uint8).tobytes(): (one, dagger.T)
+            for y, one, dagger in zip(syndromes, iso, adjoint)}
 
 
 def encode_coset(code: StabilizerCode, y, logical, out_labels=None):
@@ -163,10 +173,11 @@ def decode_coset_in_place(code: StabilizerCode, state, block_labels, rng,
     for i, g in enumerate(code.generators):
         bit, state = states.measure_pauli(state, g, block_labels, rng)
         measured[i] = bit
-    iso = encoding_isometry(code, measured)
+    encoding_isometry(code, measured)  # caches the adjoint too
+    adjoint = code._iso_cache[measured.tobytes()][1]
     if out_labels is None:
         out_labels = [("log", i) for i in range(code.t)]
-    logical = states.apply_isometry(state, iso.conj().T, block_labels, out_labels)
+    logical = states.apply_isometry(state, adjoint, block_labels, out_labels)
     return measured, logical
 
 
@@ -178,8 +189,11 @@ def decode_coset_in_place(code: StabilizerCode, state, block_labels, rng,
 class PurityFamily:
     r: int
     s: int
-    codes: dict  # key (int) -> StabilizerCode
+    codes: dict  # key (int) -> StabilizerCode, fixed once built
     epsilon_audited: float | None = None
+    # pad bits -> (pad, inverse) operators, built by the auth layer
+    _pads: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def u(self) -> int:
@@ -198,9 +212,9 @@ class PurityFamily:
         """Whether the audited epsilon meets the 2r/(2^s + 1) budget."""
         return self.epsilon_audited <= self.epsilon_formula + 1e-12
 
-    @property
-    def keys(self) -> list:
-        return sorted(self.codes)
+    @functools.cached_property
+    def keys(self) -> tuple:
+        return tuple(sorted(self.codes))
 
 
 @functools.cache

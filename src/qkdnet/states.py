@@ -5,6 +5,10 @@ label is the most significant bit of the amplitude index.  Everything is
 plain complex128 numpy; joint systems are capped at ``MAX_QUBITS`` qubits.
 Pauli actions, measurements and isometries act on pure states; density
 matrices serve the Pauli channels and the metrics.
+
+Inputs are validated; the results of ``measure_qubit``, ``apply_pauli``,
+``measure_pauli`` and ``apply_isometry`` are trusted to have the labels and
+length their checked inputs give, and every state has its norm checked.
 """
 from __future__ import annotations
 
@@ -25,13 +29,15 @@ _CAT_COEF = {PHI_PLUS: 1.0, PHI_MINUS: -1.0, PSI_PLUS: 1j, PSI_MINUS: -1j}
 
 
 _S = 1 / np.sqrt(2)
-# rows: the outcome-0 (+1 eigenvalue) and outcome-1 eigenvectors per axis
+# rows: the outcome-0 (+1 eigenvalue) and outcome-1 eigenvectors per axis,
+# and their conjugates, the bras that a measurement projects onto
 _EIGENVECTORS = {
     "X": np.array([[_S, _S], [_S, -_S]], dtype=complex),
     "Y": np.array([[_S, 1j * _S], [_S, -1j * _S]], dtype=complex),
     "Z": np.eye(2, dtype=complex),
 }
-for _evecs in _EIGENVECTORS.values():
+_BRAS = {axis: evecs.conj() for axis, evecs in _EIGENVECTORS.items()}
+for _evecs in (*_EIGENVECTORS.values(), *_BRAS.values()):
     _evecs.setflags(write=False)
 
 
@@ -62,9 +68,7 @@ class PureStateVector:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).ravel()
         if len(self.amplitudes) != 2 ** len(self.labels):
             raise InvalidArgumentError("amplitude length must be 2^(#labels)")
-        norm = math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
-        if not abs(norm - 1.0) <= 1e-9:  # also rejects NaN
-            raise InvalidArgumentError(f"state norm {norm} is not 1")
+        _check_norm(self.amplitudes)
 
     @property
     def num_qubits(self) -> int:
@@ -76,6 +80,20 @@ class PureStateVector:
             return self.labels.index(label)
         except ValueError as exc:
             raise InvalidArgumentError(f"unknown label {label!r}") from exc
+
+
+def _check_norm(amplitudes: np.ndarray) -> None:
+    norm = math.sqrt(np.vdot(amplitudes, amplitudes).real)
+    if not abs(norm - 1.0) <= 1e-9:  # also rejects NaN
+        raise InvalidArgumentError(f"state norm {norm} is not 1")
+
+
+def _derived(labels: tuple, amplitudes: np.ndarray) -> PureStateVector:
+    """A kernel's result from checked inputs: only its norm is checked."""
+    state = object.__new__(PureStateVector)
+    state.labels, state.amplitudes = labels, amplitudes
+    _check_norm(amplitudes)
+    return state
 
 
 # One complex work array per thread, grown to the largest matrix seen and
@@ -210,8 +228,8 @@ _PARITY_SIGN.setflags(write=False)
 
 def pauli_on_vector(vec: np.ndarray, pauli: PauliOperator,
                     positions) -> np.ndarray:
-    """``pauli`` applied to an amplitude vector; its qubit i acts on index
-    bit ``positions[i]`` (bit 0 is the least significant)."""
+    """``pauli`` on an amplitude vector or each column of a (2^q, c) block;
+    its qubit i acts on index bit ``positions[i]`` (bit 0 the lowest)."""
     x, z = pauli.x, pauli.z
     xmask = zmask = 0
     bit = 1 << pauli.n
@@ -221,9 +239,14 @@ def pauli_on_vector(vec: np.ndarray, pauli: PauliOperator,
             xmask |= 1 << pos
         if z & bit:
             zmask |= 1 << pos
-    idx = _INDEX[:len(vec)]
-    out = np.empty_like(vec)
-    out[idx ^ xmask] = pauli.phase_value * _PARITY_SIGN[idx & zmask] * vec
+    # P|j> = i^phase (-1)^popcount(j & z) |j ^ x>: row i is row j = i ^ x
+    src = _INDEX[:len(vec)] ^ xmask if xmask else _INDEX[:len(vec)]
+    out = vec.take(src, axis=0) if xmask else vec.copy()
+    if zmask:  # one sign per row
+        out *= _PARITY_SIGN.take(src & zmask).reshape(
+            (-1,) + (1,) * (out.ndim - 1))
+    if pauli.phase:
+        out *= pauli.phase_value
     return out
 
 
@@ -241,8 +264,8 @@ def apply_pauli(state: PureStateVector, pauli: PauliOperator,
     if labels is None:
         labels = state.labels
     positions = _positions(state, labels, pauli)
-    return PureStateVector(state.labels,
-                           pauli_on_vector(state.amplitudes, pauli, positions))
+    return _derived(state.labels,
+                    pauli_on_vector(state.amplitudes, pauli, positions))
 
 
 def measure_pauli(state: PureStateVector, pauli: PauliOperator, labels, rng):
@@ -251,32 +274,33 @@ def measure_pauli(state: PureStateVector, pauli: PauliOperator, labels, rng):
     Bit 0 is the +1 eigenvalue.  Labels are kept (the measurement is a
     stabilizer measurement, not a destructive single-qubit read-out).
     """
+    if (pauli.phase - (pauli.x & pauli.z).bit_count()) & 1:
+        raise InvalidArgumentError(f"{pauli!r} is not Hermitian")
     vec = state.amplitudes
-    applied = pauli_on_vector(vec, pauli, _positions(state, labels, pauli))
-    vplus = (vec + applied) / 2
-    pplus = np.vdot(vplus, vplus).real
-    if rng.random() < pplus:
-        return 0, PureStateVector(state.labels, vplus / math.sqrt(pplus))
-    vminus = (vec - applied) / 2
-    pminus = np.vdot(vminus, vminus).real
-    return 1, PureStateVector(state.labels, vminus / math.sqrt(pminus))
+    branch = pauli_on_vector(vec, pauli, _positions(state, labels, pauli))
+    # p(+1) = <v|(1 + P)/2|v>; only the drawn branch (1 +- P)|v> is built
+    pplus = (1 + np.vdot(vec, branch).real) / 2
+    bit = 0 if rng.random() < pplus else 1
+    (np.subtract if bit else np.add)(vec, branch, out=branch)
+    branch /= math.sqrt(np.vdot(branch, branch).real)
+    return bit, _derived(state.labels, branch)
 
 
 def measure_qubit(state: PureStateVector, label, basis, rng):
     """Destructively measure one qubit; returns (bit, state without label)."""
-    evecs = eigenvectors(basis)
-    ax = state.axis(label)
+    eigenvectors(basis)  # rejects an unknown axis
+    bras, ax = _BRAS[basis], state.axis(label)
     # measured qubit first; one 2-D product beats 2**ax stacked 2x2 ones
     t = state.amplitudes.reshape(2 ** ax, 2, -1).transpose(1, 0, 2)
-    proj = evecs.conj() @ t.reshape(2, -1)  # rows: outcome amplitudes
+    proj = bras @ t.reshape(2, -1)  # rows: outcome amplitudes
     rest = proj[0]
     prob = np.vdot(rest, rest).real
     bit = 0 if rng.random() < prob else 1
     if bit:
         rest = proj[1]
         prob = np.vdot(rest, rest).real
-    return bit, PureStateVector(state.labels[:ax] + state.labels[ax + 1:],
-                                rest / math.sqrt(prob))
+    rest /= math.sqrt(prob)
+    return bit, _derived(state.labels[:ax] + state.labels[ax + 1:], rest)
 
 
 def measurement_probabilities(state: PureStateVector, bases) -> np.ndarray:
@@ -301,21 +325,25 @@ def apply_isometry(state: PureStateVector, matrix, in_labels,
     Output labels are placed first, remaining labels keep their order.
     """
     in_labels = [tuple(l) for l in in_labels]
-    out_labels = [tuple(l) for l in out_labels]
+    out_labels = tuple(tuple(l) for l in out_labels)
     k = len(in_labels)
     if matrix.shape != (2 ** len(out_labels), 2 ** k):
         raise InvalidArgumentError("isometry shape mismatch")
+    ins = set(in_labels)
+    if len(ins) != k or len(set(out_labels)) != len(out_labels):
+        raise InvalidArgumentError("qubit labels must be unique")
     q = state.num_qubits
-    rest = [l for l in state.labels if l not in in_labels]
+    keep = [i for i, l in enumerate(state.labels) if l not in ins]
+    rest = tuple(state.labels[i] for i in keep)
     for l in out_labels:
         if l in rest:
             raise InvalidArgumentError(f"output label {l!r} already present")
     if len(rest) + len(out_labels) > MAX_QUBITS:
         raise CapacityError("isometry output exceeds the qubit cap")
-    axes = [state.axis(l) for l in in_labels + rest]
+    axes = [state.axis(l) for l in in_labels] + keep
     t = state.amplitudes.reshape((2,) * q).transpose(axes).reshape(2 ** k, -1)
     out = matrix @ t
-    return PureStateVector(tuple(out_labels) + tuple(rest), out.ravel())
+    return _derived(out_labels + rest, out.ravel())
 
 
 def _contract(matrix: np.ndarray, steps) -> np.ndarray:

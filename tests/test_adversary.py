@@ -122,6 +122,22 @@ def test_sample_apply_trajectories_average_to_channel(spec, width):
     assert np.max(np.abs(acc - exact)) < 0.03
 
 
+@pytest.mark.parametrize("text", [
+    "identity@m1", "depolarize:p=0.3@m1", "pauli:II=0.5;XZ=0.3;YY=0.2@m1",
+    "pauli:I=0.1;X=0;Z=0.9@m1", "intercept:bases=XYZ@m1",
+    "fixed-pauli:op=XZ@m1"])
+def test_mixture_draws_match_rng_choice(text):
+    (spec,) = parse_adversary(text).channels
+    probs = np.array([prob for _, prob in spec.mixture])
+    probs = (probs / probs.sum()).tolist()
+    a, b = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(10_000):
+        # a single entry is taken without a draw
+        want = b.choice(len(probs), p=probs) if len(probs) > 1 else 0
+        assert spec._draw(a) == want
+    assert a.random() == b.random()  # both streams made the same draws
+
+
 _PER_QUBIT = {
     "identity": ChannelSpec("identity", IDENTITY, ("a",)),
     "depolarizing": ChannelSpec("depolarizing", depolarizing(0.3), ("a",)),

@@ -588,3 +588,44 @@ def test_run_transcripts_pinned_per_channel_kind(capsys, tmp_path, kind,
                          "--out", str(out))
     assert code == want_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Protocol 1 at seed 0: without auth on n = 4, m = 2, t = 1 (100 rounds)
+# under each p1-eavesdrop benchmark adversary, and with auth on n = 2, t = 2
+# (30 rounds); exit code and SHA-256 of --out.
+_P1_TRANSCRIPT_PINNED = {
+    ("none", False): ("", 0, "f7191cc9060a05efb78078c6c9f2b8bd"
+                      "af5d073c526eeb525fd2cc0e9f6d2800"),
+    ("depolarize", False): ("depolarize:p=0.1@m3", 0,
+                            "3130e32b7922d178e5620518802fdd64"
+                            "caa42f6375950badc6a0cc0f777c4214"),
+    ("intercept", False): ("intercept@m1", 2,
+                           "dc91d2c17deb19c6d8a4a6e0d9c98807"
+                           "cb412fac999c6e73f17c81e7a04a4bcb"),
+    ("combined", False): ("intercept@m1,depolarize:p=0.1@m3,"
+                          "lie-outcome:p=0.1@m4", 2,
+                          "04a0ced6a19c10f730e6e57b630195ea"
+                          "1dffbd3836185311dcb47b8e7516e68b"),
+    ("none", True): ("", 0, "855966c3768fe439035f551dde074a87"
+                     "86abeee80f7fb4efa7c90bf2d96ec41d"),
+    ("intercept", True): ("intercept@m1", 0,
+                          "28a9f6567c5b277e4ffc152723d8daf3"
+                          "0cd374ea5bf5edbed885b187eb2e3da4"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, auth", sorted(_P1_TRANSCRIPT_PINNED),
+    ids=[f"{k}-{'auth' if a else 'no-auth'}"
+         for k, a in sorted(_P1_TRANSCRIPT_PINNED)])
+def test_protocol1_transcripts_pinned(capsys, tmp_path, kind, auth):
+    spec, want_code, digest = _P1_TRANSCRIPT_PINNED[kind, auth]
+    shape = (["--n", "2", "--m", "1", "--t", "2", "--rounds", "30"] if auth
+             else ["--no-auth", "--n", "4", "--m", "2", "--t", "1",
+                   "--rounds", "100"])
+    out = tmp_path / "t.jsonl"
+    code, _, _ = run_cli(capsys, "run", "--protocol", "1", *shape,
+                         "--seed", "0", "--adversary", spec,
+                         "--reveal-secrets", "--out", str(out))
+    assert code == want_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

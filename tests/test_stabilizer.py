@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -235,6 +236,68 @@ def test_encode_decode_round_trip(fam22):
         assert np.array_equal(measured, y)
         assert states.fidelity(states.to_density(back),
                                states.to_density(logical)) == pytest.approx(1.0)
+
+
+def _reference_isometry(code, y, dense):
+    """The coset isometry built one basis vector at a time with the dense
+    Pauli matrices ``dense[p]``: project each candidate onto the
+    (syndrome-y, +1 logical-Z) eigenspace in turn, keep the first that
+    survives, then apply the logical X of each set bit."""
+    def act(vec, p):
+        return dense[p] @ vec
+
+    def project(vec):
+        for i, g in enumerate(code.generators):
+            sign = -1.0 if y[i] else 1.0
+            vec = (vec + sign * act(vec, g)) / 2
+        for lz in code.logical_z:
+            vec = (vec + act(vec, lz)) / 2
+        return vec
+
+    for b in range(2 ** code.u):
+        cand = np.zeros(2 ** code.u, dtype=complex)
+        cand[b] = 1.0
+        cand = project(cand)
+        n = np.linalg.norm(cand)
+        if n > 1e-6:
+            v0 = cand / n
+            break
+    cols = []
+    for a in range(2 ** code.t):
+        w = v0
+        for j in range(code.t):
+            if (a >> (code.t - 1 - j)) & 1:
+                w = act(w, code.logical_x[j])
+        cols.append(w)
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("rs", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_coset_isometries_match_the_per_vector_build(rs):
+    r, s = rs
+    for seed in range(3):
+        fam = gen_purity_family(r, s, seed=seed, audit="skip")
+        for code in fam.codes.values():
+            dense = {p: p.to_matrix() for p in (*code.generators,
+                                                *code.logical_x,
+                                                *code.logical_z)}
+            for bits in itertools.product((0, 1), repeat=s):
+                y = np.array(bits, dtype=np.uint8)
+                iso = stabilizer.encoding_isometry(code, y)
+                assert np.array_equal(iso, _reference_isometry(code, y, dense))
+                assert not iso.flags.writeable
+                adjoint = code._iso_cache[y.tobytes()][1]
+                assert np.array_equal(adjoint, iso.conj().T)
+            assert len(code._iso_cache) == 2 ** s
+
+
+def test_coset_build_rejects_a_code_with_an_empty_coset():
+    # generators Z1 and Z1 again: syndrome (0, 1) asks Z1 = +1 and -1
+    z1 = PauliOperator.from_string("ZI")
+    code = stabilizer.StabilizerCode(u=2, t=0, generators=[z1, z1],
+                                     logical_x=[], logical_z=[])
+    with pytest.raises(InvalidArgumentError, match="annihilates"):
+        stabilizer.encoding_isometry(code, [0, 1])
 
 
 def test_error_shifts_syndrome(fam22):

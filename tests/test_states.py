@@ -217,6 +217,27 @@ def test_pauli_on_vector_matches_dense_matrix():
         assert np.allclose(got, want, atol=1e-12), (letters, positions)
 
 
+def test_pauli_on_vector_acts_on_each_column_of_a_block():
+    rng = np.random.default_rng(24)
+    # x-only, z-only, identity and mixed letters, at every phase
+    for alphabet in ("XI", "ZI", "I", "IXYZ"):
+        for phase in range(4):
+            for _ in range(10):
+                n = int(rng.integers(1, 6))
+                k = int(rng.integers(1, n + 1))
+                positions = [int(p) for p in rng.permutation(n)[:k]]
+                letters = "".join(rng.choice(list(alphabet), size=k))
+                pauli = PauliOperator.from_string(letters, phase)
+                block = (rng.normal(size=(2 ** n, 3))
+                         + 1j * rng.normal(size=(2 ** n, 3)))
+                got = states.pauli_on_vector(block, pauli, positions)
+                want = _embedded_matrix(pauli, positions, n) @ block
+                assert np.allclose(got, want, atol=1e-12), (letters, phase)
+                for c in range(3):
+                    assert np.array_equal(got[:, c], states.pauli_on_vector(
+                        block[:, c], pauli, positions))
+
+
 def test_measure_qubit_matches_marginals_and_projectors():
     rng = np.random.default_rng(22)
     for _ in range(60):
@@ -263,6 +284,48 @@ def test_measure_pauli_matches_dense_projectors():
             assert np.allclose(post.amplitudes, ref / np.linalg.norm(ref),
                                atol=1e-12)
             assert post.labels == st.labels
+
+
+def test_measure_pauli_rejects_a_non_hermitian_pauli():
+    st = make_cat(2, PHI_PLUS)
+    rng = np.random.default_rng(0)
+    # XZ = -iY, iX and -X(XZ) = iXY: a measurement needs real eigenvalues
+    for pauli in (PauliOperator(1, 1, 1, 0), PauliOperator(1, 1, 0, 1),
+                  PauliOperator(2, 0b11, 0b01, 2)):
+        labels = st.labels[:pauli.n]
+        with pytest.raises(InvalidArgumentError, match="not Hermitian"):
+            states.measure_pauli(st, pauli, labels, rng)
+    # i XZ = Y and -X are Hermitian
+    for pauli in (PauliOperator(1, 1, 1, 1), PauliOperator(1, 1, 0, 2)):
+        bit, post = states.measure_pauli(st, pauli, [st.labels[0]], rng)
+        assert bit in (0, 1) and post.labels == st.labels
+
+
+def test_apply_isometry_checks_labels_and_norm():
+    st = make_cat(2, PHI_PLUS, [("a", 0), ("b", 0)])
+    iso = np.eye(4, 2, dtype=complex)  # |x> -> |0 x>
+    out = states.apply_isometry(st, iso, [("a", 0)], [("p", 0), ("p", 1)])
+    assert out.labels == (("p", 0), ("p", 1), ("b", 0))
+    assert np.isclose(np.vdot(out.amplitudes, out.amplitudes).real, 1.0)
+    bad = [
+        (InvalidArgumentError, [("a", 0)], [("p", 0), ("p", 0)]),
+        (InvalidArgumentError, [("a", 0)], [("p", 0), ("b", 0)]),
+        (InvalidArgumentError, [("c", 0)], [("p", 0), ("p", 1)]),
+    ]
+    for error, ins, outs in bad:
+        with pytest.raises(error):
+            states.apply_isometry(st, iso, ins, outs)
+    with pytest.raises(InvalidArgumentError, match="unique"):
+        states.apply_isometry(st, np.eye(16, 4, dtype=complex),
+                              [("a", 0), ("a", 0)],
+                              [("p", i) for i in range(4)])
+    with pytest.raises(CapacityError):
+        states.apply_isometry(st, np.eye(2 ** states.MAX_QUBITS, 2),
+                              [("a", 0)],
+                              [("p", i) for i in range(states.MAX_QUBITS)])
+    # the result's norm is still checked: 2x is no isometry
+    with pytest.raises(InvalidArgumentError, match="norm"):
+        states.apply_isometry(st, 2 * iso, [("a", 0)], [("p", 0), ("p", 1)])
 
 
 def test_state_with_nan_amplitude_rejected():
