@@ -40,6 +40,9 @@ def _intercept(bases) -> tuple:
     dephases the qubit in that basis: rho/2 + sum_b b rho b / (2|B|)."""
     if not bases or not set(bases) <= {"X", "Y", "Z"}:
         raise InvalidArgumentError("intercept bases must be X/Y/Z")
+    if len(set(bases)) != len(bases):
+        raise InvalidArgumentError(
+            f"an intercept basis is given twice in {''.join(bases)!r}")
     w = 1 / (2 * len(bases))
     return (("I", 0.5),) + tuple((b, w) for b in bases)
 

@@ -53,9 +53,10 @@ def keygen(family: PurityFamily, rng) -> AuthKeys:
     logical qubits."""
     keys = family.keys
     k = int(keys[rng.integers(0, len(keys))])
-    x = rng.integers(0, 2, size=2 * family.t).astype(np.uint8)
-    y = rng.integers(0, 2, size=family.u - family.t).astype(np.uint8)
-    return AuthKeys(k=k, x=x, y=y)
+    # the 2t pad and u - t syndrome bits in one draw: each bit takes the
+    # bit generator's next 32-bit word, so two draws gave the same bits
+    bits = rng.integers(0, 2, size=family.u + family.t).astype(np.uint8)
+    return AuthKeys(k=k, x=bits[:2 * family.t], y=bits[2 * family.t:])
 
 
 def _pad_operators(x_bits, t: int) -> tuple:

@@ -31,7 +31,7 @@ class StabilizerCode:
     generators: list
     logical_x: list
     logical_z: list
-    # syndrome bytes -> (isometry, adjoint), every syndrome at first use
+    # syndrome bytes -> _Coset, every syndrome at the first lookup
     _iso_cache: dict = field(default_factory=dict, repr=False,
                              compare=False)
 
@@ -87,26 +87,60 @@ def encoding_isometry(code: StabilizerCode, y) -> np.ndarray:
     Column a is the encoding of logical basis state |a>, built by projecting
     the first basis vector that survives onto the joint (+1 logical-Z,
     syndrome-y) eigenspace and applying logical X representatives.  The
-    first lookup builds every syndrome's isometry of the code, read-only.
+    first lookup finds every syndrome's first vector of the code; each
+    isometry is expanded at its own first lookup and kept, read-only.
     """
     y = np.asarray(y, dtype=np.uint8) % 2
     if len(y) != code.num_generators:
         raise InvalidArgumentError("syndrome length must be u - t")
     if not code._iso_cache:
-        code._iso_cache.update(_coset_isometries(code))
+        code._iso_cache.update(_cosets(code))
     return code._iso_cache[y.tobytes()][0]
 
 
-def _coset_isometries(code: StabilizerCode) -> dict:
-    """Syndrome bytes -> (isometry, adjoint) for every syndrome of ``code``.
+def _act(block: np.ndarray, pauli: PauliOperator) -> np.ndarray:
+    """``pauli`` on a vector or each column of a block, qubit 0 on top."""
+    return states.pauli_on_vector(block, pauli, range(pauli.n - 1, -1, -1))
+
+
+class _Coset:
+    """One syndrome's coset of a code.  Item 0 is its isometry, expanded
+    from the coset's first projected vector at the first read and kept
+    read-only; item 1 is the adjoint, taken afresh at each read, so a run
+    keeps one array per syndrome it draws."""
+
+    __slots__ = ("_first", "_logical_x", "_iso")
+
+    def __init__(self, first: np.ndarray, logical_x: list):
+        self._first, self._logical_x, self._iso = first, logical_x, None
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if self._iso is None:
+            # column a applies the logical X of each set bit of a, top bit
+            # first: logical j fills the columns whose bits after j are 0
+            t = len(self._logical_x)
+            iso = np.empty((len(self._first), 2 ** t), dtype=complex)
+            iso[:, 0] = self._first
+            for j, lx in enumerate(self._logical_x):
+                step = 2 ** (t - j)
+                iso[:, step // 2::step] = _act(iso[:, ::step], lx)
+            iso.flags.writeable = False
+            self._iso, self._first = iso, None
+        if i == 0:
+            return self._iso
+        if i == 1:
+            return self._iso.conj().T
+        raise IndexError(i)
+
+
+def _cosets(code: StabilizerCode) -> dict:
+    """Syndrome bytes -> ``_Coset`` for every syndrome of ``code``.
 
     Chunks of basis vectors, no larger together than the largest state, are
     projected for every syndrome still without a survivor.  Each amplitude
     stays a dyadic fraction, so the isometries are bit for bit those of
     projecting one basis vector at a time."""
     u, s = code.u, code.num_generators
-    act = functools.partial(states.pauli_on_vector,  # qubit 0 on top
-                            positions=range(u - 1, -1, -1))
     syndromes = (np.arange(2 ** s)[:, None] >> np.arange(s)[::-1]) & 1
     first, start = {}, 0  # syndrome -> its normalized first projection
     while len(first) < 2 ** s:
@@ -120,24 +154,17 @@ def _coset_isometries(code: StabilizerCode) -> dict:
         block = np.zeros((2 ** u, len(todo), width), dtype=complex)
         block[start + cols, :, cols] = 1.0  # (row, syndrome, candidate)
         for g, sign in zip(code.generators, 1.0 - 2 * syndromes[todo].T):
-            block = (block + sign[:, None] * act(block, g)) / 2
+            block = (block + sign[:, None] * _act(block, g)) / 2
         for lz in code.logical_z:
-            block = (block + act(block, lz)) / 2
+            block = (block + _act(block, lz)) / 2
         norms = np.linalg.norm(block, axis=0)
         for j, i in enumerate(todo):
             hit = np.flatnonzero(norms[j] > 1e-6)
             if hit.size:
                 first[i] = block[:, j, hit[0]] / norms[j, hit[0]]
         start += width
-    # column a applies the logical X of each set bit of a, top bit first
-    iso = np.stack([first[i] for i in range(2 ** s)], axis=1)[..., None]
-    for lx in code.logical_x:
-        iso = np.stack((iso, act(iso, lx)), -1).reshape(2 ** u, 2 ** s, -1)
-    iso = iso.transpose(1, 0, 2).copy()
-    adjoint = iso.conj()
-    iso.flags.writeable = adjoint.flags.writeable = False
-    return {y.astype(np.uint8).tobytes(): (one, dagger.T)
-            for y, one, dagger in zip(syndromes, iso, adjoint)}
+    return {y.astype(np.uint8).tobytes(): _Coset(first[i], code.logical_x)
+            for i, y in enumerate(syndromes)}
 
 
 def encode_coset(code: StabilizerCode, y, logical, out_labels=None):
@@ -173,7 +200,7 @@ def decode_coset_in_place(code: StabilizerCode, state, block_labels, rng,
     for i, g in enumerate(code.generators):
         bit, state = states.measure_pauli(state, g, block_labels, rng)
         measured[i] = bit
-    encoding_isometry(code, measured)  # caches the adjoint too
+    encoding_isometry(code, measured)  # expands the syndrome's isometry
     adjoint = code._iso_cache[measured.tobytes()][1]
     if out_labels is None:
         out_labels = [("log", i) for i in range(code.t)]

@@ -9,6 +9,16 @@ matrices serve the Pauli channels and the metrics.
 Inputs are validated; the results of ``measure_qubit``, ``apply_pauli``,
 ``measure_pauli`` and ``apply_isometry`` are trusted to have the labels and
 length their checked inputs give, and every state has its norm checked.
+
+``measure_qubit`` keeps a memo per thread, keyed by (labels, qubit, axis,
+amplitude bytes): the outcome-0 probability, both projected rows and each
+branch's read-only post-state, built at its first draw.  Every call checks
+its axis and label first and draws one ``rng.random()``, and a hit returns
+the bits that measuring afresh would, so transcripts are unchanged.  The
+memo drops its oldest entries beyond ``_MEMO_BUDGET`` bytes of keys, arrays
+and entry objects.  States above ``_MEMO_MAX_AMPLITUDES`` amplitudes skip
+it: memoizing up to 2^8 amplitudes made authenticated protocol-2 runs, whose
+states reach 8 qubits, slower as a whole, though most of their calls hit.
 """
 from __future__ import annotations
 
@@ -286,21 +296,69 @@ def measure_pauli(state: PureStateVector, pauli: PauliOperator, labels, rng):
     return bit, _derived(state.labels, branch)
 
 
+_MEMO_BUDGET = 2 ** 19  # bytes one thread's memo holds, by _entry_bytes
+_MEMO_MAX_AMPLITUDES = 2 ** 4  # wider states skip the memo
+_measured = threading.local()
+
+
+def _memo() -> dict:
+    """The calling thread's ``measure_qubit`` memo, insertion ordered:
+    (labels, axis index, basis, amplitude bytes) -> [p(0), projected rows,
+    post-state 0, post-state 1], each post-state built at its first draw."""
+    try:
+        return _measured.entries
+    except AttributeError:
+        _measured.nbytes = 0
+        _measured.entries = {}
+        return _measured.entries
+
+
 def measure_qubit(state: PureStateVector, label, basis, rng):
-    """Destructively measure one qubit; returns (bit, state without label)."""
+    """Destructively measure one qubit; returns (bit, state without label).
+
+    The post-state is read-only and, for a state of at most
+    ``_MEMO_MAX_AMPLITUDES`` amplitudes, shared by every call that measures
+    the same state, qubit and axis in the calling thread.
+    """
     eigenvectors(basis)  # rejects an unknown axis
-    bras, ax = _BRAS[basis], state.axis(label)
+    ax, amps = state.axis(label), state.amplitudes
+    if len(amps) > _MEMO_MAX_AMPLITUDES:
+        entry = _project(amps, ax, basis)
+    else:
+        memo = _memo()
+        key = (state.labels, ax, basis, amps.tobytes())
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = _project(amps, ax, basis)
+            _measured.nbytes += _entry_bytes(amps)
+            while _measured.nbytes > _MEMO_BUDGET:
+                _measured.nbytes -= _entry_bytes(memo.pop(next(iter(memo)))[1])
+    bit = 0 if rng.random() < entry[0] else 1
+    post = entry[2 + bit]
+    if post is None:
+        rest = entry[1][bit]
+        prob = np.vdot(rest, rest).real if bit else entry[0]
+        rest = rest / math.sqrt(prob)
+        rest.flags.writeable = False
+        post = entry[2 + bit] = _derived(
+            state.labels[:ax] + state.labels[ax + 1:], rest)
+    return bit, post
+
+
+def _entry_bytes(amps: np.ndarray) -> int:
+    """What a memo entry for a state of ``amps`` (or its projected rows)
+    holds: the key's bytes, the rows and both post-states, and about 1 KB
+    of Python objects around them."""
+    return 3 * amps.nbytes + 1024
+
+
+def _project(amps: np.ndarray, ax: int, basis: str) -> list:
+    """A fresh memo entry: p(0), both rows of outcome amplitudes, no
+    post-state yet."""
     # measured qubit first; one 2-D product beats 2**ax stacked 2x2 ones
-    t = state.amplitudes.reshape(2 ** ax, 2, -1).transpose(1, 0, 2)
-    proj = bras @ t.reshape(2, -1)  # rows: outcome amplitudes
-    rest = proj[0]
-    prob = np.vdot(rest, rest).real
-    bit = 0 if rng.random() < prob else 1
-    if bit:
-        rest = proj[1]
-        prob = np.vdot(rest, rest).real
-    rest /= math.sqrt(prob)
-    return bit, _derived(state.labels[:ax] + state.labels[ax + 1:], rest)
+    t = amps.reshape(2 ** ax, 2, -1).transpose(1, 0, 2)
+    proj = _BRAS[basis] @ t.reshape(2, -1)
+    return [np.vdot(proj[0], proj[0]).real, proj, None, None]
 
 
 def measurement_probabilities(state: PureStateVector, bases) -> np.ndarray:

@@ -267,6 +267,9 @@ def test_parse_member_aliases():
     "depolarize@m1",
     "depolarizing@m1",
     "fixed-pauli@m1",
+    # a repeated intercept basis ran, or weighted that basis twice
+    "intercept:bases=XX@m1",
+    "intercept:bases=XYX@m1",
 ])
 def test_parse_rejects_invalid_specs(bad):
     with pytest.raises(InvalidArgumentError):
@@ -326,7 +329,8 @@ def _attack(draw):
     elif kind == "intercept_resend":
         mixture = INTERCEPT_XY
         if draw(st.booleans()):
-            bases, upper = draw(_mixed_case("XYZ", 1, 3))
+            bases, upper = draw(_mixed_case("XYZ", 1, 3).filter(
+                lambda cased: len(set(cased[1])) == len(cased[1])))
             params.append(["bases", bases])
             w = 1 / (2 * len(upper))
             mixture = (("I", 0.5),) + tuple((b, w) for b in upper)

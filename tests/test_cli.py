@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 
 import pytest
 
@@ -77,9 +78,13 @@ def test_run_requires_seed(capsys):
     # without its parameter a channel used to act as the identity
     ("depolarize@m1", "missing parameter 'p'"),
     ("fixed-pauli@m1", "missing parameter 'op'"),
+    # a repeated basis used to run, or to weight that basis twice
+    ("intercept:bases=XX@m1", "given twice"),
+    ("intercept:bases=XYX@m1", "given twice"),
 ], ids=["warp@m1", "intercept@m9", "intercept@M9", "lie-outcome@m3",
         "silent-drop@C", "lie-outcome@C", "two-dishonest-m1",
-        "depolarize-no-p", "fixed-pauli-no-op"])
+        "depolarize-no-p", "fixed-pauli-no-op", "intercept-bases-XX",
+        "intercept-bases-XYX"])
 def test_invalid_adversary_fails_before_simulation(capsys, spec, named):
     code, out, err = run_cli(capsys, "run", "--n", "2", "--m", "1",
                              "--seed", "1", "--adversary", spec)
@@ -629,3 +634,31 @@ def test_protocol1_transcripts_pinned(capsys, tmp_path, kind, auth):
                          "--reveal-secrets", "--out", str(out))
     assert code == want_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_protocol1_transcripts_pinned_with_an_empty_and_a_warm_memo(tmp_path):
+    # each command runs twice in a new thread, whose measurement memo starts
+    # empty: the second run reads the memo the first one filled
+    for (kind, auth), (spec, want_code, digest) in sorted(
+            _P1_TRANSCRIPT_PINNED.items()):
+        shape = (["--n", "2", "--m", "1", "--t", "2", "--rounds", "30"]
+                 if auth else ["--no-auth", "--n", "4", "--m", "2", "--t", "1",
+                               "--rounds", "100"])
+        got = []
+
+        def worker():
+            for run in range(2):
+                got.append(len(states._memo()))
+                out = tmp_path / f"{kind}-{auth}-{run}.jsonl"
+                code = cli.main(["run", "--protocol", "1", *shape,
+                                 "--seed", "0", "--adversary", spec,
+                                 "--reveal-secrets", "--out", str(out)])
+                got.append((code,
+                            hashlib.sha256(out.read_bytes()).hexdigest()))
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert got[0] == 0 and got[2] > 0, (kind, auth)
+        assert got[1] == got[3] == (want_code, digest), (kind, auth)

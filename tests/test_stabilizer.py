@@ -291,6 +291,18 @@ def test_coset_isometries_match_the_per_vector_build(rs):
             assert len(code._iso_cache) == 2 ** s
 
 
+def test_coset_isometries_are_expanded_only_for_the_syndromes_drawn():
+    fam = gen_purity_family(2, 4, seed=0, audit="skip")
+    code = fam.codes[fam.keys[0]]
+    y = np.array([1, 0, 1, 1], dtype=np.uint8)
+    stabilizer.encoding_isometry(code, y)
+    expanded = [key for key, coset in code._iso_cache.items()
+                if coset._iso is not None]
+    assert len(code._iso_cache) == 16 and expanded == [y.tobytes()]
+    adjoint = code._iso_cache[y.tobytes()][1]
+    assert adjoint is not code._iso_cache[y.tobytes()][1]  # not kept
+
+
 def test_coset_build_rejects_a_code_with_an_empty_coset():
     # generators Z1 and Z1 again: syndrome (0, 1) asks Z1 = +1 and -1
     z1 = PauliOperator.from_string("ZI")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 
@@ -259,6 +260,113 @@ def test_measure_qubit_matches_marginals_and_projectors():
             assert np.allclose(post.amplitudes, ref / np.linalg.norm(ref),
                                atol=1e-12)
             assert post.labels == st.labels[:ax] + st.labels[ax + 1:]
+
+
+def _unmemoized_measurement(st, label, basis, u):
+    """The measurement kernel without the memo: project, draw ``u``,
+    normalize the drawn row in place; returns (bit, row, p(0))."""
+    ax = st.axis(label)
+    t = st.amplitudes.reshape(2 ** ax, 2, -1).transpose(1, 0, 2)
+    proj = states.eigenvectors(basis).conj() @ t.reshape(2, -1)
+    rest = proj[0]
+    prob = p0 = np.vdot(rest, rest).real
+    bit = 0 if u < prob else 1
+    if bit:
+        rest = proj[1]
+        prob = np.vdot(rest, rest).real
+    rest /= math.sqrt(prob)
+    return bit, rest, p0
+
+
+def test_memoized_measurement_equals_a_fresh_one_bit_for_bit():
+    rng = np.random.default_rng(41)
+    # n >= 5 is above the memo's width cap and takes the same kernel
+    for n in (1, 2, 3, 4, 5, 8, 9):
+        first = _random_state(rng, n)
+        # the same amplitudes under other labels follow
+        twin = PureStateVector(tuple(("r", i) for i in range(n)),
+                               first.amplitudes)
+        for st in (first, twin):
+            for ax, label in enumerate(st.labels):
+                basis = "XYZ"[ax % 3]
+                p0 = _unmemoized_measurement(st, label, basis, 0.0)[2]
+                draws = [p0 - 1e-9, p0 + 1e-9]
+                # a miss, then hits, drawing branch 0 or branch 1 first
+                for u in (draws if ax % 2 else draws[::-1]) * 2:
+                    bit, post = measure_qubit(st, label, basis, _FixedDraw(u))
+                    want_bit, want, _ = _unmemoized_measurement(
+                        st, label, basis, u)
+                    assert bit == want_bit
+                    assert np.array_equal(post.amplitudes, want)
+                    assert post.labels == st.labels[:ax] + st.labels[ax + 1:]
+
+
+def test_measure_qubit_checks_its_arguments_before_the_memo():
+    st = make_cat(3, PHI_PLUS)
+    measure_qubit(st, ("q", 1), "X", _FixedDraw(0.5))  # now in the memo
+    for label, basis in ((("q", 7), "X"), (("q", [1]), "X"), (("q", 1), "Q"),
+                         (("q", 1), "x"), (("q", 1), ["X"])):
+        with pytest.raises(InvalidArgumentError):
+            measure_qubit(st, label, basis, _FixedDraw(0.5))
+
+
+def test_measured_post_states_are_read_only():
+    rng = np.random.default_rng(42)
+    for n in (3, 9):  # inside and above the memo's width cap
+        st = _random_state(rng, n)
+        for u in (0.0, 1.0):
+            _, post = measure_qubit(st, st.labels[0], "Y", _FixedDraw(u))
+            with pytest.raises(ValueError):
+                post.amplitudes[0] = 0.0
+
+
+def test_measure_memo_stays_within_its_budget():
+    rng = np.random.default_rng(43)
+    memo = states._memo()
+    seen = []
+    width = states._MEMO_MAX_AMPLITUDES.bit_length() - 1
+    for _ in range(2000):  # at the width cap, several budgets in all
+        st = _random_state(rng, width)
+        measure_qubit(st, st.labels[3], "X", rng)
+        seen.append((st.labels, 3, "X", st.amplitudes.tobytes()))
+    assert states._measured.nbytes <= states._MEMO_BUDGET
+    assert states._measured.nbytes == sum(
+        states._entry_bytes(np.frombuffer(k[3], dtype=complex)) for k in memo)
+    # the oldest entries went first
+    assert seen[-1] in memo and seen[0] not in memo
+    assert len(memo) >= states._MEMO_BUDGET // states._entry_bytes(
+        st.amplitudes)
+
+
+def test_states_above_the_width_cap_skip_the_memo():
+    rng = np.random.default_rng(44)
+    memo = states._memo()
+    width = states._MEMO_MAX_AMPLITUDES.bit_length() - 1
+    wide = _random_state(rng, width + 1)
+    before = len(memo), states._measured.nbytes
+    measure_qubit(wide, wide.labels[0], "X", rng)
+    assert (len(memo), states._measured.nbytes) == before
+    at_cap = _random_state(rng, width)
+    measure_qubit(at_cap, at_cap.labels[0], "X", rng)
+    assert (at_cap.labels, 0, "X", at_cap.amplitudes.tobytes()) in memo
+
+
+def test_each_thread_starts_with_an_empty_memo():
+    st = make_cat(2, PHI_PLUS)
+    measure_qubit(st, ("q", 0), "X", _FixedDraw(0.5))
+    assert len(states._memo()) > 0
+    seen = []
+
+    def worker():
+        seen.append(len(states._memo()))
+        measure_qubit(st, ("q", 1), "Y", _FixedDraw(0.5))
+        seen.append(len(states._memo()))
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert seen == [0, 1]
 
 
 def test_measure_pauli_matches_dense_projectors():
