@@ -5,6 +5,11 @@ The "specific unitary operations" of the sending step are the standard
 quantum one-time pad: two secret bits per logical qubit selecting
 I / X / Z / XZ.  A syndrome mismatch on receive rejects the block and no
 logical state is released.
+
+A block that nothing touches between send and receive is accepted with
+certainty and returned exactly, so ``untouched_round_trip`` only takes the
+random draws of that round trip, in its order, and needs neither the
+block nor the family's codes.
 """
 from __future__ import annotations
 
@@ -48,15 +53,32 @@ class AuthOutcome:
         return self.verdict == ACCEPT
 
 
+def _draw_secrets(n_keys: int, u: int, t: int, rng) -> tuple:
+    """(key index, 2t pad bits then u - t syndrome bits) of one block."""
+    index = rng.integers(0, n_keys)
+    # the pad and syndrome bits in one draw: each bit takes the bit
+    # generator's next 32-bit word, so two draws gave the same bits
+    return index, rng.integers(0, 2, size=u + t)
+
+
 def keygen(family: PurityFamily, rng) -> AuthKeys:
     """Uniform secrets for one authenticated block of the family's t
     logical qubits."""
-    keys = family.keys
-    k = int(keys[rng.integers(0, len(keys))])
-    # the 2t pad and u - t syndrome bits in one draw: each bit takes the
-    # bit generator's next 32-bit word, so two draws gave the same bits
-    bits = rng.integers(0, 2, size=family.u + family.t).astype(np.uint8)
-    return AuthKeys(k=k, x=bits[:2 * family.t], y=bits[2 * family.t:])
+    keys, t = family.keys, family.t
+    index, bits = _draw_secrets(len(keys), family.u, t, rng)
+    bits = bits.astype(np.uint8)
+    return AuthKeys(k=int(keys[index]), x=bits[:2 * t], y=bits[2 * t:])
+
+
+def untouched_round_trip(r: int, s: int, rng) -> None:
+    """Take the draws that ``keygen``, ``auth_send_in_place`` and
+    ``auth_receive_in_place`` make on a block of an (r, s) family, with its
+    2^s keys, when nothing acts on it in between: the secrets, then one per
+    syndrome generator.  Such a block reads its syndrome y with certainty
+    and comes back exactly, so the caller keeps it as it was."""
+    _draw_secrets(2 ** s, r * s, (r - 1) * s, rng)
+    for _ in range(s):
+        rng.random()
 
 
 def _pad_operators(x_bits, t: int) -> tuple:

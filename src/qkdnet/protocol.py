@@ -8,6 +8,12 @@ random test subset of the derived bits is compared publicly.
 Protocol 2: the center keeps one qubit per copy in memory, chooses its own
 measurement direction after the members announce theirs (so the joint
 parity is always even), and reveals its outcome; no round is discarded.
+
+With authentication, only a member that some transit channel targets gets
+a code family and the dense pad, encode, channel, syndrome, decode and
+unpad chain.  An untargeted member's block takes only the random draws of
+that round trip, in the same order, and passes on unchanged, as the round
+trip would return it: every RNG draw keeps its order and number.
 """
 from __future__ import annotations
 
@@ -48,6 +54,11 @@ class NetworkConfig:
         if self.t < 1:
             raise InvalidArgumentError("t must be >= 1")
         r, s = self.family_params
+        # checked here, not at generation: an unattacked member's family is
+        # never generated
+        if self.auth_enabled and (r < 2 or s < 2):
+            raise InvalidArgumentError(
+                f"auth needs family r >= 2 and s >= 2, got ({r}, {s})")
         if self.auth_enabled and self.t != (r - 1) * s:
             raise InvalidArgumentError(
                 f"auth needs t = (r-1)s = {(r - 1) * s}, got {self.t}")
@@ -225,10 +236,13 @@ def test_and_finalize(transcript: Transcript, usable, rng) -> None:
     transcript.key_b = [r.b_b for r in keep]
 
 
-def _build_families(config: NetworkConfig, rng):
+def _build_families(config: NetworkConfig, channels: dict, rng) -> dict:
+    """Member -> its keyed code family, or None for a member no channel
+    targets, whose block needs no codes; every member's seed is drawn."""
     r, s = config.family_params
-    return {mu: gen_purity_family(r, s, seed=int(rng.integers(2 ** 32)))
-            for mu in config.members}
+    seeds = {mu: int(rng.integers(2 ** 32)) for mu in config.members}
+    return {mu: gen_purity_family(r, s, seed=seed) if channels[mu] else None
+            for mu, seed in seeds.items()}
 
 
 def _initial_state(config: NetworkConfig):
@@ -252,6 +266,10 @@ def _transit(config, families, channels, state, rng, aborts, round_index):
     """Send each member's block through its channels, authenticated unless
     ``families`` is None; returns the state, or None on a syndrome reject."""
     for mu, member_channels in channels.items():
+        if families is not None and not member_channels:
+            # the round trip would return the block exactly
+            auth.untouched_round_trip(*config.family_params, rng)
+            continue
         block = phys = [(mu, c) for c in range(config.t)]
         if families is not None:
             fam = families[mu]
@@ -353,12 +371,13 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
         raise CapacityError(
             f"configuration needs {config.qubit_budget()} qubits at its "
             f"widest point, above the cap of {states.MAX_QUBITS}")
-    families = _build_families(config, rng) if config.auth_enabled else None
+    members, party_a, party_b = config.members, config.party_a, config.party_b
+    channels = {mu: adversary.channels_for(mu) for mu in members}
+    families = (_build_families(config, channels, rng)
+                if config.auth_enabled else None)
     transcript = Transcript(config=config, seed=int(seed))
     center_drop = adversary.dishonest_for(CENTER)
     initial = _initial_state(config)
-    members, party_a, party_b = config.members, config.party_a, config.party_b
-    channels = {mu: adversary.channels_for(mu) for mu in members}
     dishonest = {mu: adversary.dishonest_for(mu) for mu in members}
     for rnd in range(config.rounds):
         state = _transit(config, families, channels, initial, rng,
@@ -413,6 +432,9 @@ def run_protocol2(config: NetworkConfig, adversary: AdversarySpec,
 # A record's true outcomes give its collected parities, and those give its
 # key bits: the untested records' bits are the final key, bit for bit.
 _SECRET_RECORD_FIELDS = ("outcomes", "m_a", "m_b", "b_a", "b_b")
+# one encoder for every line, where json.dumps(..., sort_keys=True) builds
+# a new one per call: the same text in less time
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def transcript_to_jsonl(transcript: Transcript,
@@ -424,19 +446,19 @@ def transcript_to_jsonl(transcript: Transcript,
     """
     lines = []
     header = {"config": asdict(transcript.config), "seed": transcript.seed}
-    lines.append(json.dumps({"header": header}, sort_keys=True))
+    lines.append(_encode({"header": header}))
     for rec in transcript.records:
         fields = vars(rec)
         if not reveal_secrets:
             fields = {k: v for k, v in fields.items()
                       if k not in _SECRET_RECORD_FIELDS}
-        lines.append(json.dumps({"record": fields}, sort_keys=True))
+        lines.append(_encode({"record": fields}))
     for ab in transcript.aborts:
-        lines.append(json.dumps({"abort": ab}, sort_keys=True))
+        lines.append(_encode({"abort": ab}))
     summary = transcript.summary()
     summary["test_indices"] = transcript.test_indices
     if reveal_secrets:
         summary["key_a"] = transcript.key_a
         summary["key_b"] = transcript.key_b
-    lines.append(json.dumps({"summary": summary}, sort_keys=True))
+    lines.append(_encode({"summary": summary}))
     return "\n".join(lines) + "\n"

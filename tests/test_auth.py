@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qkdnet import states
+from qkdnet import protocol, states
 from qkdnet.auth import (ACCEPT, REJECT, AuthKeys, apply_pad, auth_receive,
-                         auth_send, keygen)
+                         auth_receive_in_place, auth_send, auth_send_in_place,
+                         keygen, untouched_round_trip)
 from qkdnet.errors import InvalidArgumentError
 from qkdnet.paulis import PauliOperator
 from qkdnet.stabilizer import gen_purity_family, syndrome
@@ -113,3 +114,31 @@ def test_keygen_validation(fam):
         AuthKeys(k=99, x=keys.x, y=keys.y).validate(fam)
     with pytest.raises(InvalidArgumentError):
         AuthKeys(k=keys.k, x=keys.x[:2], y=keys.y).validate(fam)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("rs", [(2, 2), (2, 3), (3, 2)],
+                         ids=["r2-s2", "r2-s3", "r3-s2"])
+def test_untouched_round_trip_takes_the_dense_chain_draws(rs, seed):
+    # m1's block inside a protocol-2 initial state: the dense chain with no
+    # channel accepts and returns the state, and the draw-only path leaves
+    # its generator where the dense chain leaves its own
+    r, s = rs
+    t = (r - 1) * s
+    fam = gen_purity_family(r, s, seed=seed)
+    state = protocol._initial_state(protocol.NetworkConfig(
+        n=2, m=1, t=t, protocol=2, family_params=rs))
+    block = [("m1", c) for c in range(t)]
+    phys = [("m1", i) for i in range(fam.u)]
+    dense_rng, draw_rng = (np.random.default_rng(seed) for _ in range(2))
+    for _ in range(3):  # a few blocks per seed: several keys and syndromes
+        keys = keygen(fam, dense_rng)
+        sent = auth_send_in_place(keys, fam, state, block, out_labels=phys)
+        outcome = auth_receive_in_place(keys, fam, sent, phys, dense_rng,
+                                        out_labels=block)
+        assert outcome.accepted
+        assert np.array_equal(outcome.measured_syndrome, keys.y)
+        back = states.permute_labels(outcome.logical_state, state.labels)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
+        untouched_round_trip(r, s, draw_rng)
+        assert dense_rng.bit_generator.state == draw_rng.bit_generator.state

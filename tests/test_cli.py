@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from qkdnet import cli, states
+from qkdnet import cli, protocol, states
 from qkdnet.stabilizer import PurityFamily, family_from_json, family_to_json
 
 
@@ -128,6 +128,33 @@ def test_run_above_the_qubit_cap_fails_before_first_round(capsys,
     assert code == 1
     assert out == ""
     assert "needs 16 qubits" in err
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("params", [
+    {"t": "1", "family_s": "1"},   # t = (r-1)s holds, but s < 2
+    {"t": "2", "family_r": "1"},
+], ids=["family-s-1", "family-r-1"])
+def test_run_with_a_family_below_r_2_or_s_2_fails_before_first_round(
+        capsys, monkeypatch, tmp_path, params, source):
+    # no member is attacked, so no family would be generated to fail
+    def no_rounds(*args, **kwargs):
+        raise AssertionError("a family or a round was prepared")
+
+    monkeypatch.setattr(states, "make_cat", no_rounds)
+    monkeypatch.setattr(protocol, "gen_purity_family", no_rounds)
+    if source == "flags":
+        argv = [f"--{k.replace('_', '-')}={v}" for k, v in params.items()]
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[network]\n" + "".join(
+            f"{k} = {v}\n" for k, v in params.items()))
+        argv = ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, "run", "--seed", "1", "--n", "2",
+                             *argv)
+    assert code == 1
+    assert out == ""
+    assert "r >= 2 and s >= 2" in err
 
 
 def test_run_determinism_byte_identical(capsys, tmp_path):
@@ -631,6 +658,59 @@ def test_protocol1_transcripts_pinned(capsys, tmp_path, kind, auth):
     out = tmp_path / "t.jsonl"
     code, _, _ = run_cli(capsys, "run", "--protocol", "1", *shape,
                          "--seed", "0", "--adversary", spec,
+                         "--reveal-secrets", "--out", str(out))
+    assert code == want_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Protocol 2 with auth on the p2-auth benchmark shape (n = 3, m = 1, t = 2,
+# 40 rounds), recorded while every block took the dense authentication
+# round trip: both benchmark adversaries at seeds 0-3 and every member
+# depolarized at seed 0; then (3, 2) with t = 4 on n = 2 (10 rounds of
+# 14 qubits), one block attacked and one not.  Exit code and SHA-256 of
+# the --reveal-secrets --out file.
+_P2_SHAPE = ["--n", "3", "--m", "1", "--t", "2", "--rounds", "40"]
+_P2_NOISY = "depolarize:p=0.05@m2,lie-outcome:p=0.2@m3"
+_P2_AUTH_TRANSCRIPT_PINNED = {
+    ("none", 0): (_P2_SHAPE, "", 0, "b3243788cebec84df62d4529fd1c2d17"
+                  "12ea508f144f382911f45328d33b3937"),
+    ("none", 1): (_P2_SHAPE, "", 0, "1b23524873fcdc419f470e94c1643ccb"
+                  "b95d202732aae49808a8d2cf9d93a594"),
+    ("none", 2): (_P2_SHAPE, "", 0, "1827a18e2afde0c83ebe880d91aca448"
+                  "4bc3ef8926cf1014b533aadb9263af3c"),
+    ("none", 3): (_P2_SHAPE, "", 0, "045a3930a7c85b2ee3a5475a9f3e7d48"
+                  "cf2c645fde332ceb0d342b9856ad5b35"),
+    ("noisy", 0): (_P2_SHAPE, _P2_NOISY, 2,
+                   "51e1e148d0c522f7a2e2dbd7182f3d01"
+                   "167d77b5476ca951cc5dc7c5e391526c"),
+    ("noisy", 1): (_P2_SHAPE, _P2_NOISY, 0,
+                   "fc88c227dd4bbc3404afcdbd1c57b844"
+                   "e0e9109da9ddbd4a51c04a13b928680d"),
+    ("noisy", 2): (_P2_SHAPE, _P2_NOISY, 2,
+                   "27d6a50fc7bdd5c38ee6a692adc56adb"
+                   "361b116046164738210210b5402fee83"),
+    ("noisy", 3): (_P2_SHAPE, _P2_NOISY, 2,
+                   "2bf955c3b6503f40b609b45ac9618f05"
+                   "2fc357a0a944032b417b60c91e9c7666"),
+    ("all-depolarized", 0): (
+        _P2_SHAPE,
+        "depolarize:p=0.05@m1,depolarize:p=0.05@m2,depolarize:p=0.05@m3", 0,
+        "786f0aa7cb775dda484dea3c867d6af5622d1e17c3e8e4a7ca964f760095899c"),
+    ("r3-s2-t4", 0): (
+        ["--n", "2", "--m", "1", "--t", "4", "--family-r", "3",
+         "--family-s", "2", "--rounds", "10"], "depolarize:p=0.05@m2", 0,
+        "a31a891030a2acd3554b521e4859713f9635890f6530868f011658439c442edf"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, seed", sorted(_P2_AUTH_TRANSCRIPT_PINNED),
+    ids=[f"{k}-seed{s}" for k, s in sorted(_P2_AUTH_TRANSCRIPT_PINNED)])
+def test_protocol2_auth_transcripts_pinned(capsys, tmp_path, kind, seed):
+    shape, spec, want_code, digest = _P2_AUTH_TRANSCRIPT_PINNED[kind, seed]
+    out = tmp_path / "t.jsonl"
+    code, _, _ = run_cli(capsys, "run", "--protocol", "2", *shape,
+                         "--seed", str(seed), "--adversary", spec,
                          "--reveal-secrets", "--out", str(out))
     assert code == want_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -27,6 +27,13 @@ def test_config_validation():
         NetworkConfig(n=2, m=1, rounds=10, test_fraction=1.5)
     with pytest.raises(InvalidArgumentError):
         NetworkConfig(n=2, m=1, rounds=10, t=3)  # auth needs t = (r-1)s
+    # no family exists below r = 2 or s = 2, even where t = (r-1)s holds
+    with pytest.raises(InvalidArgumentError, match="r >= 2 and s >= 2"):
+        NetworkConfig(n=2, m=1, rounds=10, t=1, family_params=(2, 1))
+    with pytest.raises(InvalidArgumentError, match="r >= 2 and s >= 2"):
+        NetworkConfig(n=2, m=1, rounds=10, t=2, family_params=(1, 2))
+    NetworkConfig(n=2, m=1, rounds=10, t=1, family_params=(2, 1),
+                  auth_enabled=False)  # without auth no family is built
     cfg = NetworkConfig(n=4, m=2, rounds=10)
     assert cfg.party_a == ["m1", "m2"] and cfg.party_b == ["m3", "m4"]
 
@@ -324,6 +331,48 @@ def test_run_rejects_bad_arguments_before_first_round(monkeypatch, runner,
     monkeypatch.setattr(states, "make_cat", no_rounds)
     with pytest.raises(InvalidArgumentError, match=match):
         runner(config, parse_adversary(spec), seed)
+
+
+@pytest.mark.parametrize("spec, generated", [
+    ("", 0),
+    ("depolarize:p=0.05@m2", 1),
+    ("depolarize:p=0.05@m2,lie-outcome:p=0.2@m3", 1),  # a classical lie
+    ("depolarize:p=0.05@m1,intercept@m3,fixed-pauli:op=X@m3", 2),
+], ids=["none", "depolarize@m2", "noisy", "two-members-attacked"])
+def test_only_members_a_channel_targets_get_a_family(monkeypatch, spec,
+                                                    generated):
+    made, sent = [], []
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return generate(*args, **kwargs)
+
+    def sending(keys, fam, state, block, **kwargs):
+        sent.append(block[0][0])
+        return send(keys, fam, state, block, **kwargs)
+
+    generate = protocol.gen_purity_family
+    send = protocol.auth.auth_send_in_place
+    monkeypatch.setattr(protocol, "gen_purity_family", counted)
+    monkeypatch.setattr(protocol.auth, "auth_send_in_place", sending)
+    run_protocol2(_P2_AUTH, parse_adversary(spec), 3)
+    assert len(made) == generated
+    # only attacked blocks take the dense round trip
+    attacked = {ch.targets[0] for ch in parse_adversary(spec).channels}
+    assert set(sent) == attacked
+
+
+def test_untouched_blocks_leave_the_initial_state_as_it_is():
+    config = NetworkConfig(n=3, m=1, t=2, rounds=1, protocol=2)
+    rng = np.random.default_rng(0)
+    channels = {mu: [] for mu in config.members}
+    families = protocol._build_families(config, channels, rng)
+    assert families == {mu: None for mu in config.members}
+    initial = protocol._initial_state(config)
+    aborts = []
+    assert protocol._transit(config, families, channels, initial, rng,
+                             aborts, 0) is initial
+    assert aborts == []
 
 
 def test_initial_state_is_read_only_and_shared(monkeypatch):
