@@ -53,8 +53,9 @@ class ChannelSpec:
     mixture of Pauli errors: ``(Pauli string, probability)`` pairs.
 
     One-letter strings act on each target qubit alone, longer ones jointly
-    on the whole target block.  ``kind`` names the attack; intercept-resend
-    alone reads it, to draw its trajectories by measuring.  A spec is
+    on the whole target block.  ``kind`` names the attack.  Intercept-resend
+    draws its trajectories by measuring the state; every other kind draws
+    its Pauli errors without reading it (``draw_paulis``).  A spec is
     frozen, so what is derived from its mixture is built once.
     """
 
@@ -161,27 +162,42 @@ class ChannelSpec:
 
     # ---- pathwise (pure-trajectory) form --------------------------------
 
+    def draw_paulis(self, labels, rng) -> list:
+        """The non-identity ``(PauliOperator, block)`` pairs of one
+        trajectory on the given labels, in order: one Pauli drawn from the
+        mixture per qubit or per block, with exactly ``sample_apply``'s
+        draws.  The draws do not depend on the state, so a caller can take
+        them before it builds the state they act on.  Intercept-resend
+        draws by measuring the state, so it has no such list."""
+        if self.kind == INTERCEPT_RESEND:
+            raise InvalidArgumentError(
+                "intercept-resend draws its trajectory by measuring")
+        labels = [tuple(l) for l in labels]
+        self.check_arity(len(labels))
+        ops = self._draws[0]
+        blocks = [[lab] for lab in labels] if self.is_per_qubit() else [labels]
+        drawn = []
+        for block in blocks:
+            op = ops[self._draw(rng)]
+            if op is not None:
+                drawn.append((op, block))
+        return drawn
+
     def sample_apply(self, state, labels, rng):
         """Apply one stochastic trajectory of the channel to a pure state:
         one Pauli drawn from the mixture per qubit or per block."""
-        labels = [tuple(l) for l in labels]
-        self.check_arity(len(labels))
         if self.kind == INTERCEPT_RESEND:
             # measure in a random basis and resend the eigenstate: the
             # channel of its mixture, drawing a basis and an outcome per qubit
             bases = [pstr for pstr, _ in self.mixture[1:]]
-            for lab in labels:
+            for lab in map(tuple, labels):
                 basis = bases[rng.integers(0, len(bases))]
                 bit, rest = states.measure_qubit(state, lab, basis, rng)
                 state = states.permute_labels(states.tensor(
                     rest, states.eigenstate(basis, bit, lab)), state.labels)
             return state
-        ops = self._draws[0]
-        blocks = [[lab] for lab in labels] if self.is_per_qubit() else [labels]
-        for block in blocks:
-            op = ops[self._draw(rng)]
-            if op is not None:
-                state = states.apply_pauli(state, op, block)
+        for op, block in self.draw_paulis(labels, rng):
+            state = states.apply_pauli(state, op, block)
         return state
 
 

@@ -7,9 +7,11 @@ I / X / Z / XZ.  A syndrome mismatch on receive rejects the block and no
 logical state is released.
 
 A block that nothing touches between send and receive is accepted with
-certainty and returned exactly, so ``untouched_round_trip`` only takes the
+certainty and returned exactly.  So ``untouched_round_trip`` only takes the
 random draws of that round trip, in its order, and needs neither the
-block nor the family's codes.
+block nor the family's codes; ``untouched_receive`` takes only the
+receive's draws, for a block whose keys were drawn and whose drawn
+channel errors are all the identity.
 """
 from __future__ import annotations
 
@@ -70,15 +72,23 @@ def keygen(family: PurityFamily, rng) -> AuthKeys:
     return AuthKeys(k=int(keys[index]), x=bits[:2 * t], y=bits[2 * t:])
 
 
+def untouched_receive(s: int, rng) -> None:
+    """Take the draws that ``auth_receive_in_place`` makes on a block of
+    an (r, s) family when nothing acted on it since ``auth_send_in_place``:
+    one per syndrome generator.  Such a block reads its syndrome y with
+    certainty and decodes to exactly the block that was sent, so the
+    caller keeps that block as it was."""
+    for _ in range(s):
+        rng.random()
+
+
 def untouched_round_trip(r: int, s: int, rng) -> None:
     """Take the draws that ``keygen``, ``auth_send_in_place`` and
     ``auth_receive_in_place`` make on a block of an (r, s) family, with its
-    2^s keys, when nothing acts on it in between: the secrets, then one per
-    syndrome generator.  Such a block reads its syndrome y with certainty
-    and comes back exactly, so the caller keeps it as it was."""
+    2^s keys, when nothing acts on it in between: the secrets, then
+    ``untouched_receive``'s."""
     _draw_secrets(2 ** s, r * s, (r - 1) * s, rng)
-    for _ in range(s):
-        rng.random()
+    untouched_receive(s, rng)
 
 
 def _pad_operators(x_bits, t: int) -> tuple:

@@ -33,6 +33,7 @@ import configparser
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -87,9 +88,24 @@ def _apply_config_file(args, path: str) -> None:
         raise UsageError(f"config file {path!r}: {exc}") from None
 
 
+def _check_out(path: str) -> None:
+    """Reject an ``--out`` path that cannot be written (its folder is
+    missing or not writable, or it names a folder) before any work.
+    Nothing is created or truncated, so a command rejected later for
+    another reason leaves an existing file as it was."""
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else folder
+    if (os.path.isdir(path) or not os.path.isdir(folder)
+            or not os.access(target, os.W_OK)):
+        raise UsageError(f"cannot write --out file {path!r}")
+
+
 def cmd_run(args) -> int:
     if args.config:
         _apply_config_file(args, args.config)
+    _check_out(args.out)
     adversary = parse_adversary(args.adversary)  # fail before any simulation
     config = NetworkConfig(
         n=args.n, m=args.m, t=args.t, rounds=args.rounds,
@@ -115,6 +131,7 @@ def cmd_audit_code(args) -> int:
     if args.r * args.s > DENSE_AUDIT_CAP:  # fail before generating
         raise CapacityError(f"u = r*s = {args.r * args.s} exceeds the exact "
                             f"audit cap {DENSE_AUDIT_CAP}")
+    _check_out(args.out)
     fam = gen_purity_family(args.r, args.s, args.seed, audit="skip")
     audit_family(fam)
     print(f"epsilon_formula {fam.epsilon_formula!r}")
@@ -142,6 +159,7 @@ def cmd_verify_inequalities(args) -> int:
         raise UsageError("--dims needs integers >= 2")
     if not 0.0 <= args.tol < math.inf:  # also rejects NaN
         raise UsageError("--tol must be a finite number >= 0")
+    _check_out(args.out)
     rng = np.random.default_rng(args.seed)
     channel_draws = max(1, args.trials // 50)
     reports = [

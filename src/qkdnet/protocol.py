@@ -10,10 +10,12 @@ measurement direction after the members announce theirs (so the joint
 parity is always even), and reveals its outcome; no round is discarded.
 
 With authentication, only a member that some transit channel targets gets
-a code family and the dense pad, encode, channel, syndrome, decode and
-unpad chain.  An untargeted member's block takes only the random draws of
-that round trip, in the same order, and passes on unchanged, as the round
-trip would return it: every RNG draw keeps its order and number.
+a code family.  A block takes the dense pad, encode, channel, syndrome,
+decode and unpad chain only when something acts on it: an untargeted
+block, and a targeted block whose drawn Pauli errors are all the
+identity, take only the chain's random draws and pass on unchanged, as
+the chain would return them (``_transit``).  Every RNG draw keeps its
+order and number.
 """
 from __future__ import annotations
 
@@ -264,29 +266,51 @@ def _initial_state(config: NetworkConfig):
 
 def _transit(config, families, channels, state, rng, aborts, round_index):
     """Send each member's block through its channels, authenticated unless
-    ``families`` is None; returns the state, or None on a syndrome reject."""
+    ``families`` is None; returns the state, or None on a syndrome reject.
+
+    With authentication, a block that no channel targets takes only its
+    round trip's draws.  A targeted block draws its keys, then each
+    channel's Pauli errors in declaration order.  If every drawn error is
+    the identity, it takes only its syndrome draws and passes on
+    unchanged, as the round trip would return it.  Otherwise it takes the
+    dense pad, encode, errors, syndrome, decode and unpad chain.
+    Intercept-resend draws by measuring the encoded block, so a block it
+    targets always takes the chain, with its channels after the send.
+    """
     for mu, member_channels in channels.items():
         if families is not None and not member_channels:
-            # the round trip would return the block exactly
             auth.untouched_round_trip(*config.family_params, rng)
             continue
-        block = phys = [(mu, c) for c in range(config.t)]
-        if families is not None:
-            fam = families[mu]
-            keys = auth.keygen(fam, rng)
-            phys = [(mu, i) for i in range(fam.u)]
+        block = [(mu, c) for c in range(config.t)]
+        if families is None:
+            for ch in member_channels:
+                state = ch.sample_apply(state, block, rng)
+            continue
+        fam = families[mu]
+        keys = auth.keygen(fam, rng)
+        phys = [(mu, i) for i in range(fam.u)]
+        if any(ch.kind == attacks.INTERCEPT_RESEND for ch in member_channels):
             state = auth.auth_send_in_place(keys, fam, state, block,
                                             out_labels=phys)
-        for ch in member_channels:
-            state = ch.sample_apply(state, phys, rng)
-        if families is not None:
-            outcome = auth.auth_receive_in_place(keys, fam, state, phys, rng,
-                                                 out_labels=block)
-            if not outcome.accepted:
-                aborts.append({"round": round_index,
-                               "cause": "syndrome-reject", "member": mu})
-                return None
-            state = outcome.logical_state
+            for ch in member_channels:
+                state = ch.sample_apply(state, phys, rng)
+        else:
+            errors = [error for ch in member_channels
+                      for error in ch.draw_paulis(phys, rng)]
+            if not errors:
+                auth.untouched_receive(fam.s, rng)
+                continue
+            state = auth.auth_send_in_place(keys, fam, state, block,
+                                            out_labels=phys)
+            for op, labels in errors:
+                state = states.apply_pauli(state, op, labels)
+        outcome = auth.auth_receive_in_place(keys, fam, state, phys, rng,
+                                             out_labels=block)
+        if not outcome.accepted:
+            aborts.append({"round": round_index,
+                           "cause": "syndrome-reject", "member": mu})
+            return None
+        state = outcome.logical_state
     return state
 
 

@@ -8,6 +8,7 @@ from qkdnet.adversary import (AdversarySpec, ChannelSpec, DishonestSpec,
                               apply_attack, corrupt_announcement,
                               depolarizing, parse_adversary)
 from qkdnet.errors import InvalidArgumentError
+from qkdnet.paulis import PauliOperator
 
 from helpers import random_density
 
@@ -165,6 +166,64 @@ def test_apply_attack_matches_joint_kraus(spec):
     out = apply_attack(dm, spec)
     assert out.labels == labels
     assert np.max(np.abs(out.matrix - dense)) < 1e-12
+
+
+def _loop_trajectory(spec, state, labels, rng):
+    """Reference trajectory: per qubit or per block, one entry drawn as
+    ``rng.choice`` draws it (none for a single entry), its Pauli applied."""
+    probs = np.array([prob for _, prob in spec.mixture])
+    probs = (probs / probs.sum()).tolist()
+    blocks = ([[lab] for lab in labels] if spec.is_per_qubit()
+              else [list(labels)])
+    for block in blocks:
+        pstr = spec.mixture[rng.choice(len(probs), p=probs)
+                            if len(probs) > 1 else 0][0]
+        if pstr.strip("I"):
+            state = states.apply_pauli(state, PauliOperator.from_string(pstr),
+                                       block)
+    return state
+
+
+@pytest.mark.parametrize("text, share", [
+    ("identity@m1", "all"), ("depolarize:p=0.3@m1", "some"),
+    ("depolarize:p=0@m1", "all"), ("pauli:I=0.4;X=0.2;Y=0.3;Z=0.1@m1", "some"),
+    ("pauli:IIII=0.5;XZIY=0.3;ZZZZ=0.2@m1", "some"),
+    ("pauli:XIII=0.5;IYII=0.5@m1", "none"), ("fixed-pauli:op=Y@m1", "none"),
+    ("fixed-pauli:op=XIZY@m1", "none"), ("fixed-pauli:op=IIII@m1", "all")])
+def test_draw_paulis_is_sample_apply_drawn_first(text, share):
+    # the drawn list applied in turn, sample_apply, and a loop drawing by
+    # rng.choice give the same amplitudes and leave the same generator
+    # state; m1's four qubits sit behind m2's, so none leads
+    (spec,) = parse_adversary(text).channels
+    labels = [("m1", i) for i in range(4)]
+    state = states.make_cat(5, states.PHI_PLUS, [("m2", 0)] + labels)
+    rngs = [np.random.default_rng(17) for _ in range(3)]
+    empty = 0   # trajectories whose every drawn error is the identity
+    for _ in range(40):
+        drawn = spec.draw_paulis(labels, rngs[0])
+        empty += not drawn
+        assert all(op.x or op.z for op, _ in drawn)
+        from_list = state
+        for op, block in drawn:
+            from_list = states.apply_pauli(from_list, op, block)
+        sampled = spec.sample_apply(state, labels, rngs[1])
+        looped = _loop_trajectory(spec, state, labels, rngs[2])
+        assert from_list.labels == sampled.labels == looped.labels
+        assert np.array_equal(from_list.amplitudes, sampled.amplitudes)
+        assert np.array_equal(from_list.amplitudes, looped.amplitudes)
+        assert (rngs[0].bit_generator.state == rngs[1].bit_generator.state
+                == rngs[2].bit_generator.state)
+    assert empty == 40 if share == "all" else (
+        empty == 0 if share == "none" else 0 < empty < 40)
+
+
+@pytest.mark.parametrize("bases", ["XY", "XYZ", "Z"])
+def test_draw_paulis_rejects_intercept(bases):
+    (spec,) = parse_adversary(f"intercept:bases={bases}@m1").channels
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidArgumentError, match="measuring"):
+        spec.draw_paulis([("m1", 0)], rng)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_one_letter_pauli_table_acts_on_each_qubit():

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from qkdnet import cli, protocol, states
+from qkdnet import analysis, cli, protocol, states
 from qkdnet.stabilizer import PurityFamily, family_from_json, family_to_json
 
 
@@ -112,6 +112,65 @@ def test_protocol2_rejects_attack_before_first_round(capsys, tmp_path, spec,
     assert code == 1
     assert stdout == "" and not out.exists()
     assert named in err
+
+
+_NO_WORK = {
+    "run": ["run", "--protocol", "2", "--n", "3", "--m", "1",
+            "--rounds", "3000", "--seed", "1"],
+    "verify-inequalities": ["verify-inequalities", "--trials", "400",
+                            "--seed", "0"],
+    "audit-code": ["audit-code", "--r", "2", "--s", "3", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-folder", "folder", "file-parent"])
+@pytest.mark.parametrize("command, source", [
+    ("run", "flag"), ("run", "config"), ("verify-inequalities", "flag"),
+    ("audit-code", "flag")], ids=["run", "run-config", "verify", "audit"])
+def test_unwritable_out_fails_before_any_work(capsys, monkeypatch, tmp_path,
+                                              command, source, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(states, "make_cat", no_work)
+    monkeypatch.setattr(analysis, "fuchs_van_de_graaf_suite", no_work)
+    monkeypatch.setattr(cli, "gen_purity_family", no_work)
+    (tmp_path / "plain").write_text("")
+    path = {"missing-folder": tmp_path / "absent" / "x.out",
+            "folder": tmp_path,
+            "file-parent": tmp_path / "plain" / "x.out"}[where]
+    argv = list(_NO_WORK[command])
+    if source == "config":
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[output]\npath = {path}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--out", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write --out file {str(path)!r}\n"
+    assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    _NO_WORK["run"] + ["--adversary", "warp@m1"],
+    _NO_WORK["run"] + ["--adversary", "intercept@m9"],
+    _NO_WORK["run"] + ["--n", "8", "--m", "1"],   # above the qubit cap
+    _NO_WORK["run"] + ["--family-s", "1"],
+    ["verify-inequalities", "--trials", "0", "--seed", "0"],
+    ["verify-inequalities", "--dims", "1", "--seed", "0"],
+    ["audit-code", "--r", "60", "--s", "8", "--seed", "0"],
+], ids=["bad-kind", "unknown-member", "qubit-cap", "family-s-1",
+        "zero-trials", "bad-dims", "audit-cap"])
+def test_rejected_command_leaves_an_existing_out_file_as_it_was(
+        capsys, tmp_path, argv):
+    path = tmp_path / "kept.out"
+    path.write_text("earlier output\n")
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert path.read_text() == "earlier output\n"
 
 
 @pytest.mark.parametrize("argv", [

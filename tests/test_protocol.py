@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdnet import protocol, states
+from qkdnet import auth, protocol, states
 from qkdnet.adversary import AdversarySpec, parse_adversary
 from qkdnet.analysis import protocol_statistics
 from qkdnet.errors import InvalidArgumentError, StateError
@@ -360,6 +360,96 @@ def test_only_members_a_channel_targets_get_a_family(monkeypatch, spec,
     # only attacked blocks take the dense round trip
     attacked = {ch.targets[0] for ch in parse_adversary(spec).channels}
     assert set(sent) == attacked
+
+
+@pytest.mark.parametrize("spec, sends", [
+    ("identity@m2", 0),
+    ("fixed-pauli:op=IIII@m2", 0),
+    ("fixed-pauli:op=XIII@m2", 40),
+    ("depolarize:p=0@m2,pauli:IIII=1.0@m2", 0),
+], ids=["identity", "fixed-pauli-IIII", "fixed-pauli-XIII",
+        "depolarize-p0-and-IIII"])
+def test_blocks_drawing_only_identities_skip_the_dense_chain(monkeypatch,
+                                                            spec, sends):
+    sent = []
+
+    def sending(keys, fam, state, block, **kwargs):
+        sent.append(block[0][0])
+        return send(keys, fam, state, block, **kwargs)
+
+    send = protocol.auth.auth_send_in_place
+    monkeypatch.setattr(protocol.auth, "auth_send_in_place", sending)
+    transcript = run_protocol2(_P2_AUTH, parse_adversary(spec), 3)
+    assert sent == ["m2"] * sends
+    assert len(transcript.records) == 2 * (_P2_AUTH.rounds - len(
+        [a for a in transcript.aborts if a["cause"] == "syndrome-reject"]))
+
+
+def _dense_transit(config, families, channels, state, rng, aborts,
+                   round_index):
+    """Reference transit: every targeted block takes the dense chain, its
+    channels' trajectories applied by sample_apply after the send."""
+    for mu, member_channels in channels.items():
+        if not member_channels:
+            auth.untouched_round_trip(*config.family_params, rng)
+            continue
+        fam = families[mu]
+        block = [(mu, c) for c in range(config.t)]
+        phys = [(mu, i) for i in range(fam.u)]
+        keys = auth.keygen(fam, rng)
+        state = auth.auth_send_in_place(keys, fam, state, block,
+                                        out_labels=phys)
+        for ch in member_channels:
+            state = ch.sample_apply(state, phys, rng)
+        outcome = auth.auth_receive_in_place(keys, fam, state, phys, rng,
+                                             out_labels=block)
+        if not outcome.accepted:
+            aborts.append({"round": round_index, "cause": "syndrome-reject",
+                           "member": mu})
+            return None
+        state = outcome.logical_state
+    return state
+
+
+@pytest.mark.parametrize("spec", [
+    "depolarize:p=0.1@m1,pauli:IIII=0.6;XZIY=0.2;ZIII=0.2@m2,"
+    "intercept@m3,depolarize:p=0.05@m3",
+    "identity@m1,depolarize:p=0.05@m2,intercept:bases=XYZ@m2,"
+    "fixed-pauli:op=IIII@m3,pauli:I=0.9;Z=0.1@m3",
+], ids=["intercept-then-depolarize", "depolarize-then-intercept"])
+def test_transit_matches_the_dense_chain_round_by_round(monkeypatch, spec):
+    skips = []
+
+    def skipping(s, rng):
+        skips.append(s)
+        receive(s, rng)
+
+    receive = protocol.auth.untouched_receive
+    monkeypatch.setattr(protocol.auth, "untouched_receive", skipping)
+    config = NetworkConfig(n=3, m=1, t=2, rounds=1, protocol=2)
+    adversary = parse_adversary(spec)
+    channels = {mu: adversary.channels_for(mu) for mu in config.members}
+    families = protocol._build_families(config, channels,
+                                        np.random.default_rng(5))
+    initial = protocol._initial_state(config)
+    fast_rng, dense_rng = (np.random.default_rng(9) for _ in range(2))
+    for rnd in range(60):
+        fast_aborts, dense_aborts = [], []
+        fast = protocol._transit(config, families, channels, initial,
+                                 fast_rng, fast_aborts, rnd)
+        dense = _dense_transit(config, families, channels, initial,
+                               dense_rng, dense_aborts, rnd)
+        assert fast_aborts == dense_aborts
+        assert fast_rng.bit_generator.state == dense_rng.bit_generator.state
+        if dense is None:
+            assert fast is None
+            continue
+        dense = states.permute_labels(dense, fast.labels)
+        assert np.max(np.abs(fast.amplitudes - dense.amplitudes)) <= 1e-12
+    # every member is targeted, so each call is a skip of the fast path:
+    # the members that intercept-resend leaves alone skip the chain in
+    # most rounds
+    assert len(skips) > 30
 
 
 def test_untouched_blocks_leave_the_initial_state_as_it_is():
