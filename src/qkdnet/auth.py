@@ -3,8 +3,9 @@ syndrome verification, decode and decrypt.
 
 The "specific unitary operations" of the sending step are the standard
 quantum one-time pad: two secret bits per logical qubit selecting
-I / X / Z / XZ.  A syndrome mismatch on receive rejects the block and no
-logical state is released.
+I / X / Z / XZ, whose operators depend only on the bits and are cached by
+them in a bounded ``functools.lru_cache``.  A syndrome mismatch on receive
+rejects the block and no logical state is released.
 
 A block that nothing touches between send and receive is accepted with
 certainty and returned exactly.  So ``untouched_round_trip`` only takes the
@@ -15,6 +16,7 @@ channel errors are all the identity.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,27 +93,28 @@ def untouched_round_trip(r: int, s: int, rng) -> None:
     untouched_receive(s, rng)
 
 
-def _pad_operators(x_bits, t: int) -> tuple:
-    """X^a Z^b on qubit j for pad bits (a, b) = (x_bits[2j], x_bits[2j+1]),
-    and its inverse Z^b X^a = (-1)^(a.b) X^a Z^b."""
+@functools.lru_cache(maxsize=2 ** 10)
+def _pad_operators(pad: bytes) -> tuple:
+    """X^a Z^b on qubit j for pad bits (a, b) = (pad[2j], pad[2j+1]),
+    and its inverse Z^b X^a = (-1)^(a.b) X^a Z^b; cached by the bits."""
     xs = zs = 0
-    for a, b in zip(x_bits[0:2 * t:2], x_bits[1:2 * t:2]):
-        xs, zs = xs << 1 | int(a) & 1, zs << 1 | int(b) & 1
+    for a, b in zip(pad[0::2], pad[1::2]):
+        xs, zs = xs << 1 | a & 1, zs << 1 | b & 1
+    t = len(pad) // 2
     return (PauliOperator(t, xs, zs),  # phase untracked
             PauliOperator(t, xs, zs, 2 * (xs & zs).bit_count()))
 
 
-def _family_pads(family: PurityFamily, x_bits) -> tuple:
-    """``_pad_operators`` of a block of the family, built once per family."""
-    key = np.asarray(x_bits, dtype=np.uint8).tobytes()
-    if key not in family._pads:
-        family._pads[key] = _pad_operators(x_bits, family.t)
-    return family._pads[key]
+def _pads(x_bits) -> tuple:
+    """``_pad_operators`` of pad bits ``x_bits``."""
+    return _pad_operators(np.asarray(x_bits, dtype=np.uint8).tobytes())
 
 
 def apply_pad(state, x_bits, labels, inverse: bool = False):
     """Quantum one-time pad X^x1 Z^x2 per qubit on the given labels."""
-    pad, unpad = _pad_operators(x_bits, len(labels))
+    if len(x_bits) != 2 * len(labels):
+        raise InvalidArgumentError("pad must have 2 bits per label")
+    pad, unpad = _pads(x_bits)
     return states.apply_pauli(state, unpad if inverse else pad, labels)
 
 
@@ -132,8 +135,7 @@ def auth_send_in_place(keys: AuthKeys, family: PurityFamily, state,
     if len(block_labels) != family.t:
         raise InvalidArgumentError("block must have t labels")
     code = family.codes[keys.k]
-    padded = states.apply_pauli(state, _family_pads(family, keys.x)[0],
-                                block_labels)
+    padded = states.apply_pauli(state, _pads(keys.x)[0], block_labels)
     iso = encoding_isometry(code, keys.y)
     if out_labels is None:
         out_labels = [("phys", i) for i in range(family.u)]
@@ -160,7 +162,6 @@ def auth_receive_in_place(keys: AuthKeys, family: PurityFamily, state,
     if not np.array_equal(measured, keys.y):
         return AuthOutcome(verdict=REJECT, logical_state=None,
                            measured_syndrome=measured)
-    decrypted = states.apply_pauli(logical, _family_pads(family, keys.x)[1],
-                                   out_labels)
+    decrypted = states.apply_pauli(logical, _pads(keys.x)[1], out_labels)
     return AuthOutcome(verdict=ACCEPT, logical_state=decrypted,
                        measured_syndrome=measured)

@@ -38,7 +38,7 @@ import sys
 
 import numpy as np
 
-from . import analysis
+from . import analysis, states
 from .adversary import parse_adversary
 from .errors import CapacityError, InvalidArgumentError
 from .protocol import NetworkConfig, run_protocol1, run_protocol2, \
@@ -157,6 +157,8 @@ def cmd_verify_inequalities(args) -> int:
         dims = []
     if not dims or any(d < 2 for d in dims):
         raise UsageError("--dims needs integers >= 2")
+    if max(dims) ** 2 > 2 ** states.MAX_QUBITS:  # a trial's d^2 amplitudes
+        raise CapacityError(f"--dims {max(dims)}: d^2 > 2^{states.MAX_QUBITS}")
     if not 0.0 <= args.tol < math.inf:  # also rejects NaN
         raise UsageError("--tol must be a finite number >= 0")
     _check_out(args.out)

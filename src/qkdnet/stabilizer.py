@@ -6,6 +6,10 @@ over GF(2^s): for key x the stabilizer is the field-line spanned by
 self-dual basis {b_j}.  Any nonzero Pauli error then evaluates to a nonzero
 polynomial of degree < 2r in x, so at most 2r - 1 of the 2^s keys can miss
 it, which keeps the audited error below 2r / (2^s + 1).
+
+A code's ``_iso_cache`` maps syndrome bytes to the first projected vector
+of that syndrome's coset, every syndrome at the first lookup; a vector
+becomes its read-only isometry at its own syndrome's first lookup.
 """
 from __future__ import annotations
 
@@ -31,7 +35,6 @@ class StabilizerCode:
     generators: list
     logical_x: list
     logical_z: list
-    # syndrome bytes -> _Coset, every syndrome at the first lookup
     _iso_cache: dict = field(default_factory=dict, repr=False,
                              compare=False)
 
@@ -88,14 +91,28 @@ def encoding_isometry(code: StabilizerCode, y) -> np.ndarray:
     the first basis vector that survives onto the joint (+1 logical-Z,
     syndrome-y) eigenspace and applying logical X representatives.  The
     first lookup finds every syndrome's first vector of the code; each
-    isometry is expanded at its own first lookup and kept, read-only.
+    isometry is expanded at its own first lookup and kept, read-only, so a
+    run keeps one array per syndrome it draws.
     """
     y = np.asarray(y, dtype=np.uint8) % 2
     if len(y) != code.num_generators:
         raise InvalidArgumentError("syndrome length must be u - t")
     if not code._iso_cache:
         code._iso_cache.update(_cosets(code))
-    return code._iso_cache[y.tobytes()][0]
+    key = y.tobytes()
+    first = code._iso_cache[key]
+    if first.ndim == 2:  # already expanded
+        return first
+    # column a applies the logical X of each set bit of a, top bit first:
+    # logical j fills the columns whose bits after j are 0
+    iso = np.empty((len(first), 2 ** code.t), dtype=complex)
+    iso[:, 0] = first
+    for j, lx in enumerate(code.logical_x):
+        step = 2 ** (code.t - j)
+        iso[:, step // 2::step] = _act(iso[:, ::step], lx)
+    iso.flags.writeable = False
+    code._iso_cache[key] = iso
+    return iso
 
 
 def _act(block: np.ndarray, pauli: PauliOperator) -> np.ndarray:
@@ -103,38 +120,9 @@ def _act(block: np.ndarray, pauli: PauliOperator) -> np.ndarray:
     return states.pauli_on_vector(block, pauli, range(pauli.n - 1, -1, -1))
 
 
-class _Coset:
-    """One syndrome's coset of a code.  Item 0 is its isometry, expanded
-    from the coset's first projected vector at the first read and kept
-    read-only; item 1 is the adjoint, taken afresh at each read, so a run
-    keeps one array per syndrome it draws."""
-
-    __slots__ = ("_first", "_logical_x", "_iso")
-
-    def __init__(self, first: np.ndarray, logical_x: list):
-        self._first, self._logical_x, self._iso = first, logical_x, None
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        if self._iso is None:
-            # column a applies the logical X of each set bit of a, top bit
-            # first: logical j fills the columns whose bits after j are 0
-            t = len(self._logical_x)
-            iso = np.empty((len(self._first), 2 ** t), dtype=complex)
-            iso[:, 0] = self._first
-            for j, lx in enumerate(self._logical_x):
-                step = 2 ** (t - j)
-                iso[:, step // 2::step] = _act(iso[:, ::step], lx)
-            iso.flags.writeable = False
-            self._iso, self._first = iso, None
-        if i == 0:
-            return self._iso
-        if i == 1:
-            return self._iso.conj().T
-        raise IndexError(i)
-
-
 def _cosets(code: StabilizerCode) -> dict:
-    """Syndrome bytes -> ``_Coset`` for every syndrome of ``code``.
+    """Syndrome bytes -> the first projected vector of every syndrome's
+    coset of ``code``.
 
     Chunks of basis vectors, no larger together than the largest state, are
     projected for every syndrome still without a survivor.  Each amplitude
@@ -163,7 +151,7 @@ def _cosets(code: StabilizerCode) -> dict:
             if hit.size:
                 first[i] = block[:, j, hit[0]] / norms[j, hit[0]]
         start += width
-    return {y.astype(np.uint8).tobytes(): _Coset(first[i], code.logical_x)
+    return {y.astype(np.uint8).tobytes(): first[i]
             for i, y in enumerate(syndromes)}
 
 
@@ -200,8 +188,7 @@ def decode_coset_in_place(code: StabilizerCode, state, block_labels, rng,
     for i, g in enumerate(code.generators):
         bit, state = states.measure_pauli(state, g, block_labels, rng)
         measured[i] = bit
-    encoding_isometry(code, measured)  # expands the syndrome's isometry
-    adjoint = code._iso_cache[measured.tobytes()][1]
+    adjoint = encoding_isometry(code, measured).conj().T
     if out_labels is None:
         out_labels = [("log", i) for i in range(code.t)]
     logical = states.apply_isometry(state, adjoint, block_labels, out_labels)
@@ -218,9 +205,6 @@ class PurityFamily:
     s: int
     codes: dict  # key (int) -> StabilizerCode, fixed once built
     epsilon_audited: float | None = None
-    # pad bits -> (pad, inverse) operators, built by the auth layer
-    _pads: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
     @property
     def u(self) -> int:

@@ -10,18 +10,20 @@ Inputs are validated; the results of ``measure_qubit``, ``apply_pauli``,
 ``measure_pauli`` and ``apply_isometry`` are trusted to have the labels and
 length their checked inputs give, and every state has its norm checked.
 
-``measure_qubit`` keeps a memo per thread, keyed by (labels, qubit, axis,
-amplitude bytes): the outcome-0 probability, both projected rows and each
-branch's read-only post-state, built at its first draw.  Every call checks
-its axis and label first and draws one ``rng.random()``, and a hit returns
-the bits that measuring afresh would, so transcripts are unchanged.  The
-memo drops its oldest entries beyond ``_MEMO_BUDGET`` bytes of keys, arrays
-and entry objects.  States above ``_MEMO_MAX_AMPLITUDES`` amplitudes skip
-it: memoizing up to 2^8 amplitudes made authenticated protocol-2 runs, whose
-states reach 8 qubits, slower as a whole, though most of their calls hit.
+``measure_qubit`` keeps a memo, one ``functools.lru_cache`` of
+``_MEMO_ENTRIES`` entries shared by all threads, keyed by (labels, qubit,
+axis, amplitude bytes): the outcome-0 probability and both branches'
+read-only post-states, built together and never changed, so sharing them
+is safe.  Every call checks its axis and label first and draws one
+``rng.random()``, and a hit returns the bits that measuring afresh would,
+so transcripts are unchanged.  States above ``_MEMO_MAX_AMPLITUDES``
+amplitudes skip it and build only the drawn branch: memoizing up to 2^8
+amplitudes made authenticated protocol-2 runs, whose states reach 8
+qubits, slower as a whole, though most of their calls hit.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -296,21 +298,8 @@ def measure_pauli(state: PureStateVector, pauli: PauliOperator, labels, rng):
     return bit, _derived(state.labels, branch)
 
 
-_MEMO_BUDGET = 2 ** 19  # bytes one thread's memo holds, by _entry_bytes
+_MEMO_ENTRIES = 256  # measurements the memo keeps, least recently used out
 _MEMO_MAX_AMPLITUDES = 2 ** 4  # wider states skip the memo
-_measured = threading.local()
-
-
-def _memo() -> dict:
-    """The calling thread's ``measure_qubit`` memo, insertion ordered:
-    (labels, axis index, basis, amplitude bytes) -> [p(0), projected rows,
-    post-state 0, post-state 1], each post-state built at its first draw."""
-    try:
-        return _measured.entries
-    except AttributeError:
-        _measured.nbytes = 0
-        _measured.entries = {}
-        return _measured.entries
 
 
 def measure_qubit(state: PureStateVector, label, basis, rng):
@@ -318,47 +307,44 @@ def measure_qubit(state: PureStateVector, label, basis, rng):
 
     The post-state is read-only and, for a state of at most
     ``_MEMO_MAX_AMPLITUDES`` amplitudes, shared by every call that measures
-    the same state, qubit and axis in the calling thread.
+    the same state, qubit and axis.
     """
     eigenvectors(basis)  # rejects an unknown axis
     ax, amps = state.axis(label), state.amplitudes
-    if len(amps) > _MEMO_MAX_AMPLITUDES:
-        entry = _project(amps, ax, basis)
-    else:
-        memo = _memo()
-        key = (state.labels, ax, basis, amps.tobytes())
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = _project(amps, ax, basis)
-            _measured.nbytes += _entry_bytes(amps)
-            while _measured.nbytes > _MEMO_BUDGET:
-                _measured.nbytes -= _entry_bytes(memo.pop(next(iter(memo)))[1])
-    bit = 0 if rng.random() < entry[0] else 1
-    post = entry[2 + bit]
-    if post is None:
-        rest = entry[1][bit]
-        prob = np.vdot(rest, rest).real if bit else entry[0]
-        rest = rest / math.sqrt(prob)
-        rest.flags.writeable = False
-        post = entry[2 + bit] = _derived(
-            state.labels[:ax] + state.labels[ax + 1:], rest)
-    return bit, post
+    if len(amps) <= _MEMO_MAX_AMPLITUDES:
+        entry = _measured(state.labels, ax, basis, amps.tobytes())
+        bit = 0 if rng.random() < entry[0] else 1
+        return bit, entry[1 + bit]
+    proj, p0 = _project(amps, ax, basis)
+    bit = 0 if rng.random() < p0 else 1
+    return bit, _branch(state.labels, ax, proj, p0, bit)
 
 
-def _entry_bytes(amps: np.ndarray) -> int:
-    """What a memo entry for a state of ``amps`` (or its projected rows)
-    holds: the key's bytes, the rows and both post-states, and about 1 KB
-    of Python objects around them."""
-    return 3 * amps.nbytes + 1024
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _measured(labels: tuple, ax: int, basis: str, amplitudes: bytes) -> tuple:
+    """p(0) and both outcomes' post-states of a memoized measurement."""
+    proj, p0 = _project(np.frombuffer(amplitudes, dtype=complex), ax, basis)
+    return p0, *(_branch(labels, ax, proj, p0, bit) for bit in (0, 1))
 
 
-def _project(amps: np.ndarray, ax: int, basis: str) -> list:
-    """A fresh memo entry: p(0), both rows of outcome amplitudes, no
-    post-state yet."""
+def _project(amps: np.ndarray, ax: int, basis: str) -> tuple:
+    """Both rows of outcome amplitudes, and p(0)."""
     # measured qubit first; one 2-D product beats 2**ax stacked 2x2 ones
     t = amps.reshape(2 ** ax, 2, -1).transpose(1, 0, 2)
     proj = _BRAS[basis] @ t.reshape(2, -1)
-    return [np.vdot(proj[0], proj[0]).real, proj, None, None]
+    return proj, np.vdot(proj[0], proj[0]).real
+
+
+def _branch(labels: tuple, ax: int, proj: np.ndarray, p0: float, bit: int):
+    """The read-only post-state of outcome ``bit``; None if it has
+    probability 0, as it would divide by zero."""
+    rest = proj[bit]
+    prob = np.vdot(rest, rest).real if bit else p0
+    if prob == 0:
+        return None
+    rest = rest / math.sqrt(prob)
+    rest.flags.writeable = False
+    return _derived(labels[:ax] + labels[ax + 1:], rest)
 
 
 def measurement_probabilities(state: PureStateVector, bases) -> np.ndarray:

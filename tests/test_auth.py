@@ -42,6 +42,15 @@ def test_pad_bits_select_x_then_z():
     assert np.allclose(padded.amplitudes, want)
 
 
+@pytest.mark.parametrize("bits", [1, 3, 5])
+def test_pad_needs_two_bits_per_label(bits):
+    # a 1-bit pad once applied the identity, a 5-bit one dropped its last bit
+    st = states.basis_state([0, 0], (("l", 0), ("l", 1)))
+    for inverse in (False, True):
+        with pytest.raises(InvalidArgumentError):
+            apply_pad(st, np.ones(bits, dtype=np.uint8), st.labels, inverse)
+
+
 def test_clean_channel_round_trip(fam):
     rng = np.random.default_rng(2)
     for _ in range(10):

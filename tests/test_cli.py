@@ -1,6 +1,5 @@
 import hashlib
 import json
-import threading
 
 import pytest
 
@@ -456,6 +455,23 @@ def test_verify_inequalities_zero_trials_is_usage_error(capsys):
     assert "trials" in err
 
 
+@pytest.mark.parametrize("dims", ["129", "2,100000"])
+def test_verify_inequalities_rejects_dims_above_the_qubit_cap(capsys, dims):
+    # a trial draws d^2 amplitudes, so d = 128 meets the 2^14 state cap
+    code, out, err = run_cli(capsys, "verify-inequalities", "--trials", "1",
+                             "--dims", dims, "--seed", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_inequalities_runs_at_the_largest_dims(capsys):
+    code, out, _ = run_cli(capsys, "verify-inequalities", "--trials", "1",
+                           "--dims", "128", "--seed", "0")
+    assert code == 0
+    assert out.count("PASS") == 6
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-inequalities", "--dims", "2,x"],
     ["verify-inequalities", "--tol", "nan"],
@@ -776,28 +792,21 @@ def test_protocol2_auth_transcripts_pinned(capsys, tmp_path, kind, seed):
 
 
 def test_protocol1_transcripts_pinned_with_an_empty_and_a_warm_memo(tmp_path):
-    # each command runs twice in a new thread, whose measurement memo starts
-    # empty: the second run reads the memo the first one filled
+    # each command runs twice after the measurement memo is cleared: the
+    # second run reads the memo the first one filled
     for (kind, auth), (spec, want_code, digest) in sorted(
             _P1_TRANSCRIPT_PINNED.items()):
         shape = (["--n", "2", "--m", "1", "--t", "2", "--rounds", "30"]
                  if auth else ["--no-auth", "--n", "4", "--m", "2", "--t", "1",
                                "--rounds", "100"])
+        states._measured.cache_clear()
         got = []
-
-        def worker():
-            for run in range(2):
-                got.append(len(states._memo()))
-                out = tmp_path / f"{kind}-{auth}-{run}.jsonl"
-                code = cli.main(["run", "--protocol", "1", *shape,
-                                 "--seed", "0", "--adversary", spec,
-                                 "--reveal-secrets", "--out", str(out)])
-                got.append((code,
-                            hashlib.sha256(out.read_bytes()).hexdigest()))
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
+        for run in range(2):
+            got.append(states._measured.cache_info().currsize)
+            out = tmp_path / f"{kind}-{auth}-{run}.jsonl"
+            code = cli.main(["run", "--protocol", "1", *shape,
+                             "--seed", "0", "--adversary", spec,
+                             "--reveal-secrets", "--out", str(out)])
+            got.append((code, hashlib.sha256(out.read_bytes()).hexdigest()))
         assert got[0] == 0 and got[2] > 0, (kind, auth)
         assert got[1] == got[3] == (want_code, digest), (kind, auth)

@@ -283,11 +283,13 @@ def test_coset_isometries_match_the_per_vector_build(rs):
                                                 *code.logical_z)}
             for bits in itertools.product((0, 1), repeat=s):
                 y = np.array(bits, dtype=np.uint8)
+                ref = _reference_isometry(code, y, dense)
                 iso = stabilizer.encoding_isometry(code, y)
-                assert np.array_equal(iso, _reference_isometry(code, y, dense))
+                assert np.array_equal(iso, ref)
                 assert not iso.flags.writeable
-                adjoint = code._iso_cache[y.tobytes()][1]
-                assert np.array_equal(adjoint, iso.conj().T)
+                # the second lookup reads the kept isometry
+                adjoint = stabilizer.encoding_isometry(code, y).conj().T
+                assert np.array_equal(adjoint, ref.conj().T)
             assert len(code._iso_cache) == 2 ** s
 
 
@@ -295,12 +297,14 @@ def test_coset_isometries_are_expanded_only_for_the_syndromes_drawn():
     fam = gen_purity_family(2, 4, seed=0, audit="skip")
     code = fam.codes[fam.keys[0]]
     y = np.array([1, 0, 1, 1], dtype=np.uint8)
-    stabilizer.encoding_isometry(code, y)
-    expanded = [key for key, coset in code._iso_cache.items()
-                if coset._iso is not None]
+    iso = stabilizer.encoding_isometry(code, y)
+    expanded = [key for key, entry in code._iso_cache.items()
+                if entry.ndim == 2]
     assert len(code._iso_cache) == 16 and expanded == [y.tobytes()]
-    adjoint = code._iso_cache[y.tobytes()][1]
-    assert adjoint is not code._iso_cache[y.tobytes()][1]  # not kept
+    # the isometry alone is kept; its adjoint is taken afresh at each read
+    assert code._iso_cache[y.tobytes()] is iso
+    adjoint = stabilizer.encoding_isometry(code, y).conj().T
+    assert not np.shares_memory(adjoint, iso)
 
 
 def test_coset_build_rejects_a_code_with_an_empty_coset():

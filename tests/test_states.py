@@ -322,51 +322,74 @@ def test_measured_post_states_are_read_only():
 
 def test_measure_memo_stays_within_its_budget():
     rng = np.random.default_rng(43)
-    memo = states._memo()
-    seen = []
+    memo = states._measured
+    memo.cache_clear()
     width = states._MEMO_MAX_AMPLITUDES.bit_length() - 1
-    for _ in range(2000):  # at the width cap, several budgets in all
+    seen = []
+    for _ in range(2000):  # at the width cap, several memos' worth in all
         st = _random_state(rng, width)
         measure_qubit(st, st.labels[3], "X", rng)
-        seen.append((st.labels, 3, "X", st.amplitudes.tobytes()))
-    assert states._measured.nbytes <= states._MEMO_BUDGET
-    assert states._measured.nbytes == sum(
-        states._entry_bytes(np.frombuffer(k[3], dtype=complex)) for k in memo)
-    # the oldest entries went first
-    assert seen[-1] in memo and seen[0] not in memo
-    assert len(memo) >= states._MEMO_BUDGET // states._entry_bytes(
-        st.amplitudes)
+        seen.append(st)
+        assert memo.cache_info().currsize <= memo.cache_info().maxsize
+    assert memo.cache_info().currsize == states._MEMO_ENTRIES
+    # the newest entry is kept and the oldest went first
+    for st, hit in ((seen[-1], 1), (seen[0], 0)):
+        before = memo.cache_info()
+        measure_qubit(st, st.labels[3], "X", rng)
+        assert memo.cache_info().hits == before.hits + hit
 
 
 def test_states_above_the_width_cap_skip_the_memo():
     rng = np.random.default_rng(44)
-    memo = states._memo()
+    memo = states._measured
     width = states._MEMO_MAX_AMPLITUDES.bit_length() - 1
     wide = _random_state(rng, width + 1)
-    before = len(memo), states._measured.nbytes
+    before = memo.cache_info()
     measure_qubit(wide, wide.labels[0], "X", rng)
-    assert (len(memo), states._measured.nbytes) == before
+    assert memo.cache_info() == before
     at_cap = _random_state(rng, width)
     measure_qubit(at_cap, at_cap.labels[0], "X", rng)
-    assert (at_cap.labels, 0, "X", at_cap.amplitudes.tobytes()) in memo
+    assert memo.cache_info().misses == before.misses + 1
 
 
-def test_each_thread_starts_with_an_empty_memo():
-    st = make_cat(2, PHI_PLUS)
-    measure_qubit(st, ("q", 0), "X", _FixedDraw(0.5))
-    assert len(states._memo()) > 0
-    seen = []
+def test_threads_share_the_measure_memo():
+    rng = np.random.default_rng(45)
+    draws = []  # (state, label, basis, u, expected bit and amplitudes)
+    for n in (1, 2, 3, 4):
+        st = _random_state(rng, n)
+        for ax, label in enumerate(st.labels):
+            basis = "XYZ"[ax % 3]
+            p0 = _unmemoized_measurement(st, label, basis, 0.0)[2]
+            for u in (p0 - 1e-9, p0 + 1e-9):
+                bit, want, _ = _unmemoized_measurement(st, label, basis, u)
+                draws.append((st, label, basis, u, bit, want))
+    states._measured.cache_clear()
+    start = threading.Barrier(4)
+    results = [[] for _ in range(4)]
 
-    def worker():
-        seen.append(len(states._memo()))
-        measure_qubit(st, ("q", 1), "Y", _FixedDraw(0.5))
-        seen.append(len(states._memo()))
+    def worker(out):
+        start.wait(timeout=30)
+        for _ in range(3):
+            for st, label, basis, u, want_bit, want in draws:
+                bit, post = measure_qubit(st, label, basis, _FixedDraw(u))
+                out.append(bit == want_bit
+                           and np.array_equal(post.amplitudes, want))
 
-    thread = threading.Thread(target=worker)
-    thread.start()
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    assert seen == [0, 1]
+    threads = [threading.Thread(target=worker, args=(out,))
+               for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the memo's calls
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(out == [True] * 3 * len(draws) for out in results)
+    # one entry per measurement (two draws each), whichever thread built it
+    assert states._measured.cache_info().currsize == len(draws) // 2
 
 
 def test_measure_pauli_matches_dense_projectors():
