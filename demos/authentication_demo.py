@@ -25,7 +25,7 @@ def main():
     print()
 
     rng = np.random.default_rng(SEED)
-    keys = keygen(fam, rng)
+    keys = keygen(fam.r, fam.s, rng)
     logical = states.basis_state([1, 0], [("l", 0), ("l", 1)])
     print(f"secrets: code key k={keys.k}, pad x={keys.x.tolist()}, "
           f"coset syndrome y={keys.y.tolist()}")
@@ -59,7 +59,7 @@ def main():
     caught = 0
     trials = 400
     for _ in range(trials):
-        k2 = keygen(fam, rng)
+        k2 = keygen(fam.r, fam.s, rng)
         attacked = states.apply_pauli(auth_send(k2, fam, logical), e)
         out2 = auth_receive(k2, fam, attacked, rng,
                             out_labels=logical.labels)

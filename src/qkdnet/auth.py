@@ -7,12 +7,11 @@ I / X / Z / XZ, whose operators depend only on the bits and are cached by
 them in a bounded ``functools.lru_cache``.  A syndrome mismatch on receive
 rejects the block and no logical state is released.
 
-A block that nothing touches between send and receive is accepted with
-certainty and returned exactly.  So ``untouched_round_trip`` only takes the
-random draws of that round trip, in its order, and needs neither the
-block nor the family's codes; ``untouched_receive`` takes only the
-receive's draws, for a block whose keys were drawn and whose drawn
-channel errors are all the identity.
+A block's secrets depend only on its family's shape (r, s), whose keys
+are 0 .. 2^s - 1, so ``keygen`` needs no codes.  A block that nothing
+touches between send and receive is accepted with certainty and returned
+exactly, so after ``keygen`` it takes only the receive's draws
+(``untouched_receive``) and needs neither the block nor the codes.
 """
 from __future__ import annotations
 
@@ -57,21 +56,15 @@ class AuthOutcome:
         return self.verdict == ACCEPT
 
 
-def _draw_secrets(n_keys: int, u: int, t: int, rng) -> tuple:
-    """(key index, 2t pad bits then u - t syndrome bits) of one block."""
-    index = rng.integers(0, n_keys)
+def keygen(r: int, s: int, rng) -> AuthKeys:
+    """Uniform secrets for one authenticated block of an (r, s) family: a
+    key of its 2^s, then 2t pad bits and u - t syndrome bits."""
+    k = int(rng.integers(0, 2 ** s))
+    t = (r - 1) * s
     # the pad and syndrome bits in one draw: each bit takes the bit
     # generator's next 32-bit word, so two draws gave the same bits
-    return index, rng.integers(0, 2, size=u + t)
-
-
-def keygen(family: PurityFamily, rng) -> AuthKeys:
-    """Uniform secrets for one authenticated block of the family's t
-    logical qubits."""
-    keys, t = family.keys, family.t
-    index, bits = _draw_secrets(len(keys), family.u, t, rng)
-    bits = bits.astype(np.uint8)
-    return AuthKeys(k=int(keys[index]), x=bits[:2 * t], y=bits[2 * t:])
+    bits = rng.integers(0, 2, size=r * s + t)
+    return AuthKeys(k=k, x=bits[:2 * t], y=bits[2 * t:])
 
 
 def untouched_receive(s: int, rng) -> None:
@@ -80,17 +73,7 @@ def untouched_receive(s: int, rng) -> None:
     one per syndrome generator.  Such a block reads its syndrome y with
     certainty and decodes to exactly the block that was sent, so the
     caller keeps that block as it was."""
-    for _ in range(s):
-        rng.random()
-
-
-def untouched_round_trip(r: int, s: int, rng) -> None:
-    """Take the draws that ``keygen``, ``auth_send_in_place`` and
-    ``auth_receive_in_place`` make on a block of an (r, s) family, with its
-    2^s keys, when nothing acts on it in between: the secrets, then
-    ``untouched_receive``'s."""
-    _draw_secrets(2 ** s, r * s, (r - 1) * s, rng)
-    untouched_receive(s, rng)
+    rng.random(s)  # the same doubles, and generator state, as s scalar draws
 
 
 @functools.lru_cache(maxsize=2 ** 10)
@@ -105,16 +88,11 @@ def _pad_operators(pad: bytes) -> tuple:
             PauliOperator(t, xs, zs, 2 * (xs & zs).bit_count()))
 
 
-def _pads(x_bits) -> tuple:
-    """``_pad_operators`` of pad bits ``x_bits``."""
-    return _pad_operators(np.asarray(x_bits, dtype=np.uint8).tobytes())
-
-
 def apply_pad(state, x_bits, labels, inverse: bool = False):
     """Quantum one-time pad X^x1 Z^x2 per qubit on the given labels."""
     if len(x_bits) != 2 * len(labels):
         raise InvalidArgumentError("pad must have 2 bits per label")
-    pad, unpad = _pads(x_bits)
+    pad, unpad = _pad_operators(np.asarray(x_bits, dtype=np.uint8).tobytes())
     return states.apply_pauli(state, unpad if inverse else pad, labels)
 
 
@@ -135,7 +113,7 @@ def auth_send_in_place(keys: AuthKeys, family: PurityFamily, state,
     if len(block_labels) != family.t:
         raise InvalidArgumentError("block must have t labels")
     code = family.codes[keys.k]
-    padded = states.apply_pauli(state, _pads(keys.x)[0], block_labels)
+    padded = apply_pad(state, keys.x, block_labels)
     iso = encoding_isometry(code, keys.y)
     if out_labels is None:
         out_labels = [("phys", i) for i in range(family.u)]
@@ -162,6 +140,6 @@ def auth_receive_in_place(keys: AuthKeys, family: PurityFamily, state,
     if not np.array_equal(measured, keys.y):
         return AuthOutcome(verdict=REJECT, logical_state=None,
                            measured_syndrome=measured)
-    decrypted = states.apply_pauli(logical, _pads(keys.x)[1], out_labels)
+    decrypted = apply_pad(logical, keys.x, out_labels, inverse=True)
     return AuthOutcome(verdict=ACCEPT, logical_state=decrypted,
                        measured_syndrome=measured)

@@ -190,8 +190,8 @@ def cmd_verify_inequalities(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_tables(args) -> int:
-    if args.shots < 1:
-        raise UsageError("--shots must be >= 1")
+    if not 1 <= args.shots < 2 ** 63:  # a multinomial draw takes an int64
+        raise UsageError("--shots must be between 1 and 2^63 - 1")
     rng = np.random.default_rng(args.seed)
     bad = 0
     for n in range(2, 7):

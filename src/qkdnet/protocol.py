@@ -9,13 +9,13 @@ Protocol 2: the center keeps one qubit per copy in memory, chooses its own
 measurement direction after the members announce theirs (so the joint
 parity is always even), and reveals its outcome; no round is discarded.
 
-With authentication, only a member that some transit channel targets gets
-a code family.  A block takes the dense pad, encode, channel, syndrome,
-decode and unpad chain only when something acts on it: an untargeted
-block, and a targeted block whose drawn Pauli errors are all the
-identity, take only the chain's random draws and pass on unchanged, as
-the chain would return them (``_transit``).  Every RNG draw keeps its
-order and number.
+With authentication, every block draws its keys and its channels' Pauli
+errors, and takes the dense pad, encode, channel, syndrome, decode and
+unpad chain only when something acts on it.  A block with no error drawn,
+such as one that no channel targets, takes only the chain's random draws
+and passes on unchanged, as the chain would return it (``_transit``); so
+only a member that some transit channel targets gets a code family.  Every
+RNG draw keeps its order and number.
 """
 from __future__ import annotations
 
@@ -268,42 +268,41 @@ def _transit(config, families, channels, state, rng, aborts, round_index):
     """Send each member's block through its channels, authenticated unless
     ``families`` is None; returns the state, or None on a syndrome reject.
 
-    With authentication, a block that no channel targets takes only its
-    round trip's draws.  A targeted block draws its keys, then each
-    channel's Pauli errors in declaration order.  If every drawn error is
-    the identity, it takes only its syndrome draws and passes on
-    unchanged, as the round trip would return it.  Otherwise it takes the
-    dense pad, encode, errors, syndrome, decode and unpad chain.
-    Intercept-resend draws by measuring the encoded block, so a block it
-    targets always takes the chain, with its channels after the send.
+    With authentication, every block follows one rule.  It draws its keys,
+    then each of its channels' Pauli errors in declaration order.  If no
+    error was drawn, as for a block that no channel targets, it takes only
+    its syndrome draws and passes on unchanged, as the dense chain would
+    return it.  Otherwise it takes the dense pad, encode, errors, syndrome,
+    decode and unpad chain.  Intercept-resend draws by measuring the
+    encoded block, so a block it targets always takes the chain, with its
+    channels after the send.
     """
+    r, s = config.family_params
     for mu, member_channels in channels.items():
-        if families is not None and not member_channels:
-            auth.untouched_round_trip(*config.family_params, rng)
-            continue
-        block = [(mu, c) for c in range(config.t)]
         if families is None:
+            block = [(mu, c) for c in range(config.t)]
             for ch in member_channels:
                 state = ch.sample_apply(state, block, rng)
             continue
+        keys = auth.keygen(r, s, rng)
+        intercepted = any(ch.kind == attacks.INTERCEPT_RESEND
+                          for ch in member_channels)
+        errors = [] if intercepted else [
+            error for ch in member_channels
+            for error in ch.draw_paulis([(mu, i) for i in range(r * s)], rng)]
+        if not (intercepted or errors):
+            auth.untouched_receive(s, rng)
+            continue
         fam = families[mu]
-        keys = auth.keygen(fam, rng)
+        block = [(mu, c) for c in range(config.t)]
         phys = [(mu, i) for i in range(fam.u)]
-        if any(ch.kind == attacks.INTERCEPT_RESEND for ch in member_channels):
-            state = auth.auth_send_in_place(keys, fam, state, block,
-                                            out_labels=phys)
+        state = auth.auth_send_in_place(keys, fam, state, block,
+                                        out_labels=phys)
+        if intercepted:
             for ch in member_channels:
                 state = ch.sample_apply(state, phys, rng)
-        else:
-            errors = [error for ch in member_channels
-                      for error in ch.draw_paulis(phys, rng)]
-            if not errors:
-                auth.untouched_receive(fam.s, rng)
-                continue
-            state = auth.auth_send_in_place(keys, fam, state, block,
-                                            out_labels=phys)
-            for op, labels in errors:
-                state = states.apply_pauli(state, op, labels)
+        for op, labels in errors:
+            state = states.apply_pauli(state, op, labels)
         outcome = auth.auth_receive_in_place(keys, fam, state, phys, rng,
                                              out_labels=block)
         if not outcome.accepted:
@@ -389,12 +388,13 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
         raise InvalidArgumentError(f"config.protocol must be {protocol}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidArgumentError("seed must be a non-negative integer")
-    _check_targets(config, adversary)
-    rng = np.random.default_rng(seed)
+    # before _check_targets, which lists every member
     if config.qubit_budget() > states.MAX_QUBITS:
         raise CapacityError(
             f"configuration needs {config.qubit_budget()} qubits at its "
             f"widest point, above the cap of {states.MAX_QUBITS}")
+    _check_targets(config, adversary)
+    rng = np.random.default_rng(seed)
     members, party_a, party_b = config.members, config.party_a, config.party_b
     channels = {mu: adversary.channels_for(mu) for mu in members}
     families = (_build_families(config, channels, rng)

@@ -463,6 +463,11 @@ def family_from_json(text: str) -> PurityFamily:
         code = StabilizerCode(u=u, t=u - s, **ops)
         code.validate()
         codes[int(k)] = code
+    # keygen draws keys below 2^s; 2^s is small once a code has s generators
+    keys = sorted(codes)
+    if not keys or len(keys) != 2 ** s or keys != list(range(len(keys))):
+        raise InvalidArgumentError(
+            f"an ({r}, {s}) family needs keys 0 .. 2^{s} - 1")
     stored = doc.get("epsilon_audited")
     fam = PurityFamily(r=r, s=s, codes=codes, epsilon_audited=stored)
     if u <= DENSE_AUDIT_CAP:

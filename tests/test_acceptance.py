@@ -138,7 +138,7 @@ def test_criterion_6_authentication_soundness():
     attacked_trials = 0
     accept_corrupt = 0
     for _ in range(trials):
-        keys = keygen(fam, rng)
+        keys = keygen(fam.r, fam.s, rng)
         code = fam.codes[keys.k]
         pattern = int(rng.integers(1, 4 ** fam.u))
         e = hermitian_pauli(
@@ -164,7 +164,7 @@ def test_criterion_6_authentication_soundness():
     # deterministic rejection of any error with nonzero syndrome
     rejects = 0
     for _ in range(1000):
-        keys = keygen(fam, rng)
+        keys = keygen(fam.r, fam.s, rng)
         code = fam.codes[keys.k]
         while True:
             pattern = int(rng.integers(1, 4 ** fam.u))

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -186,6 +190,24 @@ def test_run_above_the_qubit_cap_fails_before_first_round(capsys,
     assert code == 1
     assert out == ""
     assert "needs 16 qubits" in err
+
+
+def test_run_with_a_huge_n_fails_at_the_qubit_cap_within_1_gib():
+    # listing 10^8 member names takes gigabytes, so the cap is checked
+    # first; the address-space limit keeps a regression from taking them
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkdnet.cli", "run", "--seed", "0",
+         "--no-auth", "--t", "1", "--n", "100000000"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "above the cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("source", ["flags", "config"])
@@ -476,12 +498,14 @@ def test_verify_inequalities_runs_at_the_largest_dims(capsys):
     ["verify-inequalities", "--dims", "2,x"],
     ["verify-inequalities", "--tol", "nan"],
     ["tables", "--shots", "-5"],
+    ["tables", "--shots", str(2 ** 63)],  # above a multinomial's int64
     ["run", "--n", "2", "--m", "1", "--seed", "-1"],
     ["audit-code", "--r", "2", "--s", "2", "--seed", "-1"],
     ["verify-inequalities", "--seed", "-1"],
     ["tables", "--seed", "-1"],
-], ids=["dims-not-int", "tol-nan", "shots-negative", "run-seed-negative",
-        "audit-seed-negative", "verify-seed-negative", "tables-seed-negative"])
+], ids=["dims-not-int", "tol-nan", "shots-negative", "shots-2^63",
+        "run-seed-negative", "audit-seed-negative", "verify-seed-negative",
+        "tables-seed-negative"])
 def test_bad_numbers_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -630,6 +654,13 @@ def test_tables_replay(capsys):
     assert "total_violations 0" in stdout
     assert stdout.count("table-I ") == 5
     assert stdout.count("table-II") == 4
+
+
+def test_tables_runs_at_the_largest_shots(capsys):
+    code, stdout, _ = run_cli(capsys, "tables", "--shots", str(2 ** 63 - 1),
+                              "--seed", "0")
+    assert code == 0
+    assert "total_violations 0" in stdout
 
 
 # One protocol-2 run per channel kind, with auth (u = 4, 30 rounds) and

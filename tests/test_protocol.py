@@ -14,6 +14,7 @@ from qkdnet.protocol import (NetworkConfig, RoundRecord, Transcript,
                              derive_key_bits, ring_collect, run_protocol1,
                              run_protocol2, sift, transcript_to_jsonl)
 from qkdnet.protocol import test_and_finalize as finalize_with_test_bits
+from qkdnet.stabilizer import gen_purity_family
 
 NO_ATTACK = AdversarySpec()
 
@@ -387,16 +388,14 @@ def test_blocks_drawing_only_identities_skip_the_dense_chain(monkeypatch,
 
 def _dense_transit(config, families, channels, state, rng, aborts,
                    round_index):
-    """Reference transit: every targeted block takes the dense chain, its
-    channels' trajectories applied by sample_apply after the send."""
+    """Reference transit: every block takes the dense chain, its channels'
+    trajectories applied by sample_apply after the send, so every member
+    needs a family."""
     for mu, member_channels in channels.items():
-        if not member_channels:
-            auth.untouched_round_trip(*config.family_params, rng)
-            continue
         fam = families[mu]
         block = [(mu, c) for c in range(config.t)]
         phys = [(mu, i) for i in range(fam.u)]
-        keys = auth.keygen(fam, rng)
+        keys = auth.keygen(fam.r, fam.s, rng)
         state = auth.auth_send_in_place(keys, fam, state, block,
                                         out_labels=phys)
         for ch in member_channels:
@@ -416,7 +415,9 @@ def _dense_transit(config, families, channels, state, rng, aborts,
     "intercept@m3,depolarize:p=0.05@m3",
     "identity@m1,depolarize:p=0.05@m2,intercept:bases=XYZ@m2,"
     "fixed-pauli:op=IIII@m3,pauli:I=0.9;Z=0.1@m3",
-], ids=["intercept-then-depolarize", "depolarize-then-intercept"])
+    "depolarize:p=0.1@m1,intercept@m3",
+], ids=["intercept-then-depolarize", "depolarize-then-intercept",
+        "m2-untargeted"])
 def test_transit_matches_the_dense_chain_round_by_round(monkeypatch, spec):
     skips = []
 
@@ -431,13 +432,17 @@ def test_transit_matches_the_dense_chain_round_by_round(monkeypatch, spec):
     channels = {mu: adversary.channels_for(mu) for mu in config.members}
     families = protocol._build_families(config, channels,
                                         np.random.default_rng(5))
+    # keys depend only on (r, s), so any (2, 2) family serves an
+    # untargeted member's dense chain
+    dense_families = {mu: fam or gen_purity_family(2, 2, seed=i)
+                      for i, (mu, fam) in enumerate(families.items())}
     initial = protocol._initial_state(config)
     fast_rng, dense_rng = (np.random.default_rng(9) for _ in range(2))
     for rnd in range(60):
         fast_aborts, dense_aborts = [], []
         fast = protocol._transit(config, families, channels, initial,
                                  fast_rng, fast_aborts, rnd)
-        dense = _dense_transit(config, families, channels, initial,
+        dense = _dense_transit(config, dense_families, channels, initial,
                                dense_rng, dense_aborts, rnd)
         assert fast_aborts == dense_aborts
         assert fast_rng.bit_generator.state == dense_rng.bit_generator.state
@@ -446,9 +451,8 @@ def test_transit_matches_the_dense_chain_round_by_round(monkeypatch, spec):
             continue
         dense = states.permute_labels(dense, fast.labels)
         assert np.max(np.abs(fast.amplitudes - dense.amplitudes)) <= 1e-12
-    # every member is targeted, so each call is a skip of the fast path:
-    # the members that intercept-resend leaves alone skip the chain in
-    # most rounds
+    # each call is a block that skips the chain: an untargeted one, or one
+    # whose channels drew only identities
     assert len(skips) > 30
 
 

@@ -30,7 +30,7 @@ def fam23():
 
 def test_family_shape(fam22):
     assert fam22.u == 4 and fam22.t == 2
-    assert len(fam22.codes) == 4
+    assert fam22.keys == (0, 1, 2, 3)  # auth.keygen draws a key below 2^s
     for code in fam22.codes.values():
         assert len(code.generators) == 2
         assert len(code.logical_x) == 2 and len(code.logical_z) == 2
@@ -391,7 +391,7 @@ def _tampered(fam, edit):
     return json.dumps(doc)
 
 
-def test_family_json_rejects_tampered_codes(fam22):
+def test_family_json_rejects_tampered_codes(fam22, fam23):
     def flip_letter(code):
         # change one letter of a generator so it anticommutes with a logical
         g, lx = code["generators"][0], code["logical_x"][0]
@@ -421,6 +421,22 @@ def test_family_json_rejects_tampered_codes(fam22):
                  swap_logical_z):
         with pytest.raises(InvalidArgumentError):
             family_from_json(_tampered(fam22, edit))
+
+    # keygen draws keys 0 .. 2^s - 1, so the key set itself is checked
+    def relabel_key(doc):
+        # the same codes audit at the stored epsilon
+        doc["codes"]["99"] = doc["codes"].pop("2")
+
+    def drop_key(doc):
+        # 7 of the 8 keys audit at 3/7, under the 4/9 budget
+        del doc["codes"]["7"]
+        doc["epsilon_audited"] = None
+
+    for edit in (relabel_key, drop_key):
+        doc = json.loads(family_to_json(fam23))
+        edit(doc)
+        with pytest.raises(InvalidArgumentError, match="keys 0 .. 2"):
+            family_from_json(json.dumps(doc))
 
 
 def test_invalid_parameters_rejected():
