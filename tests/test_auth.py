@@ -129,12 +129,11 @@ def test_keygen_validation(fam):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("rs", [(2, 2), (2, 3), (3, 2)],
                          ids=["r2-s2", "r2-s3", "r3-s2"])
-def test_identity_trajectory_takes_the_dense_chain_draws(rs, seed):
-    # m1's block under no channel, then under channels whose every draw is
-    # the identity, one of them drawing per qubit: the dense chain accepts,
-    # measures y and returns the state, and the draw-only path (keys, the
-    # channels' draws, then the syndrome draws) leaves its generator where
-    # the chain does
+def test_untouched_round_trip_takes_the_dense_chain_draws(rs, seed):
+    # m1's block inside a protocol-2 initial state: the dense chain with no
+    # channel accepts and returns the state, and the draw-only path (keys,
+    # then the syndrome draws) leaves its generator where the dense chain
+    # leaves its own
     r, s = rs
     t = (r - 1) * s
     fam = gen_purity_family(r, s, seed=seed)
@@ -142,27 +141,57 @@ def test_identity_trajectory_takes_the_dense_chain_draws(rs, seed):
         n=2, m=1, t=t, protocol=2, family_params=rs))
     block = [("m1", c) for c in range(t)]
     phys = [("m1", i) for i in range(fam.u)]
-    for spec in ("", f"identity@m1,depolarize:p=0@m1,"
-                     f"fixed-pauli:op={'I' * fam.u}@m1"):
-        channels = parse_adversary(spec).channels
-        dense_rng, draw_rng = (np.random.default_rng(seed) for _ in range(2))
-        for _ in range(3):  # several keys and syndromes per seed
-            keys = keygen(r, s, dense_rng)
-            sent = auth_send_in_place(keys, fam, state, block,
-                                      out_labels=phys)
-            for ch in channels:
-                sent = ch.sample_apply(sent, phys, dense_rng)
-            outcome = auth_receive_in_place(keys, fam, sent, phys, dense_rng,
-                                            out_labels=block)
-            assert outcome.accepted
-            assert np.array_equal(outcome.measured_syndrome, keys.y)
-            back = states.permute_labels(outcome.logical_state, state.labels)
-            assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
-            drawn = keygen(r, s, draw_rng)
-            assert (drawn.k, drawn.x.tolist(), drawn.y.tolist()) == (
-                keys.k, keys.x.tolist(), keys.y.tolist())
-            assert [e for ch in channels
-                    for e in ch.draw_paulis(phys, draw_rng)] == []
-            untouched_receive(s, draw_rng)
-            assert (dense_rng.bit_generator.state
-                    == draw_rng.bit_generator.state)
+    dense_rng, draw_rng = (np.random.default_rng(seed) for _ in range(2))
+    for _ in range(3):  # a few blocks per seed: several keys and syndromes
+        keys = keygen(r, s, dense_rng)
+        sent = auth_send_in_place(keys, fam, state, block, out_labels=phys)
+        outcome = auth_receive_in_place(keys, fam, sent, phys, dense_rng,
+                                        out_labels=block)
+        assert outcome.accepted
+        assert np.array_equal(outcome.measured_syndrome, keys.y)
+        back = states.permute_labels(outcome.logical_state, state.labels)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
+        drawn = keygen(r, s, draw_rng)
+        assert (drawn.k, drawn.x.tolist(), drawn.y.tolist()) == (
+            keys.k, keys.x.tolist(), keys.y.tolist())
+        untouched_receive(s, draw_rng)
+        assert dense_rng.bit_generator.state == draw_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("rs", [(2, 2), (2, 3), (3, 2)],
+                         ids=["r2-s2", "r2-s3", "r3-s2"])
+def test_identity_trajectory_takes_the_dense_chain_draws(rs, seed):
+    # m1's block under channels whose every draw is the identity, one of
+    # them drawing per qubit: the dense chain accepts, measures y and
+    # returns the state, and the draw-only path (keys, the channels' draws,
+    # then the syndrome draws) leaves its generator where the chain does
+    r, s = rs
+    t = (r - 1) * s
+    fam = gen_purity_family(r, s, seed=seed)
+    state = protocol._initial_state(protocol.NetworkConfig(
+        n=2, m=1, t=t, protocol=2, family_params=rs))
+    block = [("m1", c) for c in range(t)]
+    phys = [("m1", i) for i in range(fam.u)]
+    channels = parse_adversary(
+        f"identity@m1,depolarize:p=0@m1,fixed-pauli:op={'I' * fam.u}@m1"
+    ).channels
+    dense_rng, draw_rng = (np.random.default_rng(seed) for _ in range(2))
+    for _ in range(3):
+        keys = keygen(r, s, dense_rng)
+        sent = auth_send_in_place(keys, fam, state, block, out_labels=phys)
+        for ch in channels:
+            sent = ch.sample_apply(sent, phys, dense_rng)
+        outcome = auth_receive_in_place(keys, fam, sent, phys, dense_rng,
+                                        out_labels=block)
+        assert outcome.accepted
+        assert np.array_equal(outcome.measured_syndrome, keys.y)
+        back = states.permute_labels(outcome.logical_state, state.labels)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
+        drawn = keygen(r, s, draw_rng)
+        assert (drawn.k, drawn.x.tolist(), drawn.y.tolist()) == (
+            keys.k, keys.x.tolist(), keys.y.tolist())
+        assert [e for ch in channels for e in ch.draw_paulis(phys, draw_rng)
+                ] == []
+        untouched_receive(s, draw_rng)
+        assert dense_rng.bit_generator.state == draw_rng.bit_generator.state
