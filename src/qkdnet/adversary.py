@@ -6,8 +6,8 @@ comma separated, e.g. ``depolarize:p=0.1@m2,intercept@m1,lie-outcome:p=1.0@m3``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +26,31 @@ _DISHONEST_MODES = ("lie_basis", "lie_outcome", "silent_drop")
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+_TABLES = 64  # (mixture, width) pairs whose channel tables are kept
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _kraus_terms(mixture: tuple, num_qubits: int) -> np.ndarray:
+    terms = np.array([
+        np.sqrt(prob) * PauliOperator.from_string(pstr).to_matrix()
+        for pstr, prob in mixture])
+    if terms.shape[-1] == 2:  # one-letter strings: every kron(t, s), t major
+        singles, terms = terms, np.ones((1, 1, 1), dtype=complex)
+        for _ in range(num_qubits):
+            dim = 2 * terms.shape[-1]
+            terms = np.einsum("aij,bkl->abikjl", terms,
+                              singles).reshape(-1, dim, dim)
+    return _read_only(terms)
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _superoperator(mixture: tuple, num_qubits: int) -> np.ndarray:
+    k = _kraus_terms(mixture, num_qubits)
+    dim = 4 ** num_qubits
+    return _read_only(
+        np.einsum("kij,kab->iajb", k, k.conj()).reshape(dim, dim))
 
 
 def depolarizing(p: float) -> tuple:
@@ -88,11 +113,11 @@ class ChannelSpec:
         object.__setattr__(self, "mixture", mixture)
         object.__setattr__(self, "targets", tuple(self.targets))
 
-    @cached_property
+    @functools.cached_property
     def _widths(self) -> set:
         return {len(pstr) for pstr, _ in self.mixture}
 
-    @cached_property
+    @functools.cached_property
     def _draws(self) -> tuple:
         """The mixture as trajectories draw it: each entry's operator (None
         for an identity) and the cumulative probabilities (None for a single
@@ -120,45 +145,19 @@ class ChannelSpec:
                 f"{self.kind} operators act on {sorted(self._widths)} "
                 f"qubits, the target block has {num_qubits}")
 
-    @cached_property
-    def _kraus_by_width(self) -> dict:
-        return {}
-
-    @cached_property
-    def _superoperator_by_width(self) -> dict:
-        return {}
-
     def kraus_terms(self, num_qubits: int) -> np.ndarray:
         """Read-only stack of the Kraus matrices sqrt(p) P on 2^num_qubits
-        dimensions, built once per width; a per-qubit mixture is tensored
-        over the qubits."""
+        dimensions, shared by every spec of the same mixture; a per-qubit
+        mixture is tensored over the qubits."""
         self.check_arity(num_qubits)
-        terms = self._kraus_by_width.get(num_qubits)
-        if terms is None:
-            terms = np.array([
-                np.sqrt(prob) * PauliOperator.from_string(pstr).to_matrix()
-                for pstr, prob in self.mixture])
-            if self.is_per_qubit():
-                # every kron(t, s), t major, one qubit at a time
-                singles, terms = terms, np.ones((1, 1, 1), dtype=complex)
-                for _ in range(num_qubits):
-                    dim = 2 * terms.shape[-1]
-                    terms = np.einsum("aij,bkl->abikjl", terms,
-                                      singles).reshape(-1, dim, dim)
-            terms = self._kraus_by_width[num_qubits] = _read_only(terms)
-        return terms
+        return _kraus_terms(self.mixture, num_qubits)
 
     def superoperator(self, num_qubits: int) -> np.ndarray:
         """Read-only sum_k K (x) conj(K) of the Kraus terms on num_qubits
-        qubits, built once per width: rows (ket out, bra out), columns
-        (ket in, bra in)."""
-        sup = self._superoperator_by_width.get(num_qubits)
-        if sup is None:
-            k = self.kraus_terms(num_qubits)
-            dim = 4 ** num_qubits
-            sup = self._superoperator_by_width[num_qubits] = _read_only(
-                np.einsum("kij,kab->iajb", k, k.conj()).reshape(dim, dim))
-        return sup
+        qubits, shared like them: rows (ket out, bra out), columns (ket
+        in, bra in)."""
+        self.check_arity(num_qubits)
+        return _superoperator(self.mixture, num_qubits)
 
     # ---- pathwise (pure-trajectory) form --------------------------------
 

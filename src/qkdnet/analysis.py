@@ -336,16 +336,9 @@ def check_composed_channel_bound(per_member_channels, t: int, rng,
     if n < 1 or t < 1:
         raise InvalidArgumentError(
             "the composed bound needs at least one member and one copy")
-    total_qubits = (n + 1) * t
-    if total_qubits > states.MAX_QUBITS:
-        raise InvalidArgumentError("configuration exceeds the qubit cap")
+    states.check_capacity((n + 1) * t, "the composed resource")
     members = [f"m{i}" for i in range(n)]
-    owners = members + ["C"]
-    state = None
-    for c in range(t):
-        cat = states.make_cat(n + 1, states.PHI_PLUS,
-                              [(mu, c) for mu in owners])
-        state = cat if state is None else states.tensor(state, cat)
+    state = states.cat_copies(members + ["C"], t)
     eps1 = 0.0
     for ch in per_member_channels:
         eps1 = max(eps1, measure_channel_epsilon(ch, t, rng,

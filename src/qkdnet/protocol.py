@@ -27,7 +27,7 @@ import numpy as np
 from . import adversary as attacks
 from . import auth, states
 from .adversary import AdversarySpec
-from .errors import CapacityError, InvalidArgumentError, StateError
+from .errors import InvalidArgumentError, StateError
 from .stabilizer import gen_purity_family
 
 CENTER = "C"
@@ -251,13 +251,7 @@ def _initial_state(config: NetworkConfig):
     """Owner-major joint state of t cat-state copies, read-only: one run
     starts every round from it."""
     owners = config.members + ([CENTER] if config.protocol == 2 else [])
-    copies = []
-    for c in range(config.t):
-        labels = [(mu, c) for mu in owners]
-        copies.append(states.make_cat(len(owners), states.PHI_PLUS, labels))
-    state = copies[0]
-    for extra in copies[1:]:
-        state = states.tensor(state, extra)
+    state = states.cat_copies(owners, config.t)
     order = [(mu, c) for mu in owners for c in range(config.t)]
     state = states.permute_labels(state, order)
     state.amplitudes.setflags(write=False)
@@ -389,10 +383,7 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidArgumentError("seed must be a non-negative integer")
     # before _check_targets, which lists every member
-    if config.qubit_budget() > states.MAX_QUBITS:
-        raise CapacityError(
-            f"configuration needs {config.qubit_budget()} qubits at its "
-            f"widest point, above the cap of {states.MAX_QUBITS}")
+    states.check_capacity(config.qubit_budget(), "the run's widest state")
     _check_targets(config, adversary)
     rng = np.random.default_rng(seed)
     members, party_a, party_b = config.members, config.party_a, config.party_b

@@ -26,6 +26,13 @@ from .paulis import PauliOperator
 DENSE_AUDIT_CAP = 12  # max u for the exact audit's 4^u pattern histogram
 
 
+def check_audit_cap(u: int) -> None:
+    """Refuse an exact audit of a family on ``u`` qubits above the cap."""
+    if u > DENSE_AUDIT_CAP:
+        raise CapacityError(
+            f"u = r*s = {u} is above the exact audit cap {DENSE_AUDIT_CAP}")
+
+
 @dataclass
 class StabilizerCode:
     """u physical qubits, t logical qubits, s = u - t commuting generators."""
@@ -50,21 +57,25 @@ class StabilizerCode:
         return self.u - self.t
 
     def validate(self) -> None:
-        for i, a in enumerate(self.generators):
-            for b in self.generators[i + 1:]:
-                if not a.commutes_with(b):
-                    raise InvalidArgumentError("generators do not commute")
-        if len(gf2.row_reduce(_rows(self.generators))) != len(self.generators):
+        """Check that the operators act on u qubits and form a symplectic
+        basis: logical X_j and Z_k anticommute iff j = k, every other pair
+        commutes, and the generators are independent."""
+        ops = self.generators + self.logical_x + self.logical_z
+        if any(p.n != self.u for p in ops):
+            raise InvalidArgumentError(f"operators must be on {self.u} qubits")
+        # the (x | z) bits of each operator, x of qubit 0 first
+        bits = (np.array(_rows(ops), dtype=object)[:, None]
+                >> np.arange(2 * self.u - 1, -1, -1) & 1).astype(np.int64)
+        x, z = np.hsplit(bits, 2)
+        s, t = self.num_generators, self.t
+        want = np.zeros((len(ops), len(ops)), dtype=np.int64)
+        want[s:s + t, s + t:] = want[s + t:, s:s + t] = np.eye(t, dtype=int)
+        wrong = np.argwhere((x @ z.T + z @ x.T) % 2 != want)
+        if len(wrong):
+            pair = " and ".join(repr(ops[i]) for i in wrong[0])
+            raise InvalidArgumentError(f"{pair} break the symplectic basis")
+        if len(gf2.row_reduce(_rows(self.generators))) != s:
             raise InvalidArgumentError("generators are not independent")
-        for j in range(self.t):
-            for g in self.generators:
-                if not self.logical_x[j].commutes_with(g):
-                    raise InvalidArgumentError("logical X hits a generator")
-                if not self.logical_z[j].commutes_with(g):
-                    raise InvalidArgumentError("logical Z hits a generator")
-            for k, lz in enumerate(self.logical_z):
-                if self.logical_x[j].commutes_with(lz) == (j == k):
-                    raise InvalidArgumentError("logical pair relations broken")
 
 
 def _rows(ops) -> list:
@@ -382,9 +393,7 @@ def undetected_counts(fam: PurityFamily) -> np.ndarray:
     computed from the generator rows alone, less the 2^s stabilizers.
     """
     u = fam.u
-    if u > DENSE_AUDIT_CAP:
-        raise CapacityError(
-            f"u={u} exceeds the exact audit cap {DENSE_AUDIT_CAP}")
+    check_audit_cap(u)
     counts = np.zeros(4 ** u, dtype=np.min_scalar_type(len(fam.codes)))
     one = np.ones(1, dtype=counts.dtype)
     # the narrowest unsigned type that holds a 2u-bit row: uint32 to u = 16
@@ -456,10 +465,6 @@ def family_from_json(text: str) -> PurityFamily:
     for k, body in doc["codes"].items():
         ops = {name: [PauliOperator.from_string(g) for g in body[name]]
                for name in ("generators", "logical_x", "logical_z")}
-        if len(ops["generators"]) != s or any(
-                p.n != u for group in ops.values() for p in group):
-            raise InvalidArgumentError(
-                f"code {k} needs {s} generators on u = r*s = {u} qubits")
         code = StabilizerCode(u=u, t=u - s, **ops)
         code.validate()
         codes[int(k)] = code

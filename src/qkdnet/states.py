@@ -2,7 +2,7 @@
 
 States carry an ordered tuple of qubit labels ``(owner, slot)``; the first
 label is the most significant bit of the amplitude index.  Everything is
-plain complex128 numpy; joint systems are capped at ``MAX_QUBITS`` qubits.
+plain complex128 numpy; ``check_capacity`` caps a state at ``MAX_QUBITS``.
 Pauli actions, measurements and isometries act on pure states; density
 matrices serve the Pauli channels and the metrics.
 
@@ -61,26 +61,24 @@ def eigenvectors(axis: str) -> np.ndarray:
         raise InvalidArgumentError(f"unknown axis {axis!r}") from exc
 
 
-def _check_labels(labels) -> tuple:
-    labels = tuple(map(tuple, labels))
-    if len(set(labels)) != len(labels):
-        raise InvalidArgumentError("qubit labels must be unique")
-    if len(labels) > MAX_QUBITS:
-        raise CapacityError(f"{len(labels)} qubits exceeds cap of {MAX_QUBITS}")
-    return labels
+def check_capacity(num_qubits: int, what: str) -> None:
+    """Refuse ``what`` if it needs more than ``MAX_QUBITS`` qubits."""
+    if num_qubits > MAX_QUBITS:
+        raise CapacityError(f"{what} needs {num_qubits} qubits, above the "
+                            f"cap of {MAX_QUBITS}")
 
 
 @dataclass
-class PureStateVector:
+class _Labelled:
+    """A state on the qubits of its ``labels`` tuple, first label on top."""
+
     labels: tuple
-    amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.labels = _check_labels(self.labels)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if len(self.amplitudes) != 2 ** len(self.labels):
-            raise InvalidArgumentError("amplitude length must be 2^(#labels)")
-        _check_norm(self.amplitudes)
+        self.labels = tuple(map(tuple, self.labels))
+        if len(set(self.labels)) != len(self.labels):
+            raise InvalidArgumentError("qubit labels must be unique")
+        check_capacity(len(self.labels), "a state")
 
     @property
     def num_qubits(self) -> int:
@@ -92,6 +90,18 @@ class PureStateVector:
             return self.labels.index(label)
         except ValueError as exc:
             raise InvalidArgumentError(f"unknown label {label!r}") from exc
+
+
+@dataclass
+class PureStateVector(_Labelled):
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).ravel()
+        if len(self.amplitudes) != 2 ** len(self.labels):
+            raise InvalidArgumentError("amplitude length must be 2^(#labels)")
+        _check_norm(self.amplitudes)
 
 
 def _check_norm(amplitudes: np.ndarray) -> None:
@@ -143,12 +153,11 @@ def _check_trace(matrix: np.ndarray, message: str) -> None:
 
 
 @dataclass
-class DensityMatrix:
-    labels: tuple
+class DensityMatrix(_Labelled):
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.labels = _check_labels(self.labels)
+        super().__post_init__()
         self.matrix = np.asarray(self.matrix, dtype=complex)
         dim = 2 ** len(self.labels)
         if self.matrix.shape != (dim, dim):
@@ -157,17 +166,6 @@ class DensityMatrix:
         if not _hermitian_defect(self.matrix) <= 1e-9:
             raise InvalidArgumentError("matrix is not Hermitian")
         _check_trace(self.matrix, "trace is not 1")
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.labels)
-
-    def axis(self, label) -> int:
-        label = tuple(label)
-        try:
-            return self.labels.index(label)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"unknown label {label!r}") from exc
 
 
 def default_labels(j: int) -> list:
@@ -204,6 +202,13 @@ def basis_state(bits, labels) -> PureStateVector:
 def eigenstate(basis, outcome: int, label) -> PureStateVector:
     vec = eigenvectors(basis)[int(outcome)]
     return PureStateVector((tuple(label),), vec.copy())
+
+
+def cat_copies(owners, t: int) -> PureStateVector:
+    """``t`` plus-cat copies, copy-major, on labels ``(owner, c)``."""
+    return functools.reduce(tensor, [
+        make_cat(len(owners), PHI_PLUS, [(mu, c) for mu in owners])
+        for c in range(t)])
 
 
 def tensor(a: PureStateVector, b: PureStateVector) -> PureStateVector:
@@ -382,8 +387,7 @@ def apply_isometry(state: PureStateVector, matrix, in_labels,
     for l in out_labels:
         if l in rest:
             raise InvalidArgumentError(f"output label {l!r} already present")
-    if len(rest) + len(out_labels) > MAX_QUBITS:
-        raise CapacityError("isometry output exceeds the qubit cap")
+    check_capacity(len(rest) + len(out_labels), "an isometry's output")
     axes = [state.axis(l) for l in in_labels] + keep
     t = state.amplitudes.reshape((2,) * q).transpose(axes).reshape(2 ** k, -1)
     out = matrix @ t

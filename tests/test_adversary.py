@@ -38,10 +38,15 @@ def test_kraus_completeness(spec):
 
 def test_channel_terms_are_built_once_per_width():
     ch = ChannelSpec("depolarizing", depolarizing(0.2), ("a",))
+    # the tables are keyed by mixture and width, so another spec with the
+    # same mixture shares them whatever its targets
+    same = ChannelSpec("depolarizing", depolarizing(0.2), ("b", "c"))
     for width in (1, 2):
         kraus, sup = ch.kraus_terms(width), ch.superoperator(width)
         assert ch.kraus_terms(width) is kraus
         assert ch.superoperator(width) is sup
+        assert same.kraus_terms(width) is kraus
+        assert same.superoperator(width) is sup
         assert not kraus.flags.writeable and not sup.flags.writeable
         want = sum(np.kron(k, k.conj()) for k in kraus)
         assert np.abs(sup - want).max() <= 1e-15

@@ -7,7 +7,7 @@ import pytest
 
 from qkdnet import analysis, states
 from qkdnet.adversary import AdversarySpec, ChannelSpec, depolarizing
-from qkdnet.errors import InvalidArgumentError
+from qkdnet.errors import CapacityError, InvalidArgumentError
 from qkdnet.protocol import NetworkConfig, run_protocol1
 
 from helpers import random_density
@@ -241,14 +241,19 @@ def test_composed_channel_bound_rejects_no_member_or_no_copy():
     assert rng.bit_generator.state == state  # rejected before any draw
 
 
+def test_composed_channel_bound_rejects_above_the_qubit_cap():
+    # 4 members and the center on t = 3 copies need 15 qubits
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    chans = [ChannelSpec("depolarizing", depolarizing(0.1), (f"m{i}",))
+             for i in range(4)]
+    with pytest.raises(CapacityError, match="needs 15 qubits"):
+        analysis.check_composed_channel_bound(chans, 3, rng)
+    assert rng.bit_generator.state == state  # rejected before any draw
+
+
 def _cat_copies(n, t):
-    owners = [f"m{i}" for i in range(n)] + ["C"]
-    state = None
-    for c in range(t):
-        cat = states.make_cat(n + 1, states.PHI_PLUS,
-                              [(mu, c) for mu in owners])
-        state = cat if state is None else states.tensor(state, cat)
-    return state
+    return states.cat_copies([f"m{i}" for i in range(n)] + ["C"], t)
 
 
 def _random_pauli_table(rng, t, member):

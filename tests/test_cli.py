@@ -192,18 +192,23 @@ def test_run_above_the_qubit_cap_fails_before_first_round(capsys,
     assert "needs 16 qubits" in err
 
 
-def test_run_with_a_huge_n_fails_at_the_qubit_cap_within_1_gib():
-    # listing 10^8 member names takes gigabytes, so the cap is checked
-    # first; the address-space limit keeps a regression from taking them
+def _cli_within_1_gib(*argv):
+    """Run the CLI in a subprocess under a 1 GiB address-space limit."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qkdnet.cli", "run", "--seed", "0",
-         "--no-auth", "--t", "1", "--n", "100000000"],
+    return subprocess.run(
+        [sys.executable, "-m", "qkdnet.cli", *argv],
         capture_output=True, text=True, preexec_fn=limit, timeout=120,
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+
+
+def test_run_with_a_huge_n_fails_at_the_qubit_cap_within_1_gib():
+    # listing 10^8 member names takes gigabytes, so the cap is checked
+    # first; the address-space limit keeps a regression from taking them
+    proc = _cli_within_1_gib("run", "--seed", "0", "--no-auth", "--t", "1",
+                             "--n", "100000000")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "above the cap" in proc.stderr
@@ -485,6 +490,52 @@ def test_verify_inequalities_rejects_dims_above_the_qubit_cap(capsys, dims):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_inequalities_with_huge_trials_fails_within_1_gib():
+    # the pair suites keep every trial's draws, so a command above the
+    # trials * d^2 budget is refused before its first draw
+    proc = _cli_within_1_gib("verify-inequalities", "--trials",
+                             "100000000000", "--dims", "2", "--seed", "0")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "above the budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    [],                                        # the default command
+    ["--trials", "50"],                        # the benchmark's verify
+    ["--trials", "1", "--dims", "128"],
+    ["--trials", "8192", "--dims", "2,8"],     # exactly at the budget
+], ids=["default", "trials-50", "dims-128", "at-budget"])
+def test_verify_inequalities_budget_admits(monkeypatch, argv):
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(analysis, "fuchs_van_de_graaf_suite", admitted)
+    with pytest.raises(Admitted):
+        cli.main(["verify-inequalities", "--seed", "0", *argv])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--trials", "8193", "--dims", "8"],
+    ["--trials", "32769", "--dims", "4,2"],
+])
+def test_verify_inequalities_above_the_budget_fails_before_any_draw(
+        capsys, monkeypatch, argv):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a suite started")
+
+    monkeypatch.setattr(analysis, "fuchs_van_de_graaf_suite", no_draws)
+    code, out, err = run_cli(capsys, "verify-inequalities", "--seed", "0",
+                             *argv)
+    assert code == 1
+    assert out == ""
+    assert "above the budget" in err
 
 
 def test_verify_inequalities_runs_at_the_largest_dims(capsys):

@@ -385,6 +385,43 @@ def test_code_equality_ignores_the_isometry_cache():
     assert a.codes[key] != a.codes[a.keys[1]]
 
 
+def _symplectic_by_pairs(code) -> bool:
+    """What ``validate`` checks, one operator pair at a time."""
+    ops = code.generators + code.logical_x + code.logical_z
+    s, t = code.num_generators, code.t
+    for (i, a), (j, b) in itertools.product(enumerate(ops), repeat=2):
+        if a.commutes_with(b) == (min(i, j) >= s and abs(i - j) == t):
+            return False
+    return len(gf2.row_reduce([g.x << g.n | g.z for g in code.generators])) == s
+
+
+def test_validate_matches_the_pairwise_relations(fam23):
+    # replace one operator by its product with another of the code (often
+    # still a valid code) or with a random Pauli (rarely)
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for _ in range(300):
+        code = fam23.codes[int(rng.integers(len(fam23.codes)))]
+        groups = [list(code.generators), list(code.logical_x),
+                  list(code.logical_z)]
+        ops = [op for group in groups for op in group]
+        other = (ops[rng.integers(len(ops))] if rng.random() < 0.7 else
+                 PauliOperator.from_string(
+                     "".join(rng.choice(list("IXYZ"), code.u))))
+        g = int(rng.integers(3))
+        k = int(rng.integers(len(groups[g])))
+        groups[g][k] = pauli_mul(groups[g][k], other)
+        edited = stabilizer.StabilizerCode(code.u, code.t, *groups)
+        want = _symplectic_by_pairs(edited)
+        verdicts.add(want)
+        if want:
+            edited.validate()
+        else:
+            with pytest.raises(InvalidArgumentError):
+                edited.validate()
+    assert verdicts == {True, False}
+
+
 def _tampered(fam, edit):
     doc = json.loads(family_to_json(fam))
     edit(doc["codes"][str(fam.keys[0])])
@@ -417,8 +454,15 @@ def test_family_json_rejects_tampered_codes(fam22, fam23):
         # logical X_0 then pairs with Z_1: the pair relations break
         code["logical_z"].reverse()
 
+    def anticommuting_logical_z(code):
+        # Z_0 times X_1: every X-Z pair relation holds, but Z_0 and Z_1
+        # anticommute, and the audit reads only the generators
+        assert code["logical_z"][0] == "IIZI"
+        assert code["logical_x"][1] == "IIIX"
+        code["logical_z"][0] = "IIZX"
+
     for edit in (flip_letter, drop_qubit, drop_generator, swap_generator,
-                 swap_logical_z):
+                 swap_logical_z, anticommuting_logical_z):
         with pytest.raises(InvalidArgumentError):
             family_from_json(_tampered(fam22, edit))
 

@@ -73,6 +73,23 @@ def test_qubit_capacity_enforced():
         make_cat(states.MAX_QUBITS + 1, PHI_PLUS)
 
 
+def test_check_capacity_admits_the_cap_and_names_what_is_refused():
+    states.check_capacity(states.MAX_QUBITS, "a run")
+    with pytest.raises(CapacityError,
+                       match=r"^a run needs 15 qubits, above the cap of 14$"):
+        states.check_capacity(states.MAX_QUBITS + 1, "a run")
+
+
+def test_cat_copies_are_copy_major_plus_cats():
+    owners = ["a", "b", "C"]
+    state = states.cat_copies(owners, 2)
+    assert state.labels == tuple((mu, c) for c in range(2) for mu in owners)
+    # copy c is (|000> + |111>)/sqrt(2) on its three qubits
+    want = np.zeros((8, 8))
+    want[np.ix_([0, 7], [0, 7])] = 0.5
+    assert np.abs(state.amplitudes - want.ravel()).max() <= 1e-15
+
+
 def test_apply_pauli_matches_dense():
     rng = np.random.default_rng(2)
     for _ in range(30):
