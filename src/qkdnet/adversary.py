@@ -23,15 +23,24 @@ FIXED_PAULI = "fixed_pauli"
 _DISHONEST_MODES = ("lie_basis", "lie_outcome", "silent_drop")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+# Channel tables are shared by every spec of the same mixture.  The certify
+# workload's lookups fall in a working set of 16 (mixture, width) keys; a
+# table over 64 KiB (a 3-qubit superoperator) is built anew on each call.
+_CACHED_KEYS, _CACHED_BYTES = 16, 2 ** 16
 
 
-_TABLES = 64  # (mixture, width) pairs whose channel tables are kept
+def _table(build, mixture: tuple, num_qubits: int) -> np.ndarray:
+    """Read-only ``build(mixture, num_qubits)``, kept in its cache if the
+    mixture's Kraus terms and superoperator fit _CACHED_BYTES each."""
+    terms = len(mixture) ** (num_qubits if len(mixture[0][0]) == 1 else 1)
+    size = max(terms, 4 ** num_qubits) * 4 ** num_qubits * 16
+    table = (build if size <= _CACHED_BYTES else build.__wrapped__)(
+        mixture, num_qubits)
+    table.setflags(write=False)
+    return table
 
 
-@functools.lru_cache(maxsize=_TABLES)
+@functools.lru_cache(maxsize=_CACHED_KEYS)
 def _kraus_terms(mixture: tuple, num_qubits: int) -> np.ndarray:
     terms = np.array([
         np.sqrt(prob) * PauliOperator.from_string(pstr).to_matrix()
@@ -42,15 +51,14 @@ def _kraus_terms(mixture: tuple, num_qubits: int) -> np.ndarray:
             dim = 2 * terms.shape[-1]
             terms = np.einsum("aij,bkl->abikjl", terms,
                               singles).reshape(-1, dim, dim)
-    return _read_only(terms)
+    return terms
 
 
-@functools.lru_cache(maxsize=_TABLES)
+@functools.lru_cache(maxsize=_CACHED_KEYS)
 def _superoperator(mixture: tuple, num_qubits: int) -> np.ndarray:
-    k = _kraus_terms(mixture, num_qubits)
+    k = _table(_kraus_terms, mixture, num_qubits)
     dim = 4 ** num_qubits
-    return _read_only(
-        np.einsum("kij,kab->iajb", k, k.conj()).reshape(dim, dim))
+    return np.einsum("kij,kab->iajb", k, k.conj()).reshape(dim, dim)
 
 
 def depolarizing(p: float) -> tuple:
@@ -147,17 +155,17 @@ class ChannelSpec:
 
     def kraus_terms(self, num_qubits: int) -> np.ndarray:
         """Read-only stack of the Kraus matrices sqrt(p) P on 2^num_qubits
-        dimensions, shared by every spec of the same mixture; a per-qubit
-        mixture is tensored over the qubits."""
+        dimensions, kept and shared by every spec of the same mixture up to
+        _CACHED_BYTES; a per-qubit mixture is tensored over the qubits."""
         self.check_arity(num_qubits)
-        return _kraus_terms(self.mixture, num_qubits)
+        return _table(_kraus_terms, self.mixture, num_qubits)
 
     def superoperator(self, num_qubits: int) -> np.ndarray:
         """Read-only sum_k K (x) conj(K) of the Kraus terms on num_qubits
         qubits, shared like them: rows (ket out, bra out), columns (ket
         in, bra in)."""
         self.check_arity(num_qubits)
-        return _superoperator(self.mixture, num_qubits)
+        return _table(_superoperator, self.mixture, num_qubits)
 
     # ---- pathwise (pure-trajectory) form --------------------------------
 

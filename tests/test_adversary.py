@@ -52,6 +52,19 @@ def test_channel_terms_are_built_once_per_width():
         assert np.abs(sup - want).max() <= 1e-15
 
 
+def test_channel_tables_above_the_byte_cap_are_rebuilt():
+    ch = ChannelSpec("depolarizing", depolarizing(0.3), ("a",))
+    # 3 qubits: 64 terms of 8 x 8 and a 64 x 64 superoperator, 64 KiB each
+    assert ch.kraus_terms(3) is ch.kraus_terms(3)
+    assert ch.superoperator(3) is ch.superoperator(3)
+    # 4 qubits: 1 MiB each, built anew on every call and still read-only
+    for table in (ch.kraus_terms, ch.superoperator):
+        first, again = table(4), table(4)
+        assert first is not again and np.array_equal(first, again)
+        assert not first.flags.writeable
+    assert ch.kraus_terms(4).nbytes == ch.superoperator(4).nbytes == 2 ** 20
+
+
 def test_depolarizing_output_fidelity():
     # rho -> (1-p) rho + p I/2, so F(|0><0|) = 1 - p/2
     p = 0.1

@@ -253,7 +253,14 @@ def test_composed_channel_bound_rejects_above_the_qubit_cap():
 
 
 def _cat_copies(n, t):
-    return states.cat_copies([f"m{i}" for i in range(n)] + ["C"], t)
+    # built here, apart from states.cat_copies, as the reference state
+    owners = [f"m{i}" for i in range(n)] + ["C"]
+    state = None
+    for c in range(t):
+        cat = states.make_cat(n + 1, states.PHI_PLUS,
+                              [(mu, c) for mu in owners])
+        state = cat if state is None else states.tensor(state, cat)
+    return state
 
 
 def _random_pauli_table(rng, t, member):
