@@ -23,21 +23,10 @@ FIXED_PAULI = "fixed_pauli"
 _DISHONEST_MODES = ("lie_basis", "lie_outcome", "silent_drop")
 
 
-# Channel tables are shared by every spec of the same mixture.  The certify
+# Kraus terms are shared by every spec of the same mixture.  The certify
 # workload's lookups fall in a working set of 16 (mixture, width) keys; a
-# table over 64 KiB (a 3-qubit superoperator) is built anew on each call.
+# stack over 64 KiB (a 4-qubit depolarizing one) is built anew on each call.
 _CACHED_KEYS, _CACHED_BYTES = 16, 2 ** 16
-
-
-def _table(build, mixture: tuple, num_qubits: int) -> np.ndarray:
-    """Read-only ``build(mixture, num_qubits)``, kept in its cache if the
-    mixture's Kraus terms and superoperator fit _CACHED_BYTES each."""
-    terms = len(mixture) ** (num_qubits if len(mixture[0][0]) == 1 else 1)
-    size = max(terms, 4 ** num_qubits) * 4 ** num_qubits * 16
-    table = (build if size <= _CACHED_BYTES else build.__wrapped__)(
-        mixture, num_qubits)
-    table.setflags(write=False)
-    return table
 
 
 @functools.lru_cache(maxsize=_CACHED_KEYS)
@@ -51,14 +40,8 @@ def _kraus_terms(mixture: tuple, num_qubits: int) -> np.ndarray:
             dim = 2 * terms.shape[-1]
             terms = np.einsum("aij,bkl->abikjl", terms,
                               singles).reshape(-1, dim, dim)
+    terms.setflags(write=False)
     return terms
-
-
-@functools.lru_cache(maxsize=_CACHED_KEYS)
-def _superoperator(mixture: tuple, num_qubits: int) -> np.ndarray:
-    k = _table(_kraus_terms, mixture, num_qubits)
-    dim = 4 ** num_qubits
-    return np.einsum("kij,kab->iajb", k, k.conj()).reshape(dim, dim)
 
 
 def depolarizing(p: float) -> tuple:
@@ -158,14 +141,18 @@ class ChannelSpec:
         dimensions, kept and shared by every spec of the same mixture up to
         _CACHED_BYTES; a per-qubit mixture is tensored over the qubits."""
         self.check_arity(num_qubits)
-        return _table(_kraus_terms, self.mixture, num_qubits)
+        terms = len(self.mixture) ** (num_qubits if self.is_per_qubit()
+                                      else 1)
+        if terms * 4 ** num_qubits * 16 > _CACHED_BYTES:
+            return _kraus_terms.__wrapped__(self.mixture, num_qubits)
+        return _kraus_terms(self.mixture, num_qubits)
 
     def superoperator(self, num_qubits: int) -> np.ndarray:
-        """Read-only sum_k K (x) conj(K) of the Kraus terms on num_qubits
-        qubits, shared like them: rows (ket out, bra out), columns (ket
-        in, bra in)."""
-        self.check_arity(num_qubits)
-        return _table(_superoperator, self.mixture, num_qubits)
+        """sum_k K (x) conj(K) of the Kraus terms on num_qubits qubits, built
+        on each call: rows (ket out, bra out), columns (ket in, bra in)."""
+        k = self.kraus_terms(num_qubits)
+        dim = 4 ** num_qubits
+        return np.einsum("kij,kab->iajb", k, k.conj()).reshape(dim, dim)
 
     # ---- pathwise (pure-trajectory) form --------------------------------
 

@@ -4,7 +4,9 @@ States carry an ordered tuple of qubit labels ``(owner, slot)``; the first
 label is the most significant bit of the amplitude index.  Everything is
 plain complex128 numpy; ``check_capacity`` caps a state at ``MAX_QUBITS``.
 Pauli actions, measurements and isometries act on pure states; density
-matrices serve the Pauli channels and the metrics.
+matrices serve the Pauli channels and the metrics.  ``PauliFrame`` holds
+cat copies under Pauli errors as bits, and measures them by the cat
+parity law without amplitudes.
 
 Inputs are validated; the results of ``measure_qubit``, ``apply_pauli``,
 ``measure_pauli`` and ``apply_isometry`` are trusted to have the labels and
@@ -350,6 +352,93 @@ def _branch(labels: tuple, ax: int, proj: np.ndarray, p0: float, bit: int):
     rest = rest / math.sqrt(prob)
     rest.flags.writeable = False
     return _derived(labels[:ax] + labels[ax + 1:], rest)
+
+
+class PauliFrame:
+    """The plus-cat copies of a read-only ``initial`` state under a Pauli
+    frame, held as bits instead of amplitudes.
+
+    ``initial`` holds copies on labels ``(owner, copy)``, as ``cat_copies``
+    builds them, in any label order.  The frame stands for ``initial``
+    with X^x Z^z on each label of ``flips`` (label -> (x, z)), up to a
+    global phase; ``densify`` builds that state.  ``measure`` draws an X or
+    Y outcome as ``measure_qubit`` does, by the parity law: a copy's
+    outcome parity is half its Y count, flipped by z per X and by x ^ z
+    per Y measurement.  So each outcome is uniform, except a copy's last
+    when its Y count is even.  Per copy the frame counts the qubits left,
+    the Y count and the parity of the outcomes and flips so far.
+    """
+
+    __slots__ = ("initial", "flips", "_open", "_counts")
+
+    def __init__(self, initial: PureStateVector):
+        self.initial = initial
+        self.flips = {}
+        copies = list(dict.fromkeys(copy for _, copy in initial.labels))
+        # each unmeasured label -> the index of its copy's three counters
+        self._open = {label: 3 * copies.index(label[1])
+                      for label in initial.labels}
+        self._counts = [0, 0, 0] * len(copies)
+        for i in self._open.values():
+            self._counts[i] += 1
+
+    def copy(self) -> "PauliFrame":
+        """An independent frame in the same state, cheaper than a new one."""
+        frame = object.__new__(PauliFrame)
+        frame.initial, frame.flips = self.initial, dict(self.flips)
+        frame._open, frame._counts = dict(self._open), self._counts[:]
+        return frame
+
+    def apply_pauli(self, pauli: PauliOperator, labels) -> None:
+        """Multiply the frame by ``pauli``, its qubit i on ``labels[i]``."""
+        if len(labels) != pauli.n:
+            raise InvalidArgumentError("label count must match Pauli width")
+        for shift, label in enumerate(reversed(labels)):
+            x, z = pauli.x >> shift & 1, pauli.z >> shift & 1
+            if x or z:
+                label = tuple(label)
+                if label not in self._open:
+                    raise InvalidArgumentError(f"unknown label {label!r}")
+                fx, fz = self.flips.get(label, (0, 0))
+                self.flips[label] = (fx ^ x, fz ^ z)
+
+    def densify(self) -> PureStateVector:
+        """The state the frame stands for: one ``apply_pauli`` on
+        ``initial``, or ``initial`` itself under the identity."""
+        if len(self._open) != self.initial.num_qubits:
+            raise InvalidArgumentError("a measured frame has no dense form")
+        if not self.flips:
+            return self.initial
+        x = z = 0
+        for fx, fz in self.flips.values():
+            x, z = x << 1 | fx, z << 1 | fz
+        return apply_pauli(self.initial, PauliOperator(len(self.flips), x, z),
+                           list(self.flips))
+
+    def measure(self, label: tuple, basis: str, rng):
+        """Measure ``label`` in X or Y with one ``rng.random()``, as
+        ``measure_qubit`` does; returns (bit, this frame without it)."""
+        if basis not in ("X", "Y"):
+            raise InvalidArgumentError(
+                f"a frame measures X or Y, not {basis!r}")
+        try:
+            i = self._open.pop(label)
+        except (KeyError, TypeError):
+            raise InvalidArgumentError(f"unknown label {label!r}") from None
+        x, z = self.flips.get(label, (0, 0))
+        y = basis == "Y"
+        flip = z ^ x if y else z
+        counts = self._counts
+        counts[i] -= 1
+        counts[i + 1] += y
+        ys = counts[i + 1]
+        u = rng.random()
+        if counts[i] or ys & 1:
+            bit = 0 if u < 0.5 else 1
+        else:  # the copy's last outcome, fixed by the parity law
+            bit = (ys >> 1 ^ counts[i + 2] ^ flip) & 1
+        counts[i + 2] ^= bit ^ flip
+        return bit, self
 
 
 def measurement_probabilities(state: PureStateVector, bases) -> np.ndarray:

@@ -18,3 +18,13 @@ def hermitian_pauli(x_bits, z_bits) -> PauliOperator:
     for a, b in zip(x_bits, z_bits):
         x, z = x << 1 | int(a) & 1, z << 1 | int(b) & 1
     return PauliOperator(len(x_bits), x, z, (x & z).bit_count())
+
+
+class FixedDraw:
+    """Stands in for a Generator whose next uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u

@@ -38,31 +38,29 @@ def test_kraus_completeness(spec):
 
 def test_channel_terms_are_built_once_per_width():
     ch = ChannelSpec("depolarizing", depolarizing(0.2), ("a",))
-    # the tables are keyed by mixture and width, so another spec with the
-    # same mixture shares them whatever its targets
+    # the Kraus terms are keyed by mixture and width, so another spec with
+    # the same mixture shares them whatever its targets; the superoperator
+    # is built from them on each call
     same = ChannelSpec("depolarizing", depolarizing(0.2), ("b", "c"))
     for width in (1, 2):
         kraus, sup = ch.kraus_terms(width), ch.superoperator(width)
         assert ch.kraus_terms(width) is kraus
-        assert ch.superoperator(width) is sup
         assert same.kraus_terms(width) is kraus
-        assert same.superoperator(width) is sup
-        assert not kraus.flags.writeable and not sup.flags.writeable
+        assert not kraus.flags.writeable
+        assert np.array_equal(same.superoperator(width), sup)
         want = sum(np.kron(k, k.conj()) for k in kraus)
         assert np.abs(sup - want).max() <= 1e-15
 
 
 def test_channel_tables_above_the_byte_cap_are_rebuilt():
     ch = ChannelSpec("depolarizing", depolarizing(0.3), ("a",))
-    # 3 qubits: 64 terms of 8 x 8 and a 64 x 64 superoperator, 64 KiB each
+    # 3 qubits: 64 terms of 8 x 8, 64 KiB, kept
     assert ch.kraus_terms(3) is ch.kraus_terms(3)
-    assert ch.superoperator(3) is ch.superoperator(3)
-    # 4 qubits: 1 MiB each, built anew on every call and still read-only
-    for table in (ch.kraus_terms, ch.superoperator):
-        first, again = table(4), table(4)
-        assert first is not again and np.array_equal(first, again)
-        assert not first.flags.writeable
-    assert ch.kraus_terms(4).nbytes == ch.superoperator(4).nbytes == 2 ** 20
+    # 4 qubits: 1 MiB, built anew on every call and still read-only
+    first, again = ch.kraus_terms(4), ch.kraus_terms(4)
+    assert first is not again and np.array_equal(first, again)
+    assert not first.flags.writeable
+    assert first.nbytes == ch.superoperator(4).nbytes == 2 ** 20
 
 
 def test_depolarizing_output_fidelity():

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import FixedDraw
 from qkdnet import auth, protocol, states
 from qkdnet.adversary import AdversarySpec, parse_adversary
 from qkdnet.analysis import protocol_statistics
@@ -456,17 +458,165 @@ def test_transit_matches_the_dense_chain_round_by_round(monkeypatch, spec):
     assert len(skips) > 30
 
 
-def test_untouched_blocks_leave_the_initial_state_as_it_is():
+def test_untouched_blocks_leave_the_initial_state_as_it_is(monkeypatch):
     config = NetworkConfig(n=3, m=1, t=2, rounds=1, protocol=2)
     rng = np.random.default_rng(0)
     channels = {mu: [] for mu in config.members}
     families = protocol._build_families(config, channels, rng)
     assert families == {mu: None for mu in config.members}
     initial = protocol._initial_state(config)
+    dense_rng, dense_aborts = copy.deepcopy(rng), []
+    assert protocol._transit(config, families, channels, initial, dense_rng,
+                             dense_aborts, 0) is initial
+
+    def no_amplitudes(*args, **kwargs):
+        raise AssertionError("a frame round built amplitudes")
+
+    for name in ("apply_pauli", "apply_isometry", "measure_pauli",
+                 "measure_qubit", "tensor", "permute_labels"):
+        monkeypatch.setattr(states, name, no_amplitudes)
     aborts = []
-    assert protocol._transit(config, families, channels, initial, rng,
-                             aborts, 0) is initial
-    assert aborts == []
+    frame = protocol._transit(config, families, channels,
+                              states.PauliFrame(initial), rng, aborts, 0)
+    assert isinstance(frame, states.PauliFrame) and frame.flips == {}
+    assert frame.densify() is initial
+    assert aborts == dense_aborts == []
+    assert rng.bit_generator.state == dense_rng.bit_generator.state
+
+
+@st.composite
+def _frame_rounds(draw):
+    """A config, up to three channels of the kinds that draw Pauli errors
+    without measuring, and a seed."""
+    protocol_, auth_ = draw(st.sampled_from([1, 2])), draw(st.booleans())
+    n = draw(st.integers(2, 4))
+    t = 2 if auth_ else draw(st.integers(1, 2))
+    width = 4 if auth_ else t  # an authenticated block is (2, 2)'s u = 4
+    config = NetworkConfig(n=n, m=draw(st.integers(1, n - 1)), t=t,
+                           rounds=1, protocol=protocol_, auth_enabled=auth_)
+    p = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    block = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=width,
+                                  max_size=width)))
+    table = (f"{block}=1" if block == "I" * width
+             else f"{'I' * width}={1 - p!r};{block}={p!r}")
+    kinds = ["identity", f"depolarize:p={p!r}",
+             "pauli:I=0.5;X=0.2;Y=0.1;Z=0.2", f"pauli:{table}",
+             f"fixed-pauli:op={block}", "fixed-pauli:op=Y"]
+    chosen = draw(st.lists(st.tuples(st.sampled_from(kinds),
+                                     st.integers(1, n)), max_size=3))
+    spec = ",".join(f"{kind}@m{member}" for kind, member in chosen)
+    return config, spec, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _play_round(config, families, channels, start, seed):
+    """Transit, then member and center measurements, of one round from
+    ``start``: (dense state after transit, bases, outcomes, center
+    outcomes), or the aborts of a syndrome reject; and the generator."""
+    rng = np.random.default_rng(seed)
+    aborts = []
+    state = protocol._transit(config, families, channels, start, rng,
+                              aborts, 0)
+    if state is None:
+        return aborts, rng.bit_generator.state
+    dense = (state.densify() if isinstance(state, states.PauliFrame)
+             else state)
+    bases, outcomes, state = protocol._measure_members(
+        config.members, config.t, state, rng)
+    center = []
+    if config.protocol == 2:
+        # the honest basis fixes the center's outcome; a lie about a
+        # member's basis reaches the round only as the other basis
+        for c in range(config.t):
+            ys = sum(bases[mu][c] == "Y" for mu in config.members)
+            cb = "XY"[(ys + (seed >> 2 * c & 3 == 0)) % 2]
+            bit, state = protocol._measurer(state)(
+                state, (protocol.CENTER, c), cb, rng)
+            center.append(bit)
+    return (dense, bases, outcomes, center), rng.bit_generator.state
+
+
+@settings(deadline=None, max_examples=150)
+@given(_frame_rounds())
+def test_frame_rounds_match_dense_rounds(run):
+    config, spec, seed = run
+    adversary = parse_adversary(spec)
+    channels = {mu: adversary.channels_for(mu) for mu in config.members}
+    families = (protocol._build_families(config, channels,
+                                         np.random.default_rng(seed))
+                if config.auth_enabled else None)
+    initial = protocol._initial_state(config)
+    p0s = []
+
+    def frame_measure(frame, label, basis, rng):
+        # p(0) read off two copies measured with the draws 0 and 1 - 2^-53:
+        # bits (0, 1) for p(0) = 1/2, (0, 0) for 1 and (1, 1) for 0
+        bits = tuple(on_frame(frame.copy(), label, basis, FixedDraw(u))[0]
+                     for u in (0.0, 1 - 2 ** -53))
+        p0s.append({(0, 1): 0.5, (0, 0): 1.0, (1, 1): 0.0}[bits])
+        return on_frame(frame, label, basis, rng)
+
+    def dense_measure(state, label, basis, rng):
+        p0s.append(states._project(state.amplitudes, state.axis(label),
+                                   basis)[1])
+        return on_amplitudes(state, label, basis, rng)
+
+    on_frame, on_amplitudes = states.PauliFrame.measure, states.measure_qubit
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states.PauliFrame, "measure", frame_measure)
+        patch.setattr(states, "measure_qubit", dense_measure)
+        for rnd in range(8):
+            _check_round(config, families, channels, initial, seed + rnd, p0s)
+
+
+def _check_round(config, families, channels, initial, seed, p0s):
+    """One round on a frame and on its dense state (densified first) from
+    one seed: the same draws, bits and state, and p(0)s within 1e-12."""
+    runs = []
+    for start in (states.PauliFrame(initial),
+                  states.PauliFrame(initial).densify()):
+        p0s.clear()
+        runs.append((*_play_round(config, families, channels, start, seed),
+                     list(p0s)))
+    (frame, frame_gen, frame_p0s), (dense, dense_gen, dense_p0s) = runs
+    assert frame_gen == dense_gen
+    assert np.allclose(frame_p0s, dense_p0s, rtol=0, atol=1e-12)
+    if isinstance(frame, list):  # a syndrome reject's aborts
+        assert frame == dense
+        return
+    assert frame[1:] == dense[1:]
+    # the frame leaves transit as the dense path's state, up to a global
+    # phase
+    got, want = frame[0], states.permute_labels(dense[0], frame[0].labels)
+    assert abs(abs(np.vdot(got.amplitudes, want.amplitudes)) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("auth_enabled", [False, True])
+def test_an_intercept_turns_a_frame_dense(auth_enabled):
+    config = NetworkConfig(n=3, m=1, t=2, rounds=1, protocol=2,
+                           auth_enabled=auth_enabled)
+    adversary = parse_adversary("depolarize:p=0.5@m1,intercept@m2,"
+                                "fixed-pauli:op=Y@m3")
+    channels = {mu: adversary.channels_for(mu) for mu in config.members}
+    families = (protocol._build_families(config, channels,
+                                         np.random.default_rng(0))
+                if auth_enabled else None)
+    initial = protocol._initial_state(config)
+    for seed in range(20):
+        got = []
+        for start in (states.PauliFrame(initial), initial):
+            rng, aborts = np.random.default_rng(seed), []
+            state = protocol._transit(config, families, channels, start, rng,
+                                      aborts, 0)
+            got.append((state, aborts, rng.bit_generator.state))
+        (frame, *frame_rest), (dense, *dense_rest) = got
+        assert frame_rest == dense_rest
+        if dense is None:
+            assert frame is None
+            continue
+        # the same state up to the global phase of the errors' order
+        assert isinstance(frame, states.PureStateVector)
+        want = states.permute_labels(dense, frame.labels).amplitudes
+        assert abs(abs(np.vdot(frame.amplitudes, want)) - 1) <= 1e-12
 
 
 def test_initial_state_is_read_only_and_shared(monkeypatch):

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import FixedDraw
 from qkdnet import states
 from qkdnet.adversary import ChannelSpec, depolarizing
 from qkdnet.errors import CapacityError, InvalidArgumentError
@@ -88,6 +89,35 @@ def test_cat_copies_are_copy_major_plus_cats():
     want = np.zeros((8, 8))
     want[np.ix_([0, 7], [0, 7])] = 0.5
     assert np.abs(state.amplitudes - want.ravel()).max() <= 1e-15
+
+
+def test_pauli_frame_densifies_copies_and_refuses_bad_input():
+    initial = states.cat_copies(["a", "b"], 2)
+    frame = states.PauliFrame(initial)
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidArgumentError, match="X or Y"):
+        frame.measure(("a", 0), "Z", rng)
+    with pytest.raises(InvalidArgumentError, match="unknown label"):
+        frame.measure(("c", 0), "X", rng)
+    with pytest.raises(InvalidArgumentError, match="unknown label"):
+        frame.apply_pauli(PauliOperator.from_string("X"), [("c", 0)])
+    with pytest.raises(InvalidArgumentError, match="Pauli width"):
+        frame.apply_pauli(PauliOperator.from_string("XX"), [("a", 0)])
+    state = rng.bit_generator.state
+    assert frame.densify() is initial  # nothing drawn, nothing applied
+    frame.apply_pauli(PauliOperator.from_string("YZ"), [("a", 0), ("b", 1)])
+    want = states.apply_pauli(initial, PauliOperator.from_string("YZ"),
+                              [("a", 0), ("b", 1)])
+    got = frame.densify()
+    assert abs(abs(np.vdot(got.amplitudes, want.amplitudes)) - 1) <= 1e-12
+    copy = frame.copy()
+    frame.measure(("a", 0), "X", rng)
+    assert rng.bit_generator.state != state  # one draw, as measure_qubit
+    with pytest.raises(InvalidArgumentError, match="unknown label"):
+        frame.measure(("a", 0), "X", rng)  # measured already
+    with pytest.raises(InvalidArgumentError, match="measured frame"):
+        frame.densify()
+    assert copy.densify().labels == initial.labels  # the copy is untouched
 
 
 def test_apply_pauli_matches_dense():
@@ -189,16 +219,6 @@ def test_invalid_inputs_rejected():
 # differential tests: the vector kernels against dense matrices
 # --------------------------------------------------------------------------
 
-class _FixedDraw:
-    """Stands in for a Generator whose next uniform draw is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 def _random_state(rng, n):
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return PureStateVector(tuple(states.default_labels(n)),
@@ -270,7 +290,7 @@ def test_measure_qubit_matches_marginals_and_projectors():
         p0 = joint.sum(axis=tuple(a for a in range(n) if a != ax))[0]
         # outcome 0 iff the uniform draw falls below the branch probability
         for u, want_bit in ((p0 - 1e-9, 0), (p0 + 1e-9, 1)):
-            bit, post = measure_qubit(st, label, basis, _FixedDraw(u))
+            bit, post = measure_qubit(st, label, basis, FixedDraw(u))
             assert bit == want_bit
             evec = states.eigenvectors(basis)[bit]
             ref = _qubit_projector_row(evec, ax, n) @ st.amplitudes
@@ -310,7 +330,7 @@ def test_memoized_measurement_equals_a_fresh_one_bit_for_bit():
                 draws = [p0 - 1e-9, p0 + 1e-9]
                 # a miss, then hits, drawing branch 0 or branch 1 first
                 for u in (draws if ax % 2 else draws[::-1]) * 2:
-                    bit, post = measure_qubit(st, label, basis, _FixedDraw(u))
+                    bit, post = measure_qubit(st, label, basis, FixedDraw(u))
                     want_bit, want, _ = _unmemoized_measurement(
                         st, label, basis, u)
                     assert bit == want_bit
@@ -320,11 +340,11 @@ def test_memoized_measurement_equals_a_fresh_one_bit_for_bit():
 
 def test_measure_qubit_checks_its_arguments_before_the_memo():
     st = make_cat(3, PHI_PLUS)
-    measure_qubit(st, ("q", 1), "X", _FixedDraw(0.5))  # now in the memo
+    measure_qubit(st, ("q", 1), "X", FixedDraw(0.5))  # now in the memo
     for label, basis in ((("q", 7), "X"), (("q", [1]), "X"), (("q", 1), "Q"),
                          (("q", 1), "x"), (("q", 1), ["X"])):
         with pytest.raises(InvalidArgumentError):
-            measure_qubit(st, label, basis, _FixedDraw(0.5))
+            measure_qubit(st, label, basis, FixedDraw(0.5))
 
 
 def test_measured_post_states_are_read_only():
@@ -332,7 +352,7 @@ def test_measured_post_states_are_read_only():
     for n in (3, 9):  # inside and above the memo's width cap
         st = _random_state(rng, n)
         for u in (0.0, 1.0):
-            _, post = measure_qubit(st, st.labels[0], "Y", _FixedDraw(u))
+            _, post = measure_qubit(st, st.labels[0], "Y", FixedDraw(u))
             with pytest.raises(ValueError):
                 post.amplitudes[0] = 0.0
 
@@ -388,7 +408,7 @@ def test_threads_share_the_measure_memo():
         start.wait(timeout=30)
         for _ in range(3):
             for st, label, basis, u, want_bit, want in draws:
-                bit, post = measure_qubit(st, label, basis, _FixedDraw(u))
+                bit, post = measure_qubit(st, label, basis, FixedDraw(u))
                 out.append(bit == want_bit
                            and np.array_equal(post.amplitudes, want))
 
@@ -425,7 +445,7 @@ def test_measure_pauli_matches_dense_projectors():
         pplus = np.vdot(plus, plus).real
         for u, want_bit in ((pplus - 1e-9, 0), (pplus + 1e-9, 1)):
             bit, post = states.measure_pauli(st, pauli, labels,
-                                             _FixedDraw(u))
+                                             FixedDraw(u))
             assert bit == want_bit
             sign = 1 if bit == 0 else -1
             ref = (eye + sign * dense) / 2 @ st.amplitudes
