@@ -178,11 +178,13 @@ class ChannelSpec:
         return drawn
 
     def sample_apply(self, state, labels, rng):
-        """Apply one stochastic trajectory of the channel to a pure state:
-        one Pauli drawn from the mixture per qubit or per block."""
+        """Apply one stochastic trajectory of the channel to a pure state
+        or a ``states.PauliFrame``, which an intercept densifies first: one
+        Pauli drawn from the mixture per qubit or per block."""
         if self.kind == INTERCEPT_RESEND:
             # measure in a random basis and resend the eigenstate: the
             # channel of its mixture, drawing a basis and an outcome per qubit
+            state = state.densify()
             bases = [pstr for pstr, _ in self.mixture[1:]]
             for lab in map(tuple, labels):
                 basis = bases[rng.integers(0, len(bases))]

@@ -9,20 +9,19 @@ Protocol 2: the center keeps one qubit per copy in memory, chooses its own
 measurement direction after the members announce theirs (so the joint
 parity is always even), and reveals its outcome; no round is discarded.
 
-A round starts as the run's cat copies under an identity Pauli frame
-(``states.PauliFrame``), with no amplitudes, and stays on it while every
-step is a Pauli: without authentication, each channel's drawn Pauli errors
-are XORed into the frame; with it, a block with no error drawn, such as
-one that no channel targets, takes only the receive's random draws and
-passes on unchanged, as the dense chain would return it.  Members and the
-center then measure on the frame by the cat parity law.  A round leaves
-the frame for the dense state when an intercept-resend channel measures
-a block, or when an authenticated block draws an error and so takes the
-dense pad, encode, channel, syndrome, decode and unpad chain; from then on
-it runs on amplitudes.  A run with an intercept channel leaves the frame
-in every round, so its rounds start dense and build no frame.  Only a
-member that some transit channel targets gets a code family.  Every RNG
-draw keeps its order and number, so both paths give the same transcript.
+Every round starts as a copy of the run's one identity Pauli frame
+(``states.PauliFrame``) over its cat copies.  ``states.apply_pauli`` and
+``states.measure_qubit`` take a frame or amplitudes alike, and a step
+that needs amplitudes calls ``densify`` first, which leaves a dense state
+as it is; so the protocol never asks which form a round is in.  A round
+stays on the frame while every step is a Pauli: a channel's drawn errors
+are XORed into it, and an authenticated block with no error drawn, such
+as one that no channel targets, takes only the receive's random draws.
+It goes dense when an intercept-resend channel measures a block, or when
+an authenticated block draws an error and takes the dense pad, encode,
+channel, syndrome, decode and unpad chain.  Only a member that some
+transit channel targets gets a code family.  Every RNG draw keeps its
+order and number, so both forms give the same transcript.
 """
 from __future__ import annotations
 
@@ -269,12 +268,9 @@ def _transit(config, families, channels, state, rng, aborts, round_index):
     """Send each member's block through its channels, authenticated unless
     ``families`` is None; returns the state, or None on a syndrome reject.
 
-    ``state`` is the round's start: a fresh ``states.PauliFrame``, or the
-    initial state itself.  A frame is returned as long as every step was a
-    Pauli; an intercept, or a dense chain, first turns it into its dense
-    state.  Without authentication, each channel's Pauli errors are XORed
-    into a frame or applied to a dense state, and an intercept-resend
-    measures the dense block.
+    ``state`` is a fresh ``states.PauliFrame`` or a dense state, returned
+    as a frame while every step is a Pauli.  Without authentication, each
+    channel takes one ``sample_apply``; only an intercept densifies.
 
     With authentication, every block follows one rule.  It draws its keys,
     then each of its channels' Pauli errors in declaration order.  If no
@@ -290,13 +286,7 @@ def _transit(config, families, channels, state, rng, aborts, round_index):
         if families is None:
             block = [(mu, c) for c in range(config.t)]
             for ch in member_channels:
-                if not isinstance(state, states.PauliFrame):
-                    state = ch.sample_apply(state, block, rng)
-                elif ch.kind == attacks.INTERCEPT_RESEND:
-                    state = ch.sample_apply(state.densify(), block, rng)
-                else:
-                    for op, labels in ch.draw_paulis(block, rng):
-                        state.apply_pauli(op, labels)
+                state = ch.sample_apply(state, block, rng)
             continue
         keys = auth.keygen(r, s, rng)
         intercepted = any(ch.kind == attacks.INTERCEPT_RESEND
@@ -307,8 +297,7 @@ def _transit(config, families, channels, state, rng, aborts, round_index):
         if not (intercepted or errors):
             auth.untouched_receive(s, rng)
             continue
-        if isinstance(state, states.PauliFrame):
-            state = state.densify()
+        state = state.densify()
         fam = families[mu]
         block = [(mu, c) for c in range(config.t)]
         phys = [(mu, i) for i in range(fam.u)]
@@ -329,16 +318,7 @@ def _transit(config, families, channels, state, rng, aborts, round_index):
     return state
 
 
-def _measurer(state):
-    """The function that measures one qubit of ``state``, as
-    ``states.measure_qubit`` does: the frame's own on a frame."""
-    if isinstance(state, states.PauliFrame):
-        return states.PauliFrame.measure
-    return states.measure_qubit
-
-
 def _measure_members(members, t, state, rng):
-    measure = _measurer(state)
     bases = {}
     outcomes = {}
     for mu in members:
@@ -346,7 +326,7 @@ def _measure_members(members, t, state, rng):
         outcomes[mu] = []
         for c in range(t):
             b = "X" if rng.integers(0, 2) == 0 else "Y"
-            bit, state = measure(state, (mu, c), b, rng)
+            bit, state = states.measure_qubit(state, (mu, c), b, rng)
             bases[mu].append(b)
             outcomes[mu].append(bit)
     return bases, outcomes, state
@@ -423,22 +403,15 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
                 if config.auth_enabled else None)
     transcript = Transcript(config=config, seed=int(seed))
     center_drop = adversary.dishonest_for(CENTER)
-    initial = _initial_state(config)
-    # an intercept measures amplitudes, so its run would leave the frame in
-    # every round: its rounds start dense and build none
-    intercepted = any(ch.kind == attacks.INTERCEPT_RESEND
-                      for ch in adversary.channels)
-    identity = None if intercepted else states.PauliFrame(initial)
+    identity = states.PauliFrame(_initial_state(config))
     dishonest = {mu: adversary.dishonest_for(mu) for mu in members}
     for rnd in range(config.rounds):
-        start = initial if identity is None else identity.copy()
-        state = _transit(config, families, channels, start, rng,
+        state = _transit(config, families, channels, identity.copy(), rng,
                          transcript.aborts, rnd)
         if state is None:
             continue
         bases, outcomes, state = _measure_members(members, config.t, state,
                                                   rng)
-        measure = _measurer(state)
         announced = _announced_bases(dishonest, bases, rng)
         if config.protocol == 2 and center_drop is not None:
             transcript.aborts.append({"round": rnd,
@@ -453,7 +426,7 @@ def _run(config: NetworkConfig, adversary: AdversarySpec, seed: int,
                               y_a=y_a, y_b=y_b)
             if config.protocol == 2:
                 cb = "Y" if (y_a + y_b) % 2 == 1 else "X"
-                bit, state = measure(state, (CENTER, c), cb, rng)
+                bit, state = states.measure_qubit(state, (CENTER, c), cb, rng)
                 if center_drop is None:  # silent-drop withholds both
                     rec.center_basis, rec.center_outcome = cb, bit
             rec.m_a = _collect_party_parity(party_a, dishonest, outcomes, c,

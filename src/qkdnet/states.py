@@ -5,8 +5,9 @@ label is the most significant bit of the amplitude index.  Everything is
 plain complex128 numpy; ``check_capacity`` caps a state at ``MAX_QUBITS``.
 Pauli actions, measurements and isometries act on pure states; density
 matrices serve the Pauli channels and the metrics.  ``PauliFrame`` holds
-cat copies under Pauli errors as bits, and measures them by the cat
-parity law without amplitudes.
+cat copies under Pauli errors as bits; ``apply_pauli`` and
+``measure_qubit`` take it as they take amplitudes, and ``densify`` gives
+either's amplitudes to a caller that needs them.
 
 Inputs are validated; the results of ``measure_qubit``, ``apply_pauli``,
 ``measure_pauli`` and ``apply_isometry`` are trusted to have the labels and
@@ -70,6 +71,12 @@ def check_capacity(num_qubits: int, what: str) -> None:
                             f"cap of {MAX_QUBITS}")
 
 
+def _check_unique(items) -> None:
+    """Refuse a repeated qubit label, or the index or mask bit of one."""
+    if len(set(items)) != len(items):
+        raise InvalidArgumentError("qubit labels must be unique")
+
+
 @dataclass
 class _Labelled:
     """A state on the qubits of its ``labels`` tuple, first label on top."""
@@ -78,8 +85,7 @@ class _Labelled:
 
     def __post_init__(self):
         self.labels = tuple(map(tuple, self.labels))
-        if len(set(self.labels)) != len(self.labels):
-            raise InvalidArgumentError("qubit labels must be unique")
+        _check_unique(self.labels)
         check_capacity(len(self.labels), "a state")
 
     @property
@@ -87,11 +93,10 @@ class _Labelled:
         return len(self.labels)
 
     def axis(self, label) -> int:
-        label = tuple(label)
         try:
-            return self.labels.index(label)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"unknown label {label!r}") from exc
+            return self.labels.index(tuple(label))
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(f"unknown label {label!r}") from None
 
 
 @dataclass
@@ -104,6 +109,10 @@ class PureStateVector(_Labelled):
         if len(self.amplitudes) != 2 ** len(self.labels):
             raise InvalidArgumentError("amplitude length must be 2^(#labels)")
         _check_norm(self.amplitudes)
+
+    def densify(self) -> "PureStateVector":
+        """The state itself, as ``PauliFrame.densify`` gives a frame's."""
+        return self
 
 
 def _check_norm(amplitudes: np.ndarray) -> None:
@@ -249,15 +258,7 @@ def pauli_on_vector(vec: np.ndarray, pauli: PauliOperator,
                     positions) -> np.ndarray:
     """``pauli`` on an amplitude vector or each column of a (2^q, c) block;
     its qubit i acts on index bit ``positions[i]`` (bit 0 the lowest)."""
-    x, z = pauli.x, pauli.z
-    xmask = zmask = 0
-    bit = 1 << pauli.n
-    for pos in positions:  # qubit i is mask bit n-1-i
-        bit >>= 1
-        if x & bit:
-            xmask |= 1 << pos
-        if z & bit:
-            zmask |= 1 << pos
+    xmask, zmask = _masks(pauli, positions)
     # P|j> = i^phase (-1)^popcount(j & z) |j ^ x>: row i is row j = i ^ x
     src = _INDEX[:len(vec)] ^ xmask if xmask else _INDEX[:len(vec)]
     out = vec.take(src, axis=0) if xmask else vec.copy()
@@ -269,19 +270,37 @@ def pauli_on_vector(vec: np.ndarray, pauli: PauliOperator,
     return out
 
 
-def _positions(state: PureStateVector, labels, pauli: PauliOperator) -> list:
-    """Index bit of each label, checked against the Pauli's width."""
+def _masks(pauli: PauliOperator, positions) -> tuple:
+    """``pauli``'s x and z masks, its qubit i moved to bit positions[i]."""
+    x, z = pauli.x, pauli.z
+    xmask = zmask = 0
+    bit = 1 << pauli.n
+    for pos in positions:  # qubit i is mask bit n-1-i
+        bit >>= 1
+        if x & bit:
+            xmask |= 1 << pos
+        if z & bit:
+            zmask |= 1 << pos
+    return xmask, zmask
+
+
+def _positions(state, labels, pauli: PauliOperator) -> list:
+    """Each label's index bit, checked for the Pauli's width and repeats."""
     if len(labels) != pauli.n:
         raise InvalidArgumentError("label count must match Pauli width")
     q = state.num_qubits
-    return [q - 1 - state.axis(lab) for lab in labels]
+    positions = [q - 1 - state.axis(lab) for lab in labels]
+    _check_unique(positions)
+    return positions
 
 
-def apply_pauli(state: PureStateVector, pauli: PauliOperator,
-                labels=None) -> PureStateVector:
-    """Apply a Pauli to the given labels (default: all, in label order)."""
+def apply_pauli(state, pauli: PauliOperator, labels=None):
+    """Apply a Pauli to the given labels (default: all, in label order),
+    in place on a ``PauliFrame``."""
     if labels is None:
         labels = state.labels
+    if isinstance(state, PauliFrame):
+        return state.apply_pauli(pauli, labels)
     positions = _positions(state, labels, pauli)
     return _derived(state.labels,
                     pauli_on_vector(state.amplitudes, pauli, positions))
@@ -309,13 +328,15 @@ _MEMO_ENTRIES = 256  # measurements the memo keeps, least recently used out
 _MEMO_MAX_AMPLITUDES = 2 ** 4  # wider states skip the memo
 
 
-def measure_qubit(state: PureStateVector, label, basis, rng):
+def measure_qubit(state, label, basis, rng):
     """Destructively measure one qubit; returns (bit, state without label).
 
     The post-state is read-only and, for a state of at most
     ``_MEMO_MAX_AMPLITUDES`` amplitudes, shared by every call that measures
-    the same state, qubit and axis.
+    the same state, qubit and axis.  A ``PauliFrame`` measures itself.
     """
+    if isinstance(state, PauliFrame):
+        return state.measure(label, basis, rng)
     eigenvectors(basis)  # rejects an unknown axis
     ax, amps = state.axis(label), state.amplitudes
     if len(amps) <= _MEMO_MAX_AMPLITUDES:
@@ -360,74 +381,75 @@ class PauliFrame:
 
     ``initial`` holds copies on labels ``(owner, copy)``, as ``cat_copies``
     builds them, in any label order.  The frame stands for ``initial``
-    with X^x Z^z on each label of ``flips`` (label -> (x, z)), up to a
-    global phase; ``densify`` builds that state.  ``measure`` draws an X or
-    Y outcome as ``measure_qubit`` does, by the parity law: a copy's
-    outcome parity is half its Y count, flipped by z per X and by x ^ z
-    per Y measurement.  So each outcome is uniform, except a copy's last
-    when its Y count is even.  Per copy the frame counts the qubits left,
-    the Y count and the parity of the outcomes and flips so far.
+    under ``PauliOperator(num_qubits, x, z)``, up to a global phase;
+    ``densify`` builds that state.  Its ``labels``, ``num_qubits`` and
+    ``axis`` are ``initial``'s, except that ``axis`` refuses a measured
+    label.  ``measure`` draws as ``measure_qubit`` does, by the parity
+    law: a copy's outcome parity is half its Y count, flipped by z per X
+    and by x ^ z per Y measurement.  So each outcome is uniform, except a
+    copy's last when its Y count is even.  Per copy the frame counts the
+    qubits left, the Y count and the parity of the outcomes and flips.
     """
 
-    __slots__ = ("initial", "flips", "_open", "_counts")
+    __slots__ = ("initial", "labels", "num_qubits", "x", "z", "_open",
+                 "_copy_of", "_counts")
 
     def __init__(self, initial: PureStateVector):
-        self.initial = initial
-        self.flips = {}
+        self.initial, self.labels = initial, initial.labels
+        self.num_qubits, self.x, self.z = initial.num_qubits, 0, 0
+        self._open = (1 << self.num_qubits) - 1  # the unmeasured labels
         copies = list(dict.fromkeys(copy for _, copy in initial.labels))
-        # each unmeasured label -> the index of its copy's three counters
-        self._open = {label: 3 * copies.index(label[1])
-                      for label in initial.labels}
+        # label k -> the index of its copy's three counters
+        self._copy_of = [3 * copies.index(copy) for _, copy in initial.labels]
         self._counts = [0, 0, 0] * len(copies)
-        for i in self._open.values():
+        for i in self._copy_of:
             self._counts[i] += 1
 
     def copy(self) -> "PauliFrame":
         """An independent frame in the same state, cheaper than a new one."""
         frame = object.__new__(PauliFrame)
-        frame.initial, frame.flips = self.initial, dict(self.flips)
-        frame._open, frame._counts = dict(self._open), self._counts[:]
+        frame.initial, frame.labels = self.initial, self.labels
+        frame.num_qubits = self.num_qubits
+        frame.x, frame.z, frame._open = self.x, self.z, self._open
+        frame._copy_of, frame._counts = self._copy_of, self._counts[:]
         return frame
 
-    def apply_pauli(self, pauli: PauliOperator, labels) -> None:
-        """Multiply the frame by ``pauli``, its qubit i on ``labels[i]``."""
-        if len(labels) != pauli.n:
-            raise InvalidArgumentError("label count must match Pauli width")
-        for shift, label in enumerate(reversed(labels)):
-            x, z = pauli.x >> shift & 1, pauli.z >> shift & 1
-            if x or z:
-                label = tuple(label)
-                if label not in self._open:
-                    raise InvalidArgumentError(f"unknown label {label!r}")
-                fx, fz = self.flips.get(label, (0, 0))
-                self.flips[label] = (fx ^ x, fz ^ z)
+    def axis(self, label) -> int:
+        """The index of ``label`` in ``initial.labels``, if unmeasured."""
+        k = self.initial.axis(label)
+        if not self._open >> self.num_qubits - 1 - k & 1:
+            raise InvalidArgumentError(f"unknown label {label!r}")
+        return k
+
+    def apply_pauli(self, pauli: PauliOperator, labels) -> "PauliFrame":
+        """Multiply the frame by ``pauli``, its qubit i on ``labels[i]``;
+        returns the frame."""
+        x, z = _masks(pauli, _positions(self, labels, pauli))
+        self.x ^= x
+        self.z ^= z
+        return self
 
     def densify(self) -> PureStateVector:
         """The state the frame stands for: one ``apply_pauli`` on
         ``initial``, or ``initial`` itself under the identity."""
-        if len(self._open) != self.initial.num_qubits:
+        n = self.num_qubits
+        if self._open != (1 << n) - 1:
             raise InvalidArgumentError("a measured frame has no dense form")
-        if not self.flips:
+        if not (self.x or self.z):
             return self.initial
-        x = z = 0
-        for fx, fz in self.flips.values():
-            x, z = x << 1 | fx, z << 1 | fz
-        return apply_pauli(self.initial, PauliOperator(len(self.flips), x, z),
-                           list(self.flips))
+        return apply_pauli(self.initial, PauliOperator(n, self.x, self.z))
 
-    def measure(self, label: tuple, basis: str, rng):
+    def measure(self, label, basis: str, rng):
         """Measure ``label`` in X or Y with one ``rng.random()``, as
         ``measure_qubit`` does; returns (bit, this frame without it)."""
         if basis not in ("X", "Y"):
             raise InvalidArgumentError(
                 f"a frame measures X or Y, not {basis!r}")
-        try:
-            i = self._open.pop(label)
-        except (KeyError, TypeError):
-            raise InvalidArgumentError(f"unknown label {label!r}") from None
-        x, z = self.flips.get(label, (0, 0))
+        k = self.axis(label)
+        mask, i = 1 << self.num_qubits - 1 - k, self._copy_of[k]
+        self._open ^= mask
         y = basis == "Y"
-        flip = z ^ x if y else z
+        flip = ((self.x if y else 0) ^ self.z) & mask != 0
         counts = self._counts
         counts[i] -= 1
         counts[i + 1] += y
@@ -467,9 +489,9 @@ def apply_isometry(state: PureStateVector, matrix, in_labels,
     k = len(in_labels)
     if matrix.shape != (2 ** len(out_labels), 2 ** k):
         raise InvalidArgumentError("isometry shape mismatch")
+    _check_unique(in_labels)
+    _check_unique(out_labels)
     ins = set(in_labels)
-    if len(ins) != k or len(set(out_labels)) != len(out_labels):
-        raise InvalidArgumentError("qubit labels must be unique")
     q = state.num_qubits
     keep = [i for i, l in enumerate(state.labels) if l not in ins]
     rest = tuple(state.labels[i] for i in keep)

@@ -478,7 +478,7 @@ def test_untouched_blocks_leave_the_initial_state_as_it_is(monkeypatch):
     aborts = []
     frame = protocol._transit(config, families, channels,
                               states.PauliFrame(initial), rng, aborts, 0)
-    assert isinstance(frame, states.PauliFrame) and frame.flips == {}
+    assert isinstance(frame, states.PauliFrame) and frame.x == frame.z == 0
     assert frame.densify() is initial
     assert aborts == dense_aborts == []
     assert rng.bit_generator.state == dense_rng.bit_generator.state
@@ -486,8 +486,8 @@ def test_untouched_blocks_leave_the_initial_state_as_it_is(monkeypatch):
 
 @st.composite
 def _frame_rounds(draw):
-    """A config, up to three channels of the kinds that draw Pauli errors
-    without measuring, and a seed."""
+    """A config, up to three transit channels of any kind, intercept-resend
+    included, and a seed."""
     protocol_, auth_ = draw(st.sampled_from([1, 2])), draw(st.booleans())
     n = draw(st.integers(2, 4))
     t = 2 if auth_ else draw(st.integers(1, 2))
@@ -501,7 +501,8 @@ def _frame_rounds(draw):
              else f"{'I' * width}={1 - p!r};{block}={p!r}")
     kinds = ["identity", f"depolarize:p={p!r}",
              "pauli:I=0.5;X=0.2;Y=0.1;Z=0.2", f"pauli:{table}",
-             f"fixed-pauli:op={block}", "fixed-pauli:op=Y"]
+             f"fixed-pauli:op={block}", "fixed-pauli:op=Y", "intercept",
+             "intercept:bases=XYZ", "intercept:bases=Z"]
     chosen = draw(st.lists(st.tuples(st.sampled_from(kinds),
                                      st.integers(1, n)), max_size=3))
     spec = ",".join(f"{kind}@m{member}" for kind, member in chosen)
@@ -518,8 +519,7 @@ def _play_round(config, families, channels, start, seed):
                               aborts, 0)
     if state is None:
         return aborts, rng.bit_generator.state
-    dense = (state.densify() if isinstance(state, states.PauliFrame)
-             else state)
+    dense = state.densify()
     bases, outcomes, state = protocol._measure_members(
         config.members, config.t, state, rng)
     center = []
@@ -529,8 +529,8 @@ def _play_round(config, families, channels, start, seed):
         for c in range(config.t):
             ys = sum(bases[mu][c] == "Y" for mu in config.members)
             cb = "XY"[(ys + (seed >> 2 * c & 3 == 0)) % 2]
-            bit, state = protocol._measurer(state)(
-                state, (protocol.CENTER, c), cb, rng)
+            bit, state = states.measure_qubit(state, (protocol.CENTER, c),
+                                              cb, rng)
             center.append(bit)
     return (dense, bases, outcomes, center), rng.bit_generator.state
 
@@ -547,23 +547,23 @@ def test_frame_rounds_match_dense_rounds(run):
     initial = protocol._initial_state(config)
     p0s = []
 
-    def frame_measure(frame, label, basis, rng):
-        # p(0) read off two copies measured with the draws 0 and 1 - 2^-53:
-        # bits (0, 1) for p(0) = 1/2, (0, 0) for 1 and (1, 1) for 0
-        bits = tuple(on_frame(frame.copy(), label, basis, FixedDraw(u))[0]
-                     for u in (0.0, 1 - 2 ** -53))
-        p0s.append({(0, 1): 0.5, (0, 0): 1.0, (1, 1): 0.0}[bits])
-        return on_frame(frame, label, basis, rng)
+    def measure(state, label, basis, rng):
+        if isinstance(state, states.PauliFrame):
+            # p(0) read off two copies measured with the draws 0 and
+            # 1 - 2^-53: bits (0, 1) for p(0) = 1/2, (0, 0) for 1, (1, 1)
+            # for 0
+            bits = tuple(measure_qubit(state.copy(), label, basis,
+                                       FixedDraw(u))[0]
+                         for u in (0.0, 1 - 2 ** -53))
+            p0s.append({(0, 1): 0.5, (0, 0): 1.0, (1, 1): 0.0}[bits])
+        else:
+            p0s.append(states._project(state.amplitudes, state.axis(label),
+                                       basis)[1])
+        return measure_qubit(state, label, basis, rng)
 
-    def dense_measure(state, label, basis, rng):
-        p0s.append(states._project(state.amplitudes, state.axis(label),
-                                   basis)[1])
-        return on_amplitudes(state, label, basis, rng)
-
-    on_frame, on_amplitudes = states.PauliFrame.measure, states.measure_qubit
+    measure_qubit = states.measure_qubit
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(states.PauliFrame, "measure", frame_measure)
-        patch.setattr(states, "measure_qubit", dense_measure)
+        patch.setattr(states, "measure_qubit", measure)
         for rnd in range(8):
             _check_round(config, families, channels, initial, seed + rnd, p0s)
 

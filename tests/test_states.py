@@ -120,6 +120,44 @@ def test_pauli_frame_densifies_copies_and_refuses_bad_input():
     assert copy.densify().labels == initial.labels  # the copy is untouched
 
 
+def test_a_repeated_label_is_refused_by_every_pauli_kernel():
+    # the masks would OR one bit twice: X X would act as X, and Z Z, which
+    # is I on one qubit, would draw a random bit
+    cat = states.cat_copies(["m1", "m2"], 1)
+    twice = [("m1", 0), ("m1", 0)]
+    rng = np.random.default_rng(0)
+    for op in ("XX", "ZZ"):
+        pauli = PauliOperator.from_string(op)
+        with pytest.raises(InvalidArgumentError, match="unique"):
+            states.apply_pauli(cat, pauli, twice)
+        with pytest.raises(InvalidArgumentError, match="unique"):
+            states.measure_pauli(cat, pauli, twice, rng)
+        with pytest.raises(InvalidArgumentError, match="unique"):
+            states.apply_pauli(states.PauliFrame(cat), pauli, twice)
+
+
+@pytest.mark.parametrize("form", ["frame", "dense"])
+def test_a_frame_takes_and_refuses_the_labels_that_amplitudes_do(form):
+    cat = states.cat_copies(["m1", "m2"], 1)
+    state = states.PauliFrame(cat) if form == "frame" else cat
+    rng = np.random.default_rng(0)
+    ix = PauliOperator.from_string("IX")
+    for labels in ([("nobody", 0), ("m1", 0)], [("m1", 0)]):
+        with pytest.raises(InvalidArgumentError):
+            states.apply_pauli(state, ix, labels)
+    for label in (("nobody", 0), "m1", 7, (["m1"], 0)):
+        with pytest.raises(InvalidArgumentError, match="unknown label"):
+            states.measure_qubit(state, label, "X", rng)
+    # labels written as lists are the same labels
+    state = states.apply_pauli(state, ix, [["m1", 0], ["m2", 0]])
+    assert state.labels == cat.labels
+    bit, state = states.measure_qubit(state, ["m1", 0], "X", rng)
+    with pytest.raises(InvalidArgumentError, match="unknown label"):
+        states.measure_qubit(state, ("m1", 0), "X", rng)  # measured
+    # the last qubit of an X X copy under X on m2 is fixed: the parity is 0
+    assert states.measure_qubit(state, ("m2", 0), "X", rng)[0] == bit
+
+
 def test_apply_pauli_matches_dense():
     rng = np.random.default_rng(2)
     for _ in range(30):
